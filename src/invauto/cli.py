@@ -7,7 +7,8 @@ accept extra ``--item SOURCE@STATE`` arguments, where SOURCE is a path or
 which every exact count is a decimal string, never a float.
 
 Exit status: 0 on success (a false verdict is still a success), 1 on domain
-errors, 2 on usage or parse errors.
+errors, 2 on usage or parse errors (an argument a library call rejects is a
+usage error).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .counting import (
     decide_g1,
     find_ucs,
 )
-from .errors import AutomatonError, ParseError
+from .errors import ArgumentError, AutomatonError, ParseError
 from .paradox import coin_audit, find_minimal_level, theorem1_report, theorem2_report
 from .periodic import (
     EventuallyPeriodicWord,
@@ -41,20 +42,29 @@ class UsageError(Exception):
     """Bad command-line input that argparse alone cannot catch."""
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _automaton_from_source(source: str):
     if source.startswith("gen:"):
         parts = source.split(":")
-        family, depth, length = parts[1], None, None
+        family, options = parts[1], {"depth": None, "length": None}
         for opt in parts[2:]:
             key, _, value = opt.partition("=")
-            if key == "depth":
-                depth = int(value)
-            elif key == "length":
-                length = int(value)
-            else:
+            if key not in options:
                 raise UsageError(f"unknown generator option {key!r} in {source!r}")
-        return generate_builtin(family, depth=depth, length=length)
-    return parse_document(Path(source).read_text(encoding="utf-8"))[0]
+            try:
+                options[key] = int(value)
+            except ValueError:
+                raise UsageError(
+                    f"generator option {key!r} needs an integer, got {value!r} in {source!r}"
+                ) from None
+        return generate_builtin(family, **options)
+    return parse_document(_read_text(source))[0]
 
 
 def _transformation_from_item(item: str) -> Transformation:
@@ -80,7 +90,7 @@ def _load_automaton(args: argparse.Namespace):
         raise UsageError("exactly one of --file or --gen is required")
     if args.gen is not None:
         return generate_builtin(args.gen, depth=args.depth, length=args.length)
-    return parse_document(Path(args.file).read_text(encoding="utf-8"))[0]
+    return parse_document(_read_text(args.file))[0]
 
 
 def _load_transformation(args: argparse.Namespace) -> Transformation:
@@ -256,7 +266,13 @@ def cmd_classify(args) -> int:
         line = f"exponential (rate ~ {report.rate:.6f})"
     else:
         line = "bounded"
-    payload = {"category": report.category, "degree": report.degree, "rate": report.rate}
+    bounds = report.rate_bounds
+    payload = {
+        "category": report.category,
+        "degree": report.degree,
+        "rate": report.rate,
+        "rate_bounds": None if bounds is None else [str(b) for b in bounds],
+    }
     return _emit(args, [line], payload)
 
 
@@ -359,8 +375,35 @@ def cmd_min_level(args) -> int:
     return _emit(args, [str(level)], {"level": level})
 
 
+def _is_words(value) -> bool:
+    return isinstance(value, list) and all(isinstance(w, str) for w in value)
+
+
+_AUDIT_KEYS = (
+    ("level", lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    ("transformations", _is_words, "a list of SOURCE@STATE strings"),
+    ("parts", lambda v: isinstance(v, list) and all(map(_is_words, v)), "a list of word lists"),
+)
+
+
+def _audit_spec(path: str) -> dict:
+    """The audit spec in ``path``, with each key's presence and type checked."""
+    try:
+        spec = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(spec, dict):
+        raise ParseError(f"{path}: audit spec must be a JSON object")
+    for key, valid, what in _AUDIT_KEYS:
+        if key not in spec:
+            raise ParseError(f"{path}: audit spec has no {key!r} key")
+        if not valid(spec[key]):
+            raise ParseError(f"{path}: audit spec key {key!r} must be {what}")
+    return spec
+
+
 def cmd_audit(args) -> int:
-    spec = json.loads(Path(args.input).read_text(encoding="utf-8"))
+    spec = _audit_spec(args.input)
     hs = [_transformation_from_item(item) for item in spec["transformations"]]
     if not hs:
         raise UsageError("audit needs at least one transformation")
@@ -487,7 +530,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UsageError as exc:
+    except (UsageError, ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AutomatonError as exc:

@@ -12,15 +12,18 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator
 
-import numpy as np
-
 from .core import Automaton, Transformation, Word, trivial_states
-from .errors import NotMaterializableError
+from .errors import ArgumentError, NotMaterializableError
 
 NS = "ns"
 NC = "nc"
+
+_RATE_STEPS = 10_000
+_RATE_TOLERANCE_BITS = 40
+_VECTOR_BITS = 60
 
 
 @dataclass(frozen=True)
@@ -32,7 +35,7 @@ class UnconditionalCycle:
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
         if not self.states or len(set(self.states)) != len(self.states):
-            raise ValueError("cycle states must be nonempty and pairwise distinct")
+            raise ArgumentError("cycle states must be nonempty and pairwise distinct")
 
     @property
     def length(self) -> int:
@@ -49,14 +52,14 @@ class CountTable:
 
     def __post_init__(self):
         if self.kind not in (NS, NC):
-            raise ValueError(f"kind must be {NS!r} or {NC!r}")
+            raise ArgumentError(f"kind must be {NS!r} or {NC!r}")
         object.__setattr__(self, "counts", tuple(self.counts))
         if not self.counts or self.counts[0] not in (0, 1):
-            raise ValueError("level-0 count must be 0 or 1")
+            raise ArgumentError("level-0 count must be 0 or 1")
         k = self.transformation.alphabet.size
         for level, c in enumerate(self.counts):
             if not 0 <= c <= k**level:
-                raise ValueError(f"count {c} at level {level} exceeds {k}^{level}")
+                raise ArgumentError(f"count {c} at level {level} exceeds {k}^{level}")
 
     @property
     def max_level(self) -> int:
@@ -68,21 +71,34 @@ class CountTable:
 
 @dataclass(frozen=True)
 class GrowthReport:
-    """Growth class of the per-level activity counts."""
+    """Growth class of the per-level activity counts.
+
+    For exponential growth, ``rate_bounds`` is a certified interval
+    ``(lo, hi)`` of rationals around the growth base (the spectral radius of
+    the active part's letter-count matrix), and ``rate`` is its float view:
+    the float nearest the interval's midpoint.
+    """
 
     category: str
     degree: int | None = None
     rate: float | None = None
+    rate_bounds: tuple[Fraction, Fraction] | None = None
 
     def __post_init__(self):
         if self.category not in ("bounded", "polynomial", "exponential"):
-            raise ValueError(f"bad growth category {self.category!r}")
+            raise ArgumentError(f"bad growth category {self.category!r}")
         if (self.degree is not None) != (self.category == "polynomial"):
-            raise ValueError("degree is present exactly for polynomial growth")
+            raise ArgumentError("degree is present exactly for polynomial growth")
         if (self.rate is not None) != (self.category == "exponential"):
-            raise ValueError("rate is present exactly for exponential growth")
+            raise ArgumentError("rate is present exactly for exponential growth")
         if self.degree is not None and self.degree < 1:
-            raise ValueError("polynomial degree must be >= 1")
+            raise ArgumentError("polynomial degree must be >= 1")
+        if self.rate_bounds is not None:
+            if self.category != "exponential":
+                raise ArgumentError("rate bounds are present only for exponential growth")
+            lo, hi = self.rate_bounds
+            if lo > hi:
+                raise ArgumentError(f"rate bounds {lo} > {hi}")
 
 
 @dataclass(frozen=True)
@@ -198,7 +214,7 @@ def iter_nc_counts(g: Transformation) -> Iterator[int]:
 def count_ns(g: Transformation, max_level: int) -> CountTable:
     """Words of each length l <= max_level ending in a nontrivial state."""
     if max_level < 0:
-        raise ValueError("max_level must be >= 0")
+        raise ArgumentError("max_level must be >= 0")
     counts = tuple(itertools.islice(iter_ns_counts(g), max_level + 1))
     return CountTable(g, NS, counts)
 
@@ -206,7 +222,7 @@ def count_ns(g: Transformation, max_level: int) -> CountTable:
 def count_nc(g: Transformation, max_level: int) -> CountTable:
     """Words of each length l <= max_level avoiding all unconditional cycles."""
     if max_level < 0:
-        raise ValueError("max_level must be >= 0")
+        raise ArgumentError("max_level must be >= 0")
     counts = tuple(itertools.islice(iter_nc_counts(g), max_level + 1))
     return CountTable(g, NC, counts)
 
@@ -274,49 +290,102 @@ def max_uc_length(g: Transformation, level: int) -> int:
     return max(reachable_uc_lengths(g, level), default=0)
 
 
-def _dominant_rate(matrix: list[list[int]]) -> float:
-    """Power-iteration estimate of the dominant growth base.
+def _rate_bounds(rows: list[list[int]]) -> tuple[Fraction, Fraction]:
+    """Certified interval around the spectral radius of one strongly
+    connected block; ``rows[i]`` lists the in-block successors of local
+    state i, once per letter.
 
-    The matrix is shifted by the identity so periodic cycle structure cannot
-    stall convergence; the shift is subtracted from the estimate.
+    Collatz-Wielandt: for B = A + I and any positive vector v,
+    min (Bv)_i / v_i <= rho(B) <= max (Bv)_i / v_i.  Iterating v <- Bv
+    narrows the bracket (the shift by I makes B primitive, so periodic
+    blocks converge too).  Since any positive v gives a valid bracket, v is
+    cut back after each step so that its smallest entry keeps about 60
+    bits: rounding then never limits the width, and the integers stay
+    word-sized unless the Perron vector itself is spread out.  Ratios are
+    compared by cross-multiplication; the bracket kept is the intersection
+    of all brackets seen.
     """
-    a = np.array(matrix, dtype=float) + np.eye(len(matrix))
-    v = np.ones(len(matrix)) / len(matrix)
-    estimate = 0.0
-    for _ in range(10_000):
-        w = a @ v
-        total = w.sum()
-        if total == 0.0:
-            return 0.0
-        if abs(total - estimate) < 1e-9:
-            estimate = total
+    v = [1] * len(rows)
+    # lo_n / lo_d <= rho(B) <= hi_n / hi_d, from 0 <= rho(A) <= max row sum
+    lo_n, lo_d = 1, 1
+    hi_n, hi_d = max(map(len, rows)) + 1, 1
+    for _ in range(_RATE_STEPS):
+        w = [vi + sum(map(v.__getitem__, row)) for vi, row in zip(v, rows)]
+        ln, ld = hn, hd = w[0], v[0]
+        for wi, vi in zip(w, v):
+            if wi * ld < ln * vi:
+                ln, ld = wi, vi
+            elif wi * hd > hn * vi:
+                hn, hd = wi, vi
+        if ln * lo_d > lo_n * ld:
+            lo_n, lo_d = ln, ld
+        if hn * hi_d < hi_n * hd:
+            hi_n, hi_d = hn, hd
+        # width <= 2^-40 of the lower bound on rho(A) = rho(B) - 1
+        if (hi_n * lo_d - lo_n * hi_d) << _RATE_TOLERANCE_BITS <= (lo_n - lo_d) * hi_d:
             break
-        estimate = total
-        v = w / total
-    return float(estimate - 1.0)
+        shift = min(w).bit_length() - _VECTOR_BITS
+        v = [x >> shift for x in w] if shift > 0 else w
+    return Fraction(lo_n - lo_d, lo_d), Fraction(hi_n - hi_d, hi_d)
 
 
-def _activity_graph(g: Transformation) -> tuple[list[int], dict[tuple[int, int], int]]:
-    """Nontrivial states reachable from g, with letter-multiplicity edges."""
+def _activity_graph(g: Transformation) -> dict[int, list[int]]:
+    """Nontrivial states reachable from g, each with its nontrivial
+    successors listed once per letter leading there (letter multiplicity)."""
     automaton = g.automaton
-    k = automaton.alphabet.size
     dead = trivial_states(automaton)
     if g.start in dead:
-        return [], {}
-    seen = {g.start}
-    queue = deque([g.start])
-    edges: dict[tuple[int, int], int] = {}
-    while queue:
-        q = queue.popleft()
-        for x in range(k):
-            t = automaton.transitions[q][x]
-            if t in dead:
-                continue
-            edges[(q, t)] = edges.get((q, t), 0) + 1
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return sorted(seen), edges
+        return {}
+    succ: dict[int, list[int]] = {}
+    stack = [g.start]
+    while stack:
+        q = stack.pop()
+        if q in succ:
+            continue
+        succ[q] = [t for t in automaton.transitions[q] if t not in dead]
+        stack.extend(t for t in succ[q] if t not in succ)
+    return succ
+
+
+def _strong_components(succ: dict[int, list[int]], root: int) -> list[list[int]]:
+    """Tarjan's strongly connected components of the graph reachable from
+    ``root``, in reverse topological order: each component comes after every
+    component it has an edge into.  Iterative, so path length is not bounded
+    by the recursion limit.
+    """
+    index = {root: 0}
+    low = {root: 0}
+    stack = [root]
+    on_stack = {root}
+    components = []
+    work = [(root, iter(succ[root]))]
+    while work:
+        q, targets = work[-1]
+        for t in targets:
+            if t not in index:
+                index[t] = low[t] = len(index)
+                stack.append(t)
+                on_stack.add(t)
+                work.append((t, iter(succ[t])))
+                break
+            if t in on_stack and index[t] < low[q]:
+                low[q] = index[t]
+        else:
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                if low[q] < low[parent]:
+                    low[parent] = low[q]
+            if low[q] == index[q]:
+                component = []
+                while True:
+                    t = stack.pop()
+                    on_stack.discard(t)
+                    component.append(t)
+                    if t == q:
+                        break
+                components.append(component)
+    return components
 
 
 def classify_growth(g: Transformation) -> GrowthReport:
@@ -324,45 +393,41 @@ def classify_growth(g: Transformation) -> GrowthReport:
 
     Exponential iff some state lies on two distinct directed cycles (an
     strongly connected piece carrying more edges, counted with letter
-    multiplicity, than states); otherwise the count grows like l^d where d+1
-    is the largest number of cycles met along one directed path, and d = 0
-    is reported as bounded.
+    multiplicity, than states); the growth base is then the largest spectral
+    radius of such a piece, reported as a certified interval.  Otherwise the
+    count grows like l^d where d+1 is the largest number of cycles met along
+    one directed path, and d = 0 is reported as bounded.
     """
-    import networkx as nx
-
-    nodes, edges = _activity_graph(g)
-    if not nodes:
+    succ = _activity_graph(g)
+    if not succ:
         return GrowthReport("bounded")
-
-    graph = nx.DiGraph()
-    graph.add_nodes_from(nodes)
-    for (q, t), mult in edges.items():
-        graph.add_edge(q, t, mult=mult)
-
-    components = list(nx.strongly_connected_components(graph))
-    intra: dict[int, int] = {}
+    components = _strong_components(succ, g.start)
+    comp_of = {q: ci for ci, comp in enumerate(components) for q in comp}
+    bounds = []
+    met: list[int] = []  # most cyclic components on a path from each component
     for ci, comp in enumerate(components):
-        intra[ci] = sum(
-            mult for (q, t), mult in edges.items() if q in comp and t in comp
-        )
-        if intra[ci] > len(comp):
-            k = g.alphabet.size
-            rate = _dominant_rate(
-                [[edges.get((q, t), 0) for t in nodes] for q in nodes]
-            )
-            return GrowthReport("exponential", rate=min(rate, float(k)))
-
-    condensed = nx.condensation(graph, components)
-    cyclic = {ci: 1 if intra[ci] >= 1 else 0 for ci in condensed.nodes}
-    best: dict[int, int] = {}
-    for ci in reversed(list(nx.topological_sort(condensed))):
-        succ = [best[cj] for cj in condensed.successors(ci)]
-        best[ci] = cyclic[ci] + max(succ, default=0)
-    start_comp = condensed.graph["mapping"][g.start]
-    met = best[start_comp]
-    if met <= 1:
+        intra = 0
+        below = 0
+        for q in comp:
+            for t in succ[q]:
+                cj = comp_of[t]
+                if cj == ci:
+                    intra += 1
+                elif met[cj] > below:
+                    below = met[cj]
+        if intra > len(comp):
+            local = {q: i for i, q in enumerate(comp)}
+            bounds.append(_rate_bounds(
+                [[local[t] for t in succ[q] if t in local] for q in comp]
+            ))
+        met.append((intra >= 1) + below)
+    if bounds:
+        lo = max(b[0] for b in bounds)
+        hi = max(b[1] for b in bounds)
+        return GrowthReport("exponential", rate=float((lo + hi) / 2), rate_bounds=(lo, hi))
+    if met[-1] <= 1:  # the start's component is the last one found
         return GrowthReport("bounded")
-    return GrowthReport("polynomial", degree=met - 1)
+    return GrowthReport("polynomial", degree=met[-1] - 1)
 
 
 def _escape_proof_core(automaton: Automaton, excluded: frozenset[int]) -> set[int]:

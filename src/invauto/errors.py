@@ -11,6 +11,12 @@ class AutomatonError(Exception):
     """Base class for all domain errors."""
 
 
+class ArgumentError(AutomatonError, ValueError):
+    """A library call got an argument outside its domain (a negative level,
+    a zero period divisor, ...); also a ValueError, for callers that catch
+    that."""
+
+
 class ValidationError(AutomatonError):
     """An automaton description violates a structural invariant."""
 

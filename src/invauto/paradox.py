@@ -27,6 +27,7 @@ from .counting import (
 )
 from .errors import (
     AlphabetMismatchError,
+    ArgumentError,
     BlockFactorTooSmallError,
     PartitionNotTotalError,
     PartitionOverlapError,
@@ -55,14 +56,14 @@ class ParadoxReport:
 
     def __post_init__(self):
         if self.satisfied != (self.aggregate <= self.threshold):
-            raise ValueError("verdict disagrees with the exact comparison")
+            raise ArgumentError("verdict disagrees with the exact comparison")
         if self.block_factor < MIN_BLOCK_FACTOR:
-            raise ValueError(f"block factor must be >= {MIN_BLOCK_FACTOR}")
+            raise ArgumentError(f"block factor must be >= {MIN_BLOCK_FACTOR}")
 
 
 def _common_alphabet(hs: Sequence[Transformation]):
     if not hs:
-        raise ValueError("need at least one transformation")
+        raise ArgumentError("need at least one transformation")
     alphabet = hs[0].alphabet
     for h in hs[1:]:
         if h.alphabet != alphabet:
@@ -109,7 +110,7 @@ def theorem1_report(
     alphabet = _common_alphabet(hs)
     _check_block_factor(block_factor)
     if level < 0:
-        raise ValueError("level must be >= 0")
+        raise ArgumentError("level must be >= 0")
     per_item = _level_counts(hs, level, NS, workers)
     aggregate = block_factor * sum(per_item)
     threshold = Fraction(block_factor * alphabet.size**level, 4)
@@ -161,7 +162,7 @@ def theorem2_report(
     alphabet = _common_alphabet(hs)
     _check_block_factor(block_factor)
     if level < 0:
-        raise ValueError("level must be >= 0")
+        raise ArgumentError("level must be >= 0")
     if period_divisor < 1:
         raise PeriodBoundInvalidError("period divisor must be >= 1")
     for h in hs:
@@ -232,15 +233,15 @@ def coin_audit(
     hs = tuple(hs)
     alphabet = _common_alphabet(hs)
     if len(parts) != len(hs):
-        raise ValueError("need exactly one word block per transformation")
+        raise ArgumentError("need exactly one word block per transformation")
     if level < 0:
-        raise ValueError("level must be >= 0")
+        raise ArgumentError("level must be >= 0")
     assignments: dict[Word, int] = {}
     for i, part in enumerate(parts):
         for word in part:
             w = alphabet.check_word(word)
             if len(w) != level:
-                raise ValueError(f"word {w} does not have length {level}")
+                raise ArgumentError(f"word {w} does not have length {level}")
             if w in assignments:
                 raise PartitionOverlapError(
                     f"word {alphabet.text(w)!r} is assigned to blocks "

@@ -15,6 +15,7 @@ from typing import Iterator, Sequence
 from .core import Transformation, Word
 from .counting import max_uc_length, reachable_uc_lengths, uc_state_lengths
 from .errors import (
+    ArgumentError,
     CycleBoundTooSmallError,
     NotMaterializableError,
     PeriodBoundInvalidError,
@@ -41,7 +42,7 @@ class EventuallyPeriodicWord:
     def __post_init__(self):
         object.__setattr__(self, "prefix", tuple(self.prefix))
         if not self.period:
-            raise ValueError("period must be nonempty")
+            raise ArgumentError("period must be nonempty")
         object.__setattr__(self, "period", primitive_root(self.period))
 
     @property
@@ -180,7 +181,7 @@ def check_lemma1(
     lcm(t, c) for t the input period and c the cycle length.
     """
     if w.level != level:
-        raise ValueError(
+        raise ArgumentError(
             f"word is presented at level {w.level}, expected {level}"
         )
     t = len(w.period)
@@ -224,7 +225,7 @@ def check_lemma2(
     level with period length dividing ``period_divisor``.
     """
     if period_divisor < 1:
-        raise ValueError("period divisor must be >= 1")
+        raise ArgumentError("period divisor must be >= 1")
     reachable = reachable_uc_lengths(g, level)
     if cycle_bound < max(reachable, default=0):
         raise CycleBoundTooSmallError(
@@ -241,9 +242,9 @@ def check_lemma2(
     failures = []
     for w in samples:
         if w.level != level:
-            raise ValueError(f"sample presented at level {w.level}, expected {level}")
+            raise ArgumentError(f"sample presented at level {w.level}, expected {level}")
         if period_divisor % len(w.period) != 0:
-            raise ValueError(
+            raise ArgumentError(
                 f"sample period length {len(w.period)} does not divide into "
                 f"{period_divisor}"
             )
@@ -260,44 +261,14 @@ def check_lemma2(
     return Lemma2Verdict(checked, skipped, failed, tuple(failures))
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _mobius(n: int) -> int:
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
-
-
 def count_periods(alphabet_size: int, period_divisor: int) -> int:
     """Number of primitive words whose length divides ``period_divisor``.
 
-    Inclusion-exclusion over divisors: length-d primitives number
-    sum over e | d of mu(e) * k^(d/e).
+    Every word of length m is a power of exactly one primitive word, whose
+    length divides m, so the count is alphabet_size ** period_divisor.
     """
     if alphabet_size < 1:
-        raise ValueError("alphabet size must be >= 1")
+        raise ArgumentError("alphabet size must be >= 1")
     if period_divisor < 1:
-        raise ValueError("period divisor must be >= 1")
-    total = 0
-    for d in _divisors(period_divisor):
-        total += sum(_mobius(e) * alphabet_size ** (d // e) for e in _divisors(d))
-    return total
+        raise ArgumentError("period divisor must be >= 1")
+    return alphabet_size**period_divisor

@@ -167,6 +167,89 @@ def brute_counts(g, max_level):
     return ns, nc
 
 
+def _reachable(succ, q):
+    seen = {q}
+    stack = [q]
+    while stack:
+        for t in succ[stack.pop()]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
+def oracle_sccs(succ):
+    """Strongly connected components of ``{node: successors}``, by mutual
+    reachability: t is in q's component iff each reaches the other."""
+    reach = {q: _reachable(succ, q) for q in succ}
+    components = []
+    placed = set()
+    for q in succ:
+        if q not in placed:
+            component = frozenset(t for t in reach[q] if q in reach[t])
+            components.append(component)
+            placed |= component
+    return components
+
+
+def oracle_power_rate(matrix):
+    """Float power-iteration estimate of the growth base of a dense matrix:
+    the identity-shifted iteration the classifier used before exact
+    bracketing, with its absolute 1e-9 stopping rule and 10 000-step cap."""
+    n = len(matrix)
+    shifted = [[a + (i == j) for j, a in enumerate(row)] for i, row in enumerate(matrix)]
+    v = [1.0 / n] * n
+    estimate = 0.0
+    for _ in range(10_000):
+        w = [sum(a * x for a, x in zip(row, v)) for row in shifted]
+        total = sum(w)
+        if total == 0.0:
+            return 0.0
+        if abs(total - estimate) < 1e-9:
+            estimate = total
+            break
+        estimate = total
+        v = [x / total for x in w]
+    return estimate - 1.0
+
+
+def oracle_growth(g):
+    """(category, degree, rate) of NS(g, l) by the reference algorithm:
+    components by mutual reachability over the active states, the longest
+    chain of cyclic components by memoised recursion, and the float power
+    iteration over the whole active matrix for the exponential rate."""
+    automaton = g.automaton
+    trivial = oracle_trivial_states(automaton)
+    if g.start in trivial:
+        return "bounded", None, None
+    succ = {}
+    stack = [g.start]
+    while stack:
+        q = stack.pop()
+        if q not in succ:
+            succ[q] = [t for t in automaton.transitions[q] if t not in trivial]
+            stack.extend(succ[q])
+    components = oracle_sccs(succ)
+    comp_of = {q: c for c in components for q in c}
+    intra = {c: sum(t in c for q in c for t in succ[q]) for c in components}
+    if any(intra[c] > len(c) for c in components):
+        nodes = sorted(succ)
+        matrix = [[succ[q].count(t) for t in nodes] for q in nodes]
+        return "exponential", None, oracle_power_rate(matrix)
+    memo = {}
+
+    def cycles_met(c):
+        if c not in memo:
+            below = {comp_of[t] for q in c for t in succ[q]} - {c}
+            memo[c] = (intra[c] >= 1) + max(map(cycles_met, below), default=0)
+        return memo[c]
+
+    met = cycles_met(comp_of[g.start])
+    if met <= 1:
+        return "bounded", None, None
+    return "polynomial", met - 1, None
+
+
 # ---------------------------------------------------------------- generators
 
 def random_automaton(rng: random.Random, n_states: int, k: int) -> iv.Automaton:
@@ -195,6 +278,29 @@ def random_funnel(rng: random.Random, n_states: int, k: int) -> iv.Automaton:
         rng.shuffle(perm)
         table[names[i]] = {
             symbols[x]: (names[rng.randrange(i + 1, n_states + 1)], symbols[perm[x]])
+            for x in range(k)
+        }
+    table["e"] = {s: ("e", s) for s in symbols}
+    return iv.Automaton.from_table(symbols, table)
+
+
+def random_constant_degree(rng: random.Random, n_states: int, k: int, d: int) -> iv.Automaton:
+    """Random machine in which every state but the identity sink ``e`` acts
+    nontrivially and sends exactly ``d`` letters to non-sink states, so every
+    row of the activity matrix sums to d."""
+    names = [f"c{i}" for i in range(n_states)] + ["e"]
+    symbols = [str(x) for x in range(k)]
+    table = {}
+    for name in names[:-1]:
+        perm = list(range(k))
+        while perm == list(range(k)):
+            rng.shuffle(perm)
+        active = set(rng.sample(range(k), d))
+        table[name] = {
+            symbols[x]: (
+                names[rng.randrange(n_states)] if x in active else "e",
+                symbols[perm[x]],
+            )
             for x in range(k)
         }
     table["e"] = {s: ("e", s) for s in symbols}

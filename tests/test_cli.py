@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -210,6 +213,28 @@ def test_classify_command(capsys):
     code, out, _ = run(capsys, "classify", "--gen", "adding", "--state", "q")
     assert code == 0
     assert out.strip() == "bounded"
+    code, out, _ = run(capsys, "classify", "--gen", "flip_all", "--state", "r", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "category": "exponential", "degree": None, "rate": 2.0, "rate_bounds": ["2", "2"],
+    }
+
+
+def test_classify_imports_neither_numpy_nor_networkx():
+    script = (
+        "import sys\n"
+        "from invauto.cli import main\n"
+        "code = main(['classify', '--gen', 'flip_all', '--state', 'r', '--json'])\n"
+        "heavy = sorted({'numpy', 'networkx'} & set(sys.modules))\n"
+        "sys.exit(f'exit {code}, imported {heavy}' if code or heavy else 0)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_lemma2_command(capsys):
@@ -260,3 +285,47 @@ def test_t1_report_multiple_items(capsys):
     )
     assert code == 0
     assert json.loads(out)["per_item"] == ["1", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ns", "--gen", "adding", "--state", "q", "--max-level", "-1"],
+        ["periods", "-k", "2", "-m", "0"],
+        ["lemma2", "--gen", "adding", "--state", "q", "-l", "1", "-c", "1", "-m", "0",
+         "--word", "0:1"],
+        ["audit", "--input", "{no_parts}"],
+        ["audit", "--input", "{not_json}"],
+        ["t1-report", "--gen", "adding", "--state", "q", "-l", "2",
+         "--item", "gen:adding:depth=x@q"],
+    ],
+    ids=["negative-level", "periods-zero", "lemma2-zero", "audit-no-parts",
+         "audit-not-json", "item-bad-depth"],
+)
+def test_malformed_input_gives_one_error_line(capsys, tmp_path, argv):
+    files = {
+        "no_parts": tmp_path / "no_parts.json",
+        "not_json": tmp_path / "not_json.json",
+    }
+    files["no_parts"].write_text(json.dumps({"level": 1, "transformations": ["gen:adding@q"]}))
+    files["not_json"].write_text("level: 2\n")
+    code, _, err = run(capsys, *(a.format(**files) for a in argv))
+    assert code in (1, 2)
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_audit_spec_error_names_the_key(capsys, tmp_path):
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps({"level": "2", "transformations": [], "parts": []}))
+    code, _, err = run(capsys, "audit", "--input", str(path))
+    assert code == 2
+    assert "'level'" in err and "integer" in err
+
+
+def test_binary_file_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "m.maut"
+    path.write_bytes(b"\xff\xfe\x00alphabet")
+    code, _, err = run(capsys, "validate", "--file", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "UTF-8" in err

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import invauto as iv
 from helpers import (
@@ -15,8 +18,11 @@ from helpers import (
     flip_all,
     flip_alternator,
     full_corpus,
+    oracle_growth,
     poly_chain,
     random_automaton,
+    random_constant_degree,
+    random_funnel,
     remark_chain,
     uv_core,
 )
@@ -164,6 +170,59 @@ def test_classify_polynomial_chain():
 
 def test_classify_identity_bounded():
     assert iv.classify_growth(adding().at("e")).category == "bounded"
+
+
+def test_classify_rate_bounds_bracket_the_rate():
+    report = iv.classify_growth(flip_all().at("r"))
+    assert report.rate_bounds == (2, 2)
+    lo, hi = iv.classify_growth(remark_chain(9).at("q_1")).rate_bounds
+    assert 2 < lo < hi < 3
+    assert (hi - lo) / lo <= Fraction(1, 2**40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["random", "funnel", "constant"]),
+    st.integers(1, 40),
+    st.sampled_from([2, 3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_classify_growth_matches_reference(kind, n, k, seed):
+    rng = random.Random(seed)
+    if kind == "random":
+        machine = random_automaton(rng, n, k)
+    elif kind == "funnel":
+        machine = random_funnel(rng, n, k)
+    else:
+        d = rng.randint(2, k)
+        machine = random_constant_degree(rng, n, k, d)
+    g = machine.at(machine.states[rng.randrange(machine.n_states)])
+    report = iv.classify_growth(g)
+    category, degree, rate = oracle_growth(g)
+    assert (report.category, report.degree) == (category, degree)
+    if category != "exponential":
+        assert report.rate is None and report.rate_bounds is None
+        return
+    lo, hi = report.rate_bounds
+    assert lo <= hi
+    assert float(lo) <= report.rate <= float(hi)
+    assert float(lo) * (1 - 1e-6) <= rate <= float(hi) * (1 + 1e-6)
+    if kind == "constant":
+        assert lo == hi == d
+
+
+def test_classify_long_chain_does_not_recurse():
+    """5000 flip states, each looping on 0 and moving on along 1: the count
+    grows like l^4999, and both the component search and the chain DP run
+    far past the default recursion limit."""
+    n = 5000
+    table = {
+        f"c{i}": {"0": (f"c{i}", "1"), "1": (f"c{i + 1}" if i + 1 < n else "e", "0")}
+        for i in range(n)
+    }
+    table["e"] = {"0": ("e", "0"), "1": ("e", "1")}
+    machine = iv.Automaton.from_table(("0", "1"), table)
+    assert iv.classify_growth(machine.at("c0")) == iv.GrowthReport("polynomial", degree=n - 1)
 
 
 # ---------------------------------------------------------------- membership
