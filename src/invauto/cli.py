@@ -49,22 +49,33 @@ def _read_text(path: str) -> str:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _open_automaton(path: str | None, family: str | None, depth=None, length=None):
+    """The machine in file ``path``, or builtin ``family`` materialized for
+    ``depth``/``length``; exactly one of ``path`` and ``family`` is given."""
+    if (path is None) == (family is None):
+        raise UsageError("exactly one of --file or --gen is required")
+    if family is not None:
+        return generate_builtin(family, depth=depth, length=length)
+    return parse_document(_read_text(path))[0]
+
+
 def _automaton_from_source(source: str):
-    if source.startswith("gen:"):
-        parts = source.split(":")
-        family, options = parts[1], {"depth": None, "length": None}
-        for opt in parts[2:]:
-            key, _, value = opt.partition("=")
-            if key not in options:
-                raise UsageError(f"unknown generator option {key!r} in {source!r}")
-            try:
-                options[key] = int(value)
-            except ValueError:
-                raise UsageError(
-                    f"generator option {key!r} needs an integer, got {value!r} in {source!r}"
-                ) from None
-        return generate_builtin(family, **options)
-    return parse_document(_read_text(source))[0]
+    """A SOURCE argument: a path, or ``gen:FAMILY[:depth=N][:length=N]``."""
+    if not source.startswith("gen:"):
+        return _open_automaton(source, None)
+    parts = source.split(":")
+    options = {"depth": None, "length": None}
+    for opt in parts[2:]:
+        key, _, value = opt.partition("=")
+        if key not in options:
+            raise UsageError(f"unknown generator option {key!r} in {source!r}")
+        try:
+            options[key] = int(value)
+        except ValueError:
+            raise UsageError(
+                f"generator option {key!r} needs an integer, got {value!r} in {source!r}"
+            ) from None
+    return _open_automaton(None, parts[1], **options)
 
 
 def _transformation_from_item(item: str) -> Transformation:
@@ -86,11 +97,7 @@ def _add_source_options(parser: argparse.ArgumentParser, state: bool = True) -> 
 
 
 def _load_automaton(args: argparse.Namespace):
-    if (args.file is None) == (args.gen is None):
-        raise UsageError("exactly one of --file or --gen is required")
-    if args.gen is not None:
-        return generate_builtin(args.gen, depth=args.depth, length=args.length)
-    return parse_document(_read_text(args.file))[0]
+    return _open_automaton(args.file, args.gen, args.depth, args.length)
 
 
 def _load_transformation(args: argparse.Namespace) -> Transformation:
@@ -349,19 +356,13 @@ def cmd_periods(args) -> int:
 
 
 def cmd_t1_report(args) -> int:
-    report = theorem1_report(
-        _load_items(args), args.level, args.block_factor, workers=args.workers
-    )
+    report = theorem1_report(_load_items(args), args.level, args.block_factor)
     return _emit(args, _report_lines(report), _report_payload(report))
 
 
 def cmd_t2_report(args) -> int:
     report = theorem2_report(
-        _load_items(args),
-        args.level,
-        args.period_divisor,
-        args.block_factor,
-        workers=args.workers,
+        _load_items(args), args.level, args.period_divisor, args.block_factor
     )
     return _emit(args, _report_lines(report), _report_payload(report))
 
@@ -439,11 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_: str, state: bool = True, source: bool = True):
+    def add(name: str, handler, help_: str, state: bool = True, json_: bool = True):
         p = sub.add_parser(name, help=help_)
-        if source:
-            _add_source_options(p, state=state)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        _add_source_options(p, state=state)
+        if json_:  # commands printing a machine description have no JSON form
+            p.add_argument("--json", action="store_true", help="machine-readable output")
         p.set_defaults(handler=handler)
         return p
 
@@ -455,12 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int)
     p.set_defaults(handler=cmd_gen)
 
-    add("export-dot", cmd_export_dot, "print the labeled state diagram", state=False)
+    add("export-dot", cmd_export_dot, "print the labeled state diagram", state=False, json_=False)
 
     p = add("apply", cmd_apply, "run a machine on words")
     p.add_argument("word", nargs="*", help="words (default: read from stdin)")
 
-    add("invert", cmd_invert, "print the inverse machine", state=False)
+    add("invert", cmd_invert, "print the inverse machine", state=False, json_=False)
 
     p = sub.add_parser("compose", help="print the product machine (left acts first)")
     p.add_argument("left", help="path or gen:FAMILY[:depth=N]")
@@ -500,14 +501,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-l", "--level", type=int, required=True)
     p.add_argument("-s", "--block-factor", type=int, default=8)
     p.add_argument("--item", action="append", metavar="SOURCE@STATE")
-    p.add_argument("--workers", type=int, default=1, help="count items in parallel")
 
     p = add("t2-report", cmd_t2_report, "cycle-avoidance doubling bound at one level")
     p.add_argument("-l", "--level", type=int, required=True)
     p.add_argument("-m", "--period-divisor", type=int, required=True)
     p.add_argument("-s", "--block-factor", type=int, default=8)
     p.add_argument("--item", action="append", metavar="SOURCE@STATE")
-    p.add_argument("--workers", type=int, default=1, help="count items in parallel")
 
     p = add("min-level", cmd_min_level, "smallest level satisfying the activity bound")
     p.add_argument("-s", "--block-factor", type=int, default=8)
@@ -527,16 +526,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
+    except (ParseError, UsageError, ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, ArgumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AutomatonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (AutomatonError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

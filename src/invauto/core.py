@@ -478,9 +478,18 @@ def trivial_states(automaton: Automaton) -> frozenset[int]:
     closed under transitions; this is the semantic notion, so syntactically
     different copies of the identity are all detected.
     """
-    k = automaton.alphabet.size
-    identity = tuple(range(k))
-    candidates = {q for q in range(automaton.n_states) if automaton.outputs[q] == identity}
+    identity = tuple(range(automaton.alphabet.size))
+    return greatest_closed_subset(
+        automaton, {q for q in range(automaton.n_states) if automaton.outputs[q] == identity}
+    )
+
+
+def greatest_closed_subset(automaton: Automaton, candidates: set[int]) -> frozenset[int]:
+    """Largest subset of ``candidates`` that every transition stays inside.
+
+    Iteratively prunes states with a transition leaving the set; once no
+    state escapes, no word can lead out of what is left.
+    """
     while True:
         stable = {
             q for q in candidates

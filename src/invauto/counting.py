@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import Automaton, Transformation, Word, trivial_states
+from .core import Automaton, Transformation, Word, greatest_closed_subset, trivial_states
 from .errors import ArgumentError, NotMaterializableError
 
 NS = "ns"
@@ -164,10 +164,18 @@ def uc_state_lengths(automaton: Automaton) -> dict[int, int]:
     return lengths
 
 
+def _dead(automaton: Automaton, kind: str) -> frozenset[int]:
+    """The states a path counted by ``kind`` must stay out of: the trivial
+    states for NS, the unconditional-cycle states for NC."""
+    if kind == NS:
+        return trivial_states(automaton)
+    return frozenset(uc_state_lengths(automaton))
+
+
 def _iter_survivor_counts(g: Transformation, dead: frozenset[int]) -> Iterator[int]:
     """Per-level counts of words whose state path stays out of ``dead``.
 
-    ``dead`` is closed under transitions for both uses (trivial states only
+    ``dead`` is closed under transitions for both kinds (trivial states only
     lead to trivial states; cycle states only cycle), so dropping mass on
     entry is exact: a path ends outside ``dead`` iff it never entered it.
     """
@@ -203,33 +211,41 @@ def _iter_survivor_counts(g: Transformation, dead: frozenset[int]) -> Iterator[i
 
 def iter_ns_counts(g: Transformation) -> Iterator[int]:
     """Yields NS(g, 0), NS(g, 1), ... lazily."""
-    return _iter_survivor_counts(g, trivial_states(g.automaton))
+    return _iter_survivor_counts(g, _dead(g.automaton, NS))
 
 
 def iter_nc_counts(g: Transformation) -> Iterator[int]:
     """Yields NC(g, 0), NC(g, 1), ... lazily."""
-    return _iter_survivor_counts(g, frozenset(uc_state_lengths(g.automaton)))
+    return _iter_survivor_counts(g, _dead(g.automaton, NC))
+
+
+def _iter_counts(g: Transformation, kind: str) -> Iterator[int]:
+    # through the public names, so wrappers installed on them see every sweep
+    return iter_ns_counts(g) if kind == NS else iter_nc_counts(g)
+
+
+def _count(g: Transformation, max_level: int, kind: str) -> CountTable:
+    if max_level < 0:
+        raise ArgumentError("max_level must be >= 0")
+    return CountTable(g, kind, tuple(itertools.islice(_iter_counts(g, kind), max_level + 1)))
 
 
 def count_ns(g: Transformation, max_level: int) -> CountTable:
     """Words of each length l <= max_level ending in a nontrivial state."""
-    if max_level < 0:
-        raise ArgumentError("max_level must be >= 0")
-    counts = tuple(itertools.islice(iter_ns_counts(g), max_level + 1))
-    return CountTable(g, NS, counts)
+    return _count(g, max_level, NS)
 
 
 def count_nc(g: Transformation, max_level: int) -> CountTable:
     """Words of each length l <= max_level avoiding all unconditional cycles."""
-    if max_level < 0:
-        raise ArgumentError("max_level must be >= 0")
-    counts = tuple(itertools.islice(iter_nc_counts(g), max_level + 1))
-    return CountTable(g, NC, counts)
+    return _count(g, max_level, NC)
 
 
-def _survivor_words(g: Transformation, level: int, dead: frozenset[int]):
+def _survivor_words(g: Transformation, level: int, kind: str) -> list[Word]:
+    g._check_length(level)
+    dead = _dead(g.automaton, kind)
     k = g.alphabet.size
     trans = g.automaton.transitions
+    words = []
     for word in itertools.product(range(k), repeat=level):
         q = g.start
         if q in dead:
@@ -239,7 +255,8 @@ def _survivor_words(g: Transformation, level: int, dead: frozenset[int]):
             if q in dead:
                 break
         else:
-            yield word
+            words.append(word)
+    return words
 
 
 def ns_words(g: Transformation, level: int) -> list[Word]:
@@ -248,14 +265,12 @@ def ns_words(g: Transformation, level: int) -> list[Word]:
     Enumerates all |X|^level words; meant for small levels only (the counts
     themselves come from :func:`count_ns`, which never enumerates).
     """
-    g._check_length(level)
-    return list(_survivor_words(g, level, trivial_states(g.automaton)))
+    return _survivor_words(g, level, NS)
 
 
 def nc_words(g: Transformation, level: int) -> list[Word]:
     """The actual words counted by NC at one level; small levels only."""
-    g._check_length(level)
-    return list(_survivor_words(g, level, frozenset(uc_state_lengths(g.automaton))))
+    return _survivor_words(g, level, NC)
 
 
 def _states_within(g: Transformation, steps: int) -> set[int]:
@@ -430,25 +445,7 @@ def classify_growth(g: Transformation) -> GrowthReport:
     return GrowthReport("polynomial", degree=met[-1] - 1)
 
 
-def _escape_proof_core(automaton: Automaton, excluded: frozenset[int]) -> set[int]:
-    """Largest state set outside ``excluded`` keeping every transition inside.
-
-    Iteratively prunes states with an escaping transition; what survives
-    traps the machine, so any word reaching it pins the count to full growth.
-    """
-    k = automaton.alphabet.size
-    core = {q for q in range(automaton.n_states) if q not in excluded}
-    while True:
-        keep = {
-            q for q in core
-            if all(automaton.transitions[q][x] in core for x in range(k))
-        }
-        if keep == core:
-            return core
-        core = keep
-
-
-def _shortest_word_to(g: Transformation, targets: set[int]) -> Word | None:
+def _shortest_word_to(g: Transformation, targets: frozenset[int]) -> Word | None:
     automaton = g.automaton
     k = automaton.alphabet.size
     if g.start in targets:
@@ -474,14 +471,19 @@ def _shortest_word_to(g: Transformation, targets: set[int]) -> Word | None:
     return None
 
 
-def _decide_small(g: Transformation, excluded: frozenset[int]) -> MembershipDecision:
+def _decide_small(g: Transformation, kind: str) -> MembershipDecision:
     if g.automaton.policy is not None:
         raise NotMaterializableError(
             "exact membership needs the full automaton; this one is a "
             "depth-bounded materialization (diagnose empirically from the "
             "count tables instead)"
         )
-    core = _escape_proof_core(g.automaton, excluded)
+    # the escape-proof core: no word leads out of it, so reaching it pins
+    # the count to full growth
+    dead = _dead(g.automaton, kind)
+    core = greatest_closed_subset(
+        g.automaton, {q for q in range(g.automaton.n_states) if q not in dead}
+    )
     witness = _shortest_word_to(g, core) if core else None
     names = tuple(g.automaton.states[q] for q in sorted(core))
     if witness is None:
@@ -496,7 +498,7 @@ def decide_g0(g: Transformation) -> MembershipDecision:
     ends in the escape-proof nontrivial core, so NS(g, l) >= |X|^(l-m); True
     means the core is unreachable and the growth base stays below |X|.
     """
-    return _decide_small(g, trivial_states(g.automaton))
+    return _decide_small(g, NS)
 
 
 def decide_g1(g: Transformation) -> MembershipDecision:
@@ -505,4 +507,4 @@ def decide_g1(g: Transformation) -> MembershipDecision:
     Same pruning as :func:`decide_g0` with "trivial" replaced by "member of
     an unconditional cycle".
     """
-    return _decide_small(g, frozenset(uc_state_lengths(g.automaton)))
+    return _decide_small(g, NC)

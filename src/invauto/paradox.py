@@ -11,20 +11,12 @@ and lists every word left short.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .core import Transformation, Word
-from .counting import (
-    NC,
-    NS,
-    iter_nc_counts,
-    iter_ns_counts,
-    reachable_uc_lengths,
-)
+from .counting import NC, NS, _iter_counts, iter_ns_counts, reachable_uc_lengths
 from .errors import (
     AlphabetMismatchError,
     ArgumentError,
@@ -78,26 +70,55 @@ def _check_block_factor(block_factor: int) -> None:
         )
 
 
-def _count_at(h: Transformation, level: int, kind: str) -> int:
-    counts = iter_ns_counts(h) if kind == NS else iter_nc_counts(h)
-    return deque(itertools.islice(counts, level + 1), maxlen=1)[0]
-
-
-def _level_counts(
-    hs: Sequence[Transformation], level: int, kind: str, workers: int = 1
-) -> tuple[int, ...]:
-    # transformations are independent; everything underneath is pure
-    if workers > 1 and len(hs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return tuple(pool.map(lambda h: _count_at(h, level, kind), hs))
-    return tuple(_count_at(h, level, kind) for h in hs)
+def _report(
+    kind: str,
+    hs: Sequence[Transformation],
+    level: int,
+    block_factor: int,
+    period_divisor: int | None = None,
+) -> ParadoxReport:
+    hs = tuple(hs)
+    k = _common_alphabet(hs).size
+    _check_block_factor(block_factor)
+    if level < 0:
+        raise ArgumentError("level must be >= 0")
+    classes = None
+    if kind == NC:
+        if period_divisor < 1:
+            raise PeriodBoundInvalidError("period divisor must be >= 1")
+        for h in hs:
+            for n in reachable_uc_lengths(h, level):
+                if period_divisor % n != 0:
+                    raise PeriodBoundInvalidError(
+                        f"period divisor {period_divisor} is not a multiple of cycle "
+                        f"length {n} reachable by {h.state!r}"
+                    )
+        classes = count_periods(k, period_divisor)
+    # one level per item: the lazy sweep stops there, no table is kept
+    per_item = tuple(next(itertools.islice(_iter_counts(h, kind), level, None)) for h in hs)
+    aggregate = block_factor * sum(per_item)
+    threshold = Fraction(block_factor * k**level, 4)
+    if kind == NS:
+        note = (
+            f"at most {aggregate} coins can enter a block of "
+            f"{block_factor}*{k}^{level} consecutive words from outside "
+            f"its neighborhood; doubling would need more than {threshold} of them"
+        )
+    else:
+        note = (
+            f"per period class, at most {sum(per_item)} of {k}^{level} "
+            f"words can import coins; the {classes} period classes scale both sides"
+        )
+    return ParadoxReport(
+        kind, hs, level, block_factor, per_item, aggregate, threshold,
+        aggregate <= threshold, note, period_divisor, classes,
+    )
 
 
 def theorem1_report(
     hs: Sequence[Transformation],
     level: int,
     block_factor: int = MIN_BLOCK_FACTOR,
-    workers: int = 1,
 ) -> ParadoxReport:
     """Bound coin imports by state activity at one level.
 
@@ -106,23 +127,7 @@ def theorem1_report(
     boundary, and a block of block_factor * |X|^level consecutive words
     exposes each prefix exactly block_factor times.
     """
-    hs = tuple(hs)
-    alphabet = _common_alphabet(hs)
-    _check_block_factor(block_factor)
-    if level < 0:
-        raise ArgumentError("level must be >= 0")
-    per_item = _level_counts(hs, level, NS, workers)
-    aggregate = block_factor * sum(per_item)
-    threshold = Fraction(block_factor * alphabet.size**level, 4)
-    satisfied = aggregate <= threshold
-    note = (
-        f"at most {aggregate} coins can enter a block of "
-        f"{block_factor}*{alphabet.size}^{level} consecutive words from outside "
-        f"its neighborhood; doubling would need more than {threshold} of them"
-    )
-    return ParadoxReport(
-        NS, hs, level, block_factor, per_item, aggregate, threshold, satisfied, note
-    )
+    return _report(NS, hs, level, block_factor)
 
 
 def find_minimal_level(
@@ -130,15 +135,20 @@ def find_minimal_level(
     block_factor: int = MIN_BLOCK_FACTOR,
     max_level: int = 64,
 ) -> int | None:
-    """Smallest level at which the activity bound is satisfied, scanning up."""
+    """Smallest level at which the activity bound is satisfied, scanning up.
+
+    The bound block_factor * sum <= block_factor * |X|^level / 4 holds
+    exactly when 4 * sum <= |X|^level, so the answer does not depend on the
+    (checked) block factor.
+    """
     hs = tuple(hs)
-    alphabet = _common_alphabet(hs)
+    k = _common_alphabet(hs).size
     _check_block_factor(block_factor)
+    if max_level < 0:
+        raise ArgumentError("max_level must be >= 0")
     iters = [iter_ns_counts(h) for h in hs]
     for level, counts in enumerate(itertools.islice(zip(*iters), max_level + 1)):
-        if block_factor * sum(counts) <= Fraction(
-            block_factor * alphabet.size**level, 4
-        ):
+        if 4 * sum(counts) <= k**level:
             return level
     return None
 
@@ -148,7 +158,6 @@ def theorem2_report(
     level: int,
     period_divisor: int,
     block_factor: int = MIN_BLOCK_FACTOR,
-    workers: int = 1,
 ) -> ParadoxReport:
     """Bound coin imports into the periodic-tail population at one level.
 
@@ -158,42 +167,7 @@ def theorem2_report(
     report for reference.  ``period_divisor`` must be a positive multiple of
     every cycle length any h_i can reach within ``level`` steps.
     """
-    hs = tuple(hs)
-    alphabet = _common_alphabet(hs)
-    _check_block_factor(block_factor)
-    if level < 0:
-        raise ArgumentError("level must be >= 0")
-    if period_divisor < 1:
-        raise PeriodBoundInvalidError("period divisor must be >= 1")
-    for h in hs:
-        for n in reachable_uc_lengths(h, level):
-            if period_divisor % n != 0:
-                raise PeriodBoundInvalidError(
-                    f"period divisor {period_divisor} is not a multiple of cycle "
-                    f"length {n} reachable by {h.state!r}"
-                )
-    per_item = _level_counts(hs, level, NC, workers)
-    aggregate = block_factor * sum(per_item)
-    threshold = Fraction(block_factor * alphabet.size**level, 4)
-    satisfied = aggregate <= threshold
-    classes = count_periods(alphabet.size, period_divisor)
-    note = (
-        f"per period class, at most {sum(per_item)} of {alphabet.size}^{level} "
-        f"words can import coins; the {classes} period classes scale both sides"
-    )
-    return ParadoxReport(
-        NC,
-        hs,
-        level,
-        block_factor,
-        per_item,
-        aggregate,
-        threshold,
-        satisfied,
-        note,
-        period_divisor,
-        classes,
-    )
+    return _report(NC, hs, level, block_factor, period_divisor)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .core import Transformation, Word
-from .counting import max_uc_length, reachable_uc_lengths, uc_state_lengths
+from .counting import reachable_uc_lengths, uc_state_lengths
 from .errors import (
     ArgumentError,
     CycleBoundTooSmallError,
@@ -161,9 +161,11 @@ class Lemma1Verdict:
     bound: int | None
 
 
-def _cycle_reached(g: Transformation, w: EventuallyPeriodicWord, level: int) -> int | None:
-    """Length of the first unconditional cycle entered within ``level`` steps."""
-    lengths = uc_state_lengths(g.automaton)
+def _cycle_reached(
+    g: Transformation, w: EventuallyPeriodicWord, level: int, lengths: dict[int, int]
+) -> int | None:
+    """Length of the first unconditional cycle entered within ``level`` steps;
+    ``lengths`` is ``uc_state_lengths`` of g's automaton."""
     for q in g.path(w.first(level)):
         if q in lengths:
             return lengths[q]
@@ -185,7 +187,7 @@ def check_lemma1(
             f"word is presented at level {w.level}, expected {level}"
         )
     t = len(w.period)
-    c = _cycle_reached(g, w, level)
+    c = _cycle_reached(g, w, level, uc_state_lengths(g.automaton))
     if c is None:
         return Lemma1Verdict(False, None, t, None, None, None)
     image = apply_to_ep_word(g, w)
@@ -227,10 +229,10 @@ def check_lemma2(
     if period_divisor < 1:
         raise ArgumentError("period divisor must be >= 1")
     reachable = reachable_uc_lengths(g, level)
-    if cycle_bound < max(reachable, default=0):
+    longest = max(reachable, default=0)
+    if cycle_bound < longest:
         raise CycleBoundTooSmallError(
-            f"cycle bound {cycle_bound} is below the reachable maximum "
-            f"{max_uc_length(g, level)}"
+            f"cycle bound {cycle_bound} is below the reachable maximum {longest}"
         )
     for n in reachable:
         if period_divisor % n != 0:
@@ -238,6 +240,7 @@ def check_lemma2(
                 f"period divisor {period_divisor} is not a multiple of the "
                 f"reachable cycle length {n}"
             )
+    lengths = uc_state_lengths(g.automaton)
     checked = skipped = failed = 0
     failures = []
     for w in samples:
@@ -248,7 +251,7 @@ def check_lemma2(
                 f"sample period length {len(w.period)} does not divide into "
                 f"{period_divisor}"
             )
-        if _cycle_reached(g, w, level) is None:
+        if _cycle_reached(g, w, level, lengths) is None:
             skipped += 1
             continue
         image = apply_to_ep_word(g, w)

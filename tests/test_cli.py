@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invauto.cli import main
 
@@ -329,3 +335,160 @@ def test_binary_file_is_parse_error(capsys, tmp_path):
     code, _, err = run(capsys, "validate", "--file", str(path))
     assert code == 2
     assert err.startswith("error:") and "UTF-8" in err
+
+
+# ---------------------------------------------------------------- fuzzing
+
+ADDING = str(DATA / "adding.maut")
+SOURCES = [
+    "gen:adding", "gen:flip_alternator", "gen:remark_chain:depth=4", "gen:bogus",
+    "gen:adding:depth=x", "gen:adding:width=2", "gen:remark_chain:depth=-1",
+    "gen:remark_chain:depth=3:length=5", "gen:", ADDING, str(DATA / "adding.json"),
+    str(DATA / "missing.maut"),
+]
+Q = [["--gen", "adding"], ["--state", "q"]]
+# one valid invocation per subcommand, as argument groups the fuzzer drops or extends
+VALID = {
+    "validate": [["--file", ADDING]],
+    "gen": [["remark_chain"], ["--depth", "3"]],
+    "export-dot": [["--gen", "adding"]],
+    "apply": Q + [["011"]],
+    "invert": [["--gen", "flip_alternator"]],
+    "compose": [["gen:adding"], [ADDING], ["--prune", "q,q"]],
+    "minimize": [["--file", ADDING]],
+    "ucs": [["--gen", "flip_alternator"]],
+    "ns": Q + [["--max-level", "4"]],
+    "nc": [["--gen", "remark_chain"], ["--depth", "6"], ["--state", "q_1"],
+           ["--max-level", "4"]],
+    "classify": Q,
+    "member-g0": Q,
+    "member-g1": [["--gen", "flip_alternator"], ["--state", "a"]],
+    "lemma1": Q + [["--prefix", "01"], ["--period", "1"]],
+    "lemma2": Q + [["-l", "1"], ["-c", "1"], ["-m", "2"], ["--word", "0:1"]],
+    "periods": [["-k", "2"], ["-m", "3"]],
+    "t1-report": Q + [["-l", "3"], ["-s", "9"], ["--item", "gen:adding@q"]],
+    "t2-report": Q + [["-l", "3"], ["-m", "1"], ["-s", "8"], ["--item", ADDING + "@e"]],
+    "min-level": Q + [["-s", "8"], ["--l-max", "6"]],
+    "audit": [["--input", str(DATA / "audit_adding.json")]],
+}
+SMALL = st.integers(-2, 9).map(str)
+EDGE_VALUES = ("-2", "-1", "0", "1", "x")
+FRAGMENTS = st.one_of(
+    st.sampled_from([
+        ["--gen", "remark_chain"], ["--gen", "bogus"], ["--file", str(DATA / "audit_adding.json")],
+        ["--state", "q_1"], ["--state", "nope"], ["--word", "01"],
+        ["--word", "2:1"], ["--period", ""], ["--prune", "q"], ["--input", ADDING],
+        ["0x1"], ["adding"],
+    ]),
+    st.tuples(
+        st.sampled_from(["--depth", "--length", "--max-level", "-l", "-m", "-c", "-s",
+                         "-k", "--l-max", "--workers"]),
+        st.one_of(SMALL, st.just("x")),
+    ).map(list),
+    st.tuples(
+        st.just("--item"), st.sampled_from(SOURCES), st.sampled_from(["@q", "@q_1", "@", ""])
+    ).map(lambda t: [t[0], t[1] + t[2]]),
+    st.sampled_from(SOURCES).map(lambda s: [s]),
+)
+
+
+def _main_in_process(argv):
+    """Exit code, stdout and stderr of ``main``, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch("sys.stdin", io.StringIO("01\n")):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_contract(argv):
+    code, out, err = _main_in_process(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    if code:
+        assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+    elif "--json" in argv:
+        json.loads(out)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(VALID)))
+    kept = []
+    for group in VALID[command]:
+        choice = draw(st.integers(0, 4))
+        if choice == 1 and group[-1].isdigit():
+            group = group[:-1] + [draw(st.sampled_from(EDGE_VALUES))]
+        if choice:
+            kept.append(group)
+    extra = draw(st.lists(FRAGMENTS, max_size=3)) + [["--json"]] * draw(st.booleans())
+    groups = draw(st.permutations(kept + extra))
+    return [command] + [a for group in groups for a in group]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzzed_argv())
+def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
+    _check_contract(argv)
+
+
+def test_every_numeric_option_at_its_edges_keeps_the_exit_code_contract():
+    for command, groups in VALID.items():
+        for i, group in enumerate(groups):
+            if not group[-1].isdigit():
+                continue
+            for value in EDGE_VALUES:
+                edited = groups[:i] + [group[:-1] + [value]] + groups[i + 1:]
+                argv = [command] + [a for g in edited for a in g]
+                _check_contract(argv)
+                _check_contract(argv + ["--json"])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 4) | st.sampled_from(["", "0", "01", "x"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=6,
+)
+WORD_LISTS = st.lists(st.sampled_from(["0", "1", "00", "01", "10", "11", "", "2", "011"]),
+                      max_size=4)
+AUDIT_KEYS = {
+    "level": st.integers(-1, 3) | JSON_VALUES,
+    "transformations": st.lists(
+        st.sampled_from(SOURCES).map(lambda s: s + "@q") | st.sampled_from(["q", "@"]),
+        max_size=3,
+    ) | JSON_VALUES,
+    "parts": st.lists(WORD_LISTS, max_size=3) | JSON_VALUES,
+}
+VALID_AUDIT = {
+    "level": 2,
+    "transformations": ["gen:adding@q", ADDING + "@e"],
+    "parts": [["00", "01"], ["10", "11"]],
+}
+
+
+@st.composite
+def fuzzed_audit_spec(draw):
+    """The valid spec with keys dropped or replaced, or any JSON value."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(JSON_VALUES)
+    spec = {}
+    for key, valid in VALID_AUDIT.items():
+        choice = draw(st.integers(0, 4))
+        if choice >= 2:
+            spec[key] = valid
+        elif choice == 1:
+            spec[key] = draw(AUDIT_KEYS[key])
+    return spec
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzzed_audit_spec(), st.booleans())
+def test_fuzzed_audit_spec_keeps_the_exit_code_contract(spec, as_json):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "audit.json"
+        path.write_text(json.dumps(spec))
+        _check_contract(["audit", "--input", str(path)] + ["--json"] * as_json)

@@ -55,14 +55,6 @@ def test_report_threshold_is_exact_rational():
     assert report == iv.theorem1_report([adding().at("q")], 1, 10)
 
 
-def test_parallel_workers_agree_with_serial():
-    hs = [adding().at("q"), flip_all().at("r"), flip_alternator().at("a")]
-    serial = iv.theorem1_report(hs, 6, 8)
-    parallel = iv.theorem1_report(hs, 6, 8, workers=3)
-    assert serial == parallel
-    assert iv.theorem2_report(hs, 6, 2, 8) == iv.theorem2_report(hs, 6, 2, 8, workers=3)
-
-
 def test_report_rejects_small_block_factor():
     with pytest.raises(iv.BlockFactorTooSmallError):
         iv.theorem1_report([adding().at("q")], 3, 7)
@@ -77,6 +69,24 @@ def test_minimal_level_examples():
     assert iv.find_minimal_level([remark_chain(8).at("q_1")], 8, 16) == 3
     assert iv.find_minimal_level([adding().at("q")], 8, 16) == 2
     assert iv.find_minimal_level([flip_all().at("r")], 8, 12) is None
+    with pytest.raises(iv.ArgumentError):
+        iv.find_minimal_level([adding().at("q")], 8, -1)
+
+
+@pytest.mark.parametrize("block_factor", [8, 9, 13])
+def test_minimal_level_is_first_satisfied_report(block_factor):
+    corpus = binary_corpus()
+    groups = [[g] for g in corpus] + [corpus[:2], corpus[5:], corpus]
+    answers = set()
+    for hs in groups:
+        first = next(
+            (level for level in range(13)
+             if iv.theorem1_report(hs, level, block_factor).satisfied),
+            None,
+        )
+        assert iv.find_minimal_level(hs, block_factor, 12) == first
+        answers.add(first)
+    assert None in answers and len(answers) > 2
 
 
 def test_minimal_level_exists_for_small_members():
