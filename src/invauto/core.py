@@ -117,12 +117,10 @@ class MaterializationPolicy:
         if self.depth < 1:
             raise ValidationError("materialization depth must be >= 1")
         object.__setattr__(self, "horizons", tuple(self.horizons))
+        object.__setattr__(self, "_lookup", dict(self.horizons))
 
     def horizon(self, state: str) -> int | None:
-        for name, h in self.horizons:
-            if name == state:
-                return h
-        return None
+        return self._lookup.get(state)
 
 
 @dataclass(frozen=True)
@@ -226,6 +224,15 @@ class Automaton:
             return None
         return self.policy.horizon(state)
 
+    def _require_full(self, operation: str) -> None:
+        """Refuse a whole-table answer on a depth-bounded materialization."""
+        if self.policy is not None:
+            raise NotMaterializableError(
+                f"{operation} needs the full automaton; this one is a "
+                "depth-bounded materialization (diagnose empirically from the "
+                "count tables instead)"
+            )
+
     def at(self, state: str) -> "Transformation":
         return Transformation(self, state)
 
@@ -239,6 +246,7 @@ class Transformation:
 
     def __post_init__(self):
         object.__setattr__(self, "_start", self.automaton.state_index(self.state))
+        object.__setattr__(self, "_horizon", self.automaton.horizon(self.state))
 
     @property
     def start(self) -> int:
@@ -248,11 +256,11 @@ class Transformation:
     def alphabet(self) -> Alphabet:
         return self.automaton.alphabet
 
-    def _check_length(self, length: int) -> None:
-        h = self.automaton.horizon(self.state)
-        if h is not None and length > h:
+    def _check_length(self, level: int) -> None:
+        """Refuse to answer for words of length ``level`` past the horizon."""
+        if self._horizon is not None and level > self._horizon:
             raise NotMaterializableError(
-                f"processing length {length} exceeds the materialized horizon {h} "
+                f"level {level} exceeds the materialized horizon {self._horizon} "
                 f"of state {self.state!r}"
             )
 
@@ -272,15 +280,11 @@ class Transformation:
         """Streaming form of :meth:`apply` for unbounded inputs."""
         trans, out = self.automaton.transitions, self.automaton.outputs
         k = self.alphabet.size
-        h = self.automaton.horizon(self.state)
         q = self._start
         for i, x in enumerate(letters):
             if not 0 <= x < k:
                 raise LetterOutOfRangeError(f"letter index {x} out of range")
-            if h is not None and i + 1 > h:
-                raise NotMaterializableError(
-                    f"streamed past the materialized horizon {h} of state {self.state!r}"
-                )
+            self._check_length(i + 1)
             yield out[q][x]
             q = trans[q][x]
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .core import Automaton, Transformation, Word, greatest_closed_subset, trivial_states
-from .errors import ArgumentError, NotMaterializableError
+from .errors import ArgumentError
 
 NS = "ns"
 NC = "nc"
@@ -180,7 +180,6 @@ def _iter_survivor_counts(g: Transformation, dead: frozenset[int]) -> Iterator[i
     entry is exact: a path ends outside ``dead`` iff it never entered it.
     """
     automaton = g.automaton
-    horizon = automaton.horizon(g.state)
     n, k = automaton.n_states, automaton.alphabet.size
     trans = automaton.transitions
     alive = [q for q in range(n) if q not in dead]
@@ -191,11 +190,7 @@ def _iter_survivor_counts(g: Transformation, dead: frozenset[int]) -> Iterator[i
     while True:
         yield sum(vec[q] for q in alive)
         level += 1
-        if horizon is not None and level > horizon:
-            raise NotMaterializableError(
-                f"level {level} exceeds the materialized horizon {horizon} "
-                f"of state {g.state!r}"
-            )
+        g._check_length(level)
         nxt = [0] * n
         for q in alive:
             c = vec[q]
@@ -293,11 +288,18 @@ def _states_within(g: Transformation, steps: int) -> set[int]:
     return seen
 
 
-def reachable_uc_lengths(g: Transformation, level: int) -> tuple[int, ...]:
-    """Lengths of the unconditional cycles g can enter within ``level`` steps."""
-    lengths = uc_state_lengths(g.automaton)
+def _reachable_uc_lengths(
+    g: Transformation, level: int, lengths: dict[int, int]
+) -> tuple[int, ...]:
+    """:func:`reachable_uc_lengths` given ``lengths = uc_state_lengths(...)``."""
+    g._check_length(level)
     hit = {lengths[q] for q in _states_within(g, level) if q in lengths}
     return tuple(sorted(hit))
+
+
+def reachable_uc_lengths(g: Transformation, level: int) -> tuple[int, ...]:
+    """Lengths of the unconditional cycles g can enter within ``level`` steps."""
+    return _reachable_uc_lengths(g, level, uc_state_lengths(g.automaton))
 
 
 def max_uc_length(g: Transformation, level: int) -> int:
@@ -411,8 +413,10 @@ def classify_growth(g: Transformation) -> GrowthReport:
     multiplicity, than states); the growth base is then the largest spectral
     radius of such a piece, reported as a certified interval.  Otherwise the
     count grows like l^d where d+1 is the largest number of cycles met along
-    one directed path, and d = 0 is reported as bounded.
+    one directed path, and d = 0 is reported as bounded.  A depth-bounded
+    materialization is refused: its clamped end says nothing of the family.
     """
+    g.automaton._require_full("exact growth classification")
     succ = _activity_graph(g)
     if not succ:
         return GrowthReport("bounded")
@@ -472,12 +476,7 @@ def _shortest_word_to(g: Transformation, targets: frozenset[int]) -> Word | None
 
 
 def _decide_small(g: Transformation, kind: str) -> MembershipDecision:
-    if g.automaton.policy is not None:
-        raise NotMaterializableError(
-            "exact membership needs the full automaton; this one is a "
-            "depth-bounded materialization (diagnose empirically from the "
-            "count tables instead)"
-        )
+    g.automaton._require_full("exact membership")
     # the escape-proof core: no word leads out of it, so reaching it pins
     # the count to full growth
     dead = _dead(g.automaton, kind)

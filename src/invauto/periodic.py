@@ -13,13 +13,8 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .core import Transformation, Word
-from .counting import reachable_uc_lengths, uc_state_lengths
-from .errors import (
-    ArgumentError,
-    CycleBoundTooSmallError,
-    NotMaterializableError,
-    PeriodBoundInvalidError,
-)
+from .counting import _reachable_uc_lengths, uc_state_lengths
+from .errors import ArgumentError, CycleBoundTooSmallError, PeriodBoundInvalidError
 
 
 def primitive_root(word: Sequence[int]) -> Word:
@@ -85,21 +80,12 @@ def apply_to_ep_word(g: Transformation, w: EventuallyPeriodicWord) -> Eventually
     alphabet = automaton.alphabet
     alphabet.check_word(w.prefix)
     alphabet.check_word(w.period)
-    horizon = automaton.horizon(g.state)
     trans, out = automaton.transitions, automaton.outputs
-
-    def check(consumed: int) -> None:
-        if horizon is not None and consumed > horizon:
-            raise NotMaterializableError(
-                f"needed {consumed} letters but state {g.state!r} is only "
-                f"materialized for {horizon}"
-            )
-
     q = g.start
     consumed = 0
     head = []
     for x in w.prefix:
-        check(consumed + 1)
+        g._check_length(consumed + 1)
         head.append(out[q][x])
         q = trans[q][x]
         consumed += 1
@@ -112,11 +98,7 @@ def apply_to_ep_word(g: Transformation, w: EventuallyPeriodicWord) -> Eventually
         # On a depth-clamped machine only states strictly inside the horizon
         # are exact; the final in-horizon step still emits the right letter
         # but its target may be the clamp, so it cannot anchor a repeat.
-        if horizon is not None and consumed > horizon - 1:
-            raise NotMaterializableError(
-                f"no repeat within the materialized horizon {horizon} of "
-                f"state {g.state!r}"
-            )
+        g._check_length(consumed + 1)
         key = (q, i % t)
         if key in seen:
             first = seen[key]
@@ -228,7 +210,8 @@ def check_lemma2(
     """
     if period_divisor < 1:
         raise ArgumentError("period divisor must be >= 1")
-    reachable = reachable_uc_lengths(g, level)
+    lengths = uc_state_lengths(g.automaton)
+    reachable = _reachable_uc_lengths(g, level, lengths)
     longest = max(reachable, default=0)
     if cycle_bound < longest:
         raise CycleBoundTooSmallError(
@@ -240,7 +223,6 @@ def check_lemma2(
                 f"period divisor {period_divisor} is not a multiple of the "
                 f"reachable cycle length {n}"
             )
-    lengths = uc_state_lengths(g.automaton)
     checked = skipped = failed = 0
     failures = []
     for w in samples:

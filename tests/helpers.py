@@ -31,6 +31,12 @@ def remark_chain(depth):
     return iv.generate_builtin("remark_chain", depth=depth)
 
 
+def without_policy(automaton):
+    """The same table with no materialization policy: a finite machine in its
+    own right, answering at every length."""
+    return iv.Automaton(automaton.alphabet, automaton.states, automaton.transitions, automaton.outputs)
+
+
 def uv_core():
     """Two states with input-dependent transitions, both flipping; no UCs."""
     return iv.Automaton.from_table(

@@ -66,6 +66,8 @@ INVOCATIONS = [
     "member-g1 --gen remark_chain --depth 4 --state q_1",
     f"nc {REMARK} --max-level 9",
     f"t1-report {REMARK} -l 3 --item gen:remark_chain:depth=8@q_8",
+    "apply --gen remark_chain --depth 3 --state q_1 2222",
+    f"t2-report {REMARK} -l 9 -m 1",
     # several faults at once: the first check in argument order reports
     f"t1-report {REMARK} -l -1 -s 7 --item adding.maut@q",
     f"t1-report {REMARK} -l -1 -s 7",

@@ -25,6 +25,7 @@ from helpers import (
     random_funnel,
     remark_chain,
     uv_core,
+    without_policy,
 )
 
 
@@ -126,6 +127,9 @@ def test_not_materializable_beyond_depth():
         iv.count_ns(q1, 5)
     with pytest.raises(iv.NotMaterializableError):
         iv.count_nc(q1, 5)
+    assert iv.max_uc_length(q1, 3) == 1
+    with pytest.raises(iv.NotMaterializableError):
+        iv.max_uc_length(q1, 10)
 
 
 # ---------------------------------------------------------------- cycle reach
@@ -155,7 +159,12 @@ def test_classify_flip_all_exponential_rate_two():
 
 
 def test_classify_remark_chain_exponential_below_alphabet():
-    report = iv.classify_growth(remark_chain(9).at("q_1"))
+    # the depth-bounded table is refused; the clamped finite table it holds
+    # is a machine in its own right and classifies
+    chain = remark_chain(9)
+    with pytest.raises(iv.NotMaterializableError):
+        iv.classify_growth(chain.at("q_1"))
+    report = iv.classify_growth(without_policy(chain).at("q_1"))
     assert report.category == "exponential"
     assert 2.0 <= report.rate <= 3.0
     assert report.rate < 4.0 - 1e-6
@@ -175,7 +184,10 @@ def test_classify_identity_bounded():
 def test_classify_rate_bounds_bracket_the_rate():
     report = iv.classify_growth(flip_all().at("r"))
     assert report.rate_bounds == (2, 2)
-    lo, hi = iv.classify_growth(remark_chain(9).at("q_1")).rate_bounds
+    chain = remark_chain(9)
+    with pytest.raises(iv.NotMaterializableError):
+        iv.classify_growth(chain.at("q_1"))
+    lo, hi = iv.classify_growth(without_policy(chain).at("q_1")).rate_bounds
     assert 2 < lo < hi < 3
     assert (hi - lo) / lo <= Fraction(1, 2**40)
 

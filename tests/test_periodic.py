@@ -168,6 +168,28 @@ def test_lemma2_flip_alternator_checks_everything():
     assert (verdict.checked, verdict.skipped, verdict.failed) == (3, 0, 0)
 
 
+def test_lemma2_finds_unconditional_cycles_once(monkeypatch):
+    calls = []
+    find_ucs = iv.counting.find_ucs
+
+    def counted(automaton):
+        calls.append(automaton)
+        return find_ucs(automaton)
+
+    monkeypatch.setattr(iv.counting, "find_ucs", counted)
+    samples = [EP(prefix, (1,)) for prefix in all_words(2, 2)]
+    verdict = iv.check_lemma2(adding().at("q"), 2, 1, 1, samples)
+    assert (verdict.checked, verdict.skipped) == (3, 1)
+    assert len(calls) == 1
+
+
+def test_lemma2_refuses_levels_past_the_horizon():
+    g = remark_chain(8).at("q_1")
+    with pytest.raises(iv.NotMaterializableError):
+        iv.check_lemma2(g, 9, 1, 1, [])
+    assert iv.check_lemma2(g, 8, 1, 1, []).ok
+
+
 def test_lemma2_cycle_bound_too_small():
     with pytest.raises(iv.CycleBoundTooSmallError):
         iv.check_lemma2(flip_alternator().at("a"), 0, 1, 2, [])
