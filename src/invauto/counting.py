@@ -10,7 +10,6 @@ per level with Python's arbitrary-precision integers.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -236,6 +235,8 @@ def count_nc(g: Transformation, max_level: int) -> CountTable:
 
 
 def _survivor_words(g: Transformation, level: int, kind: str) -> list[Word]:
+    if level < 0:
+        raise ArgumentError("level must be >= 0")
     g._check_length(level)
     dead = _dead(g.automaton, kind)
     k = g.alphabet.size
@@ -268,32 +269,35 @@ def nc_words(g: Transformation, level: int) -> list[Word]:
     return _survivor_words(g, level, NC)
 
 
-def _states_within(g: Transformation, steps: int) -> set[int]:
-    """States reachable from g's start within at most ``steps`` letters."""
-    automaton = g.automaton
-    k = automaton.alphabet.size
-    seen = {g.start}
-    frontier = [g.start]
-    for _ in range(steps):
-        nxt = []
-        for q in frontier:
-            for x in range(k):
-                t = automaton.transitions[q][x]
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        if not nxt:
-            break
-        frontier = nxt
-    return seen
+def _reach(g: Transformation) -> dict[int, tuple[int, int | None, int | None]]:
+    """Breadth-first tree of the states reachable from g's start, letters in
+    ascending order: state -> (depth, parent, letter), in discovery order.
+
+    Following parents back from a state spells the shortest word reaching
+    it, and among the shortest the lexicographically first.
+    """
+    trans = g.automaton.transitions
+    tree = {g.start: (0, None, None)}
+    order = [g.start]
+    for q in order:
+        depth = tree[q][0] + 1
+        for x, t in enumerate(trans[q]):
+            if t not in tree:
+                tree[t] = (depth, q, x)
+                order.append(t)
+    return tree
 
 
 def _reachable_uc_lengths(
     g: Transformation, level: int, lengths: dict[int, int]
 ) -> tuple[int, ...]:
     """:func:`reachable_uc_lengths` given ``lengths = uc_state_lengths(...)``."""
+    if level < 0:
+        raise ArgumentError("level must be >= 0")
     g._check_length(level)
-    hit = {lengths[q] for q in _states_within(g, level) if q in lengths}
+    hit = {
+        lengths[q] for q, (depth, _, _) in _reach(g).items() if depth <= level and q in lengths
+    }
     return tuple(sorted(hit))
 
 
@@ -344,24 +348,6 @@ def _rate_bounds(rows: list[list[int]]) -> tuple[Fraction, Fraction]:
         shift = min(w).bit_length() - _VECTOR_BITS
         v = [x >> shift for x in w] if shift > 0 else w
     return Fraction(lo_n - lo_d, lo_d), Fraction(hi_n - hi_d, hi_d)
-
-
-def _activity_graph(g: Transformation) -> dict[int, list[int]]:
-    """Nontrivial states reachable from g, each with its nontrivial
-    successors listed once per letter leading there (letter multiplicity)."""
-    automaton = g.automaton
-    dead = trivial_states(automaton)
-    if g.start in dead:
-        return {}
-    succ: dict[int, list[int]] = {}
-    stack = [g.start]
-    while stack:
-        q = stack.pop()
-        if q in succ:
-            continue
-        succ[q] = [t for t in automaton.transitions[q] if t not in dead]
-        stack.extend(t for t in succ[q] if t not in succ)
-    return succ
 
 
 def _strong_components(succ: dict[int, list[int]], root: int) -> list[list[int]]:
@@ -416,10 +402,17 @@ def classify_growth(g: Transformation) -> GrowthReport:
     one directed path, and d = 0 is reported as bounded.  A depth-bounded
     materialization is refused: its clamped end says nothing of the family.
     """
-    g.automaton._require_full("exact growth classification")
-    succ = _activity_graph(g)
-    if not succ:
+    automaton = g.automaton
+    automaton._require_full("exact growth classification")
+    dead = trivial_states(automaton)
+    if g.start in dead:
         return GrowthReport("bounded")
+    # trivial states lead only to trivial states, so every reachable
+    # nontrivial state is reached along nontrivial states alone
+    succ = {
+        q: [t for t in automaton.transitions[q] if t not in dead]
+        for q in _reach(g) if q not in dead
+    }
     components = _strong_components(succ, g.start)
     comp_of = {q: ci for ci, comp in enumerate(components) for q in comp}
     bounds = []
@@ -449,32 +442,6 @@ def classify_growth(g: Transformation) -> GrowthReport:
     return GrowthReport("polynomial", degree=met[-1] - 1)
 
 
-def _shortest_word_to(g: Transformation, targets: frozenset[int]) -> Word | None:
-    automaton = g.automaton
-    k = automaton.alphabet.size
-    if g.start in targets:
-        return ()
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {g.start}
-    queue = deque([g.start])
-    while queue:
-        q = queue.popleft()
-        for x in range(k):
-            t = automaton.transitions[q][x]
-            if t in seen:
-                continue
-            parent[t] = (q, x)
-            if t in targets:
-                letters = []
-                while t != g.start:
-                    t, x = parent[t]
-                    letters.append(x)
-                return tuple(reversed(letters))
-            seen.add(t)
-            queue.append(t)
-    return None
-
-
 def _decide_small(g: Transformation, kind: str) -> MembershipDecision:
     g.automaton._require_full("exact membership")
     # the escape-proof core: no word leads out of it, so reaching it pins
@@ -483,11 +450,18 @@ def _decide_small(g: Transformation, kind: str) -> MembershipDecision:
     core = greatest_closed_subset(
         g.automaton, {q for q in range(g.automaton.n_states) if q not in dead}
     )
-    witness = _shortest_word_to(g, core) if core else None
     names = tuple(g.automaton.states[q] for q in sorted(core))
-    if witness is None:
+    tree = _reach(g)
+    # the first core state found is reached by the shortest word into the
+    # core, and among the shortest by the lexicographically first
+    q = next((t for t in tree if t in core), None)
+    if q is None:
         return MembershipDecision(True, None, names)
-    return MembershipDecision(False, witness, names)
+    letters = []
+    while q != g.start:
+        _, q, x = tree[q]
+        letters.append(x)
+    return MembershipDecision(False, tuple(reversed(letters)), names)
 
 
 def decide_g0(g: Transformation) -> MembershipDecision:

@@ -85,7 +85,7 @@ def _report(
     classes = None
     if kind == NC:
         if period_divisor < 1:
-            raise PeriodBoundInvalidError("period divisor must be >= 1")
+            raise ArgumentError("period divisor must be >= 1")
         for h in hs:
             for n in reachable_uc_lengths(h, level):
                 if period_divisor % n != 0:

@@ -184,6 +184,40 @@ def _reachable(succ, q):
     return seen
 
 
+def oracle_core(automaton, dead):
+    """States from which no word reaches the set ``dead``."""
+    succ = dict(enumerate(automaton.transitions))
+    return {q for q in succ if not _reachable(succ, q) & dead}
+
+
+def oracle_first_word_into(g, targets):
+    """The first word, by length and then lexicographically, whose run from
+    g's start ends in the set ``targets``; None if no word does."""
+    trans = g.automaton.transitions
+    if not _reachable(dict(enumerate(trans)), g.start) & targets:
+        return None
+    for length in itertools.count():
+        for word in all_words(g.alphabet.size, length):
+            q = g.start
+            for x in word:
+                q = trans[q][x]
+            if q in targets:
+                return word
+
+
+def oracle_reached(g, level):
+    """States reached from g's start by some word of length <= level: those
+    on the runs of all words of length ``level``, by enumeration."""
+    trans = g.automaton.transitions
+    reached = {g.start}
+    for word in all_words(g.alphabet.size, level):
+        q = g.start
+        for x in word:
+            q = trans[q][x]
+            reached.add(q)
+    return reached
+
+
 def oracle_sccs(succ):
     """Strongly connected components of ``{node: successors}``, by mutual
     reachability: t is in q's component iff each reaches the other."""
@@ -309,6 +343,28 @@ def random_constant_degree(rng: random.Random, n_states: int, k: int, d: int) ->
             )
             for x in range(k)
         }
+    table["e"] = {s: ("e", s) for s in symbols}
+    return iv.Automaton.from_table(symbols, table)
+
+
+def random_leaky(rng: random.Random, n_states: int, k: int) -> iv.Automaton:
+    """Random machine of non-identity states plus the identity sink ``e``.
+    Each letter leaks to ``e`` with one per-machine probability below 1/2,
+    and about a third of the rows send every letter to one state, so
+    escape-proof cores, witnesses of several lengths and unconditional
+    cycles longer than 1 all occur."""
+    names = [f"s{i}" for i in range(n_states)] + ["e"]
+    symbols = [str(x) for x in range(k)]
+    leak = rng.random() / 2
+    table = {}
+    for name in names[:-1]:
+        perm = list(range(k))
+        while perm == list(range(k)):
+            rng.shuffle(perm)
+        targets = ["e" if rng.random() < leak else rng.choice(names[:-1]) for _ in symbols]
+        if rng.random() < 1 / 3:
+            targets = [targets[0]] * k
+        table[name] = {s: (t, symbols[p]) for s, t, p in zip(symbols, targets, perm)}
     table["e"] = {s: ("e", s) for s in symbols}
     return iv.Automaton.from_table(symbols, table)
 

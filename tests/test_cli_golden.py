@@ -61,6 +61,7 @@ INVOCATIONS = [
     "t1-report --gen adding --state q -l 2 --item gen:adding:width=2@q",
     "gen remark_chain --depth 3 --length 9",
     "lemma2 --gen flip_alternator --state a -l 2 -c 1 -m 2",
+    "lemma2 --gen flip_alternator --state a -l -1 -c 2 -m 2",
     "t2-report --gen flip_alternator --state a -l 4 -m 3",
     "validate --file missing.maut",
     "member-g1 --gen remark_chain --depth 4 --state q_1",

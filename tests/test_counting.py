@@ -18,11 +18,17 @@ from helpers import (
     flip_all,
     flip_alternator,
     full_corpus,
+    oracle_core,
+    oracle_first_word_into,
     oracle_growth,
+    oracle_reached,
+    oracle_trivial_states,
+    oracle_uc_lengths,
     poly_chain,
     random_automaton,
     random_constant_degree,
     random_funnel,
+    random_leaky,
     remark_chain,
     uv_core,
     without_policy,
@@ -144,6 +150,21 @@ def test_max_uc_length_examples():
     r = flip_all().at("r")
     for level in range(5):
         assert iv.max_uc_length(r, level) == 1
+
+
+@pytest.mark.parametrize(
+    "name, rest",
+    [
+        ("reachable_uc_lengths", ()),
+        ("max_uc_length", ()),
+        ("check_lemma2", (5, 2, [])),
+        ("ns_words", ()),
+        ("nc_words", ()),
+    ],
+)
+def test_negative_level_is_refused(name, rest):
+    with pytest.raises(iv.ArgumentError, match="level must be >= 0"):
+        getattr(iv, name)(flip_alternator().at("a"), -1, *rest)
 
 
 # ---------------------------------------------------------------- growth
@@ -276,6 +297,34 @@ def test_decide_false_forces_full_growth():
             m = len(decision.witness)
             for level in range(m, 9):
                 assert counts[level] >= g.alphabet.size ** (level - m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["random", "leaky"]),
+    st.integers(1, 8),
+    st.sampled_from([2, 3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_reachability_answers_match_enumeration(kind, n, k, seed):
+    """Cores, witnesses and reachable cycle lengths from every start, against
+    reachability and word enumeration: the witness is the first word, by
+    length and then lexicographically, that ends in the core."""
+    rng = random.Random(seed)
+    machine = (random_automaton if kind == "random" else random_leaky)(rng, n, k)
+    uc = oracle_uc_lengths(machine)
+    deads = {iv.decide_g0: oracle_trivial_states(machine), iv.decide_g1: set(uc)}
+    for state in machine.states:
+        g = machine.at(state)
+        for decide, dead in deads.items():
+            core = oracle_core(machine, dead)
+            decision = decide(g)
+            assert decision.core == tuple(machine.states[q] for q in sorted(core))
+            assert decision.witness == oracle_first_word_into(g, core)
+            assert decision.member == (decision.witness is None)
+        for level in range(7):
+            expected = sorted({uc[q] for q in oracle_reached(g, level) if q in uc})
+            assert iv.reachable_uc_lengths(g, level) == tuple(expected)
 
 
 # ---------------------------------------------------------------- propositions

@@ -129,7 +129,7 @@ def test_t2_input_dependent_core_fails():
 def test_t2_rejects_uncovered_cycle_length():
     with pytest.raises(iv.PeriodBoundInvalidError):
         iv.theorem2_report([flip_alternator().at("a")], 4, 1)
-    with pytest.raises(iv.PeriodBoundInvalidError):
+    with pytest.raises(iv.ArgumentError):
         iv.theorem2_report([adding().at("q")], 4, 0)
 
 
