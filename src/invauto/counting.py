@@ -3,8 +3,9 @@
 For a transformation g, ``count_ns`` tallies the words of each length that
 leave the machine in a state still acting nontrivially, and ``count_nc`` the
 words whose state path never touches an unconditional cycle.  Both are path
-counts over the transition graph, computed by one dynamic-programming sweep
-per level with Python's arbitrary-precision integers.
+counts over the transition graph, computed by one frontier sweep per level
+with Python's arbitrary-precision integers: each level visits only the
+states that hold mass, along their precomputed alive successors.
 """
 
 from __future__ import annotations
@@ -177,30 +178,30 @@ def _iter_survivor_counts(g: Transformation, dead: frozenset[int]) -> Iterator[i
     ``dead`` is closed under transitions for both kinds (trivial states only
     lead to trivial states; cycle states only cycle), so dropping mass on
     entry is exact: a path ends outside ``dead`` iff it never entered it.
+    Each level visits only the frontier, the states holding nonzero mass.
     """
     automaton = g.automaton
-    n, k = automaton.n_states, automaton.alphabet.size
-    trans = automaton.transitions
-    alive = [q for q in range(n) if q not in dead]
+    n = automaton.n_states
+    succ = [[t for t in row if t not in dead] for row in automaton.transitions]
     vec = [0] * n
+    frontier = []
     if g.start not in dead:
         vec[g.start] = 1
+        frontier.append(g.start)
     level = 0
     while True:
-        yield sum(vec[q] for q in alive)
+        yield sum([vec[q] for q in frontier])
         level += 1
         g._check_length(level)
         nxt = [0] * n
-        for q in alive:
+        reached = []
+        for q in frontier:
             c = vec[q]
-            if not c:
-                continue
-            row = trans[q]
-            for x in range(k):
-                t = row[x]
-                if t not in dead:
-                    nxt[t] += c
-        vec = nxt
+            for t in succ[q]:
+                if not nxt[t]:
+                    reached.append(t)
+                nxt[t] += c
+        vec, frontier = nxt, reached
 
 
 def iter_ns_counts(g: Transformation) -> Iterator[int]:
@@ -239,33 +240,33 @@ def _survivor_words(g: Transformation, level: int, kind: str) -> list[Word]:
         raise ArgumentError("level must be >= 0")
     g._check_length(level)
     dead = _dead(g.automaton, kind)
-    k = g.alphabet.size
     trans = g.automaton.transitions
-    words = []
-    for word in itertools.product(range(k), repeat=level):
-        q = g.start
-        if q in dead:
-            continue
-        for x in word:
-            q = trans[q][x]
-            if q in dead:
-                break
-        else:
-            words.append(word)
-    return words
+    # surviving prefixes with the state each reaches, in lexicographic order:
+    # extending them in order, letters ascending, keeps that order
+    runs = [] if g.start in dead else [((), g.start)]
+    for _ in range(level):
+        runs = [
+            (word + (x,), t)
+            for word, q in runs
+            for x, t in enumerate(trans[q])
+            if t not in dead
+        ]
+    return [word for word, _ in runs]
 
 
 def ns_words(g: Transformation, level: int) -> list[Word]:
-    """The actual words counted by NS at one level.
+    """The actual words counted by NS at one level, in lexicographic order.
 
-    Enumerates all |X|^level words; meant for small levels only (the counts
-    themselves come from :func:`count_ns`, which never enumerates).
+    Lists only the surviving words; the list itself can be |X|^level long,
+    so this is meant for small levels (the counts themselves come from
+    :func:`count_ns`, which never lists words).
     """
     return _survivor_words(g, level, NS)
 
 
 def nc_words(g: Transformation, level: int) -> list[Word]:
-    """The actual words counted by NC at one level; small levels only."""
+    """The actual words counted by NC at one level, in lexicographic order;
+    lists only the surviving words, so small levels only."""
     return _survivor_words(g, level, NC)
 
 

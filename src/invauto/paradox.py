@@ -11,6 +11,7 @@ and lists every word left short.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -82,11 +83,14 @@ def _report(
     _check_block_factor(block_factor)
     if level < 0:
         raise ArgumentError("level must be >= 0")
+    # equal items have equal counts: sweep each distinct one once, in
+    # first-occurrence order, so the first failing item still raises first
+    distinct = dict.fromkeys(hs)
     classes = None
     if kind == NC:
         if period_divisor < 1:
             raise ArgumentError("period divisor must be >= 1")
-        for h in hs:
+        for h in distinct:
             for n in reachable_uc_lengths(h, level):
                 if period_divisor % n != 0:
                     raise PeriodBoundInvalidError(
@@ -94,8 +98,10 @@ def _report(
                         f"length {n} reachable by {h.state!r}"
                     )
         classes = count_periods(k, period_divisor)
-    # one level per item: the lazy sweep stops there, no table is kept
-    per_item = tuple(next(itertools.islice(_iter_counts(h, kind), level, None)) for h in hs)
+    # one level per distinct item: the lazy sweep stops there, no table is kept
+    for h in distinct:
+        distinct[h] = next(itertools.islice(_iter_counts(h, kind), level, None))
+    per_item = tuple(distinct[h] for h in hs)
     aggregate = block_factor * sum(per_item)
     threshold = Fraction(block_factor * k**level, 4)
     if kind == NS:
@@ -146,9 +152,10 @@ def find_minimal_level(
     _check_block_factor(block_factor)
     if max_level < 0:
         raise ArgumentError("max_level must be >= 0")
-    iters = [iter_ns_counts(h) for h in hs]
+    multiplicity = Counter(hs)  # first-occurrence order
+    iters = [iter_ns_counts(h) for h in multiplicity]
     for level, counts in enumerate(itertools.islice(zip(*iters), max_level + 1)):
-        if 4 * sum(counts) <= k**level:
+        if 4 * sum(m * c for m, c in zip(multiplicity.values(), counts)) <= k**level:
             return level
     return None
 

@@ -173,6 +173,61 @@ def brute_counts(g, max_level):
     return ns, nc
 
 
+def _oracle_dead(automaton, kind):
+    if kind == "ns":
+        return oracle_trivial_states(automaton)
+    return set(oracle_uc_lengths(automaton))
+
+
+def dense_counts(g, kind, max_level):
+    """Per-level counts of ``kind`` ("ns" or "nc") for levels 0..max_level by
+    the dense sweep: every alive state at every level, each edge tested
+    against the dead set, with the dead set taken from the oracles above."""
+    automaton = g.automaton
+    n, k = automaton.n_states, automaton.alphabet.size
+    trans = automaton.transitions
+    dead = _oracle_dead(automaton, kind)
+    alive = [q for q in range(n) if q not in dead]
+    vec = [0] * n
+    if g.start not in dead:
+        vec[g.start] = 1
+    counts = []
+    for _ in range(max_level + 1):
+        counts.append(sum(vec[q] for q in alive))
+        nxt = [0] * n
+        for q in alive:
+            c = vec[q]
+            if not c:
+                continue
+            row = trans[q]
+            for x in range(k):
+                t = row[x]
+                if t not in dead:
+                    nxt[t] += c
+        vec = nxt
+    return counts
+
+
+def oracle_survivor_words(g, kind, level):
+    """The words of length ``level`` counted by ``kind``, in lexicographic
+    order: every word of that length, kept when its run never enters the
+    oracle dead set."""
+    trans = g.automaton.transitions
+    dead = _oracle_dead(g.automaton, kind)
+    words = []
+    for word in all_words(g.alphabet.size, level):
+        q = g.start
+        if q in dead:
+            continue
+        for x in word:
+            q = trans[q][x]
+            if q in dead:
+                break
+        else:
+            words.append(word)
+    return words
+
+
 def _reachable(succ, q):
     seen = {q}
     stack = [q]

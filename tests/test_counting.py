@@ -15,6 +15,7 @@ from helpers import (
     adding,
     binary_corpus,
     brute_counts,
+    dense_counts,
     flip_all,
     flip_alternator,
     full_corpus,
@@ -22,6 +23,7 @@ from helpers import (
     oracle_first_word_into,
     oracle_growth,
     oracle_reached,
+    oracle_survivor_words,
     oracle_trivial_states,
     oracle_uc_lengths,
     poly_chain,
@@ -104,8 +106,8 @@ def test_flip_all_counts():
 def test_counts_match_enumeration_on_corpus():
     for g in full_corpus():
         ns, nc = brute_counts(g, 6)
-        assert list(iv.count_ns(g, 6).counts) == ns
-        assert list(iv.count_nc(g, 6).counts) == nc
+        assert list(iv.count_ns(g, 6).counts) == ns == dense_counts(g, "ns", 6)
+        assert list(iv.count_nc(g, 6).counts) == nc == dense_counts(g, "nc", 6)
 
 
 def test_counts_match_enumeration_on_random_machines():
@@ -116,6 +118,28 @@ def test_counts_match_enumeration_on_random_machines():
         ns, nc = brute_counts(g, 5)
         assert list(iv.count_ns(g, 5).counts) == ns
         assert list(iv.count_nc(g, 5).counts) == nc
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["random", "leaky", "funnel", "constant"]),
+    st.integers(1, 40),
+    st.sampled_from([2, 3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_frontier_sweep_matches_dense_sweep(kind, n, k, seed):
+    """The frontier sweep against the dense sweep over every alive state, at
+    every level up to 64 and from every start."""
+    rng = random.Random(seed)
+    if kind == "constant":
+        machine = random_constant_degree(rng, n, k, rng.randint(1, k))
+    else:
+        generate = {"random": random_automaton, "leaky": random_leaky, "funnel": random_funnel}
+        machine = generate[kind](rng, n, k)
+    for state in machine.states:
+        g = machine.at(state)
+        assert list(iv.count_ns(g, 64).counts) == dense_counts(g, "ns", 64)
+        assert list(iv.count_nc(g, 64).counts) == dense_counts(g, "nc", 64)
 
 
 def test_sink_monotonicity():
@@ -406,6 +430,29 @@ def test_word_set_enumerations_match_counts():
             nc_set = iv.nc_words(g, level)
             assert len(ns_set) == iv.count_ns(g, level)[level]
             assert len(nc_set) == iv.count_nc(g, level)[level]
-            assert len(set(ns_set)) == len(ns_set)
+            assert ns_set == oracle_survivor_words(g, "ns", level)
+            assert nc_set == oracle_survivor_words(g, "nc", level)
     assert iv.ns_words(adding().at("q"), 4) == [(1, 1, 1, 1)]
     assert iv.nc_words(flip_alternator().at("a"), 3) == []
+    # only surviving prefixes are extended: at most one word of 2^30 here
+    assert iv.ns_words(adding().at("q"), 30) == [(1,) * 30]
+    assert iv.ns_words(adding().at("e"), 30) == []
+    assert iv.nc_words(flip_alternator().at("a"), 30) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["random", "leaky"]),
+    st.integers(1, 8),
+    st.sampled_from([2, 3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_word_lists_match_enumeration(kind, n, k, seed):
+    """Listed words, in order, against the filtered enumeration of all words."""
+    rng = random.Random(seed)
+    machine = (random_automaton if kind == "random" else random_leaky)(rng, n, k)
+    for state in machine.states:
+        g = machine.at(state)
+        for level in range(6):
+            assert iv.ns_words(g, level) == oracle_survivor_words(g, "ns", level)
+            assert iv.nc_words(g, level) == oracle_survivor_words(g, "nc", level)

@@ -23,7 +23,8 @@ from helpers import remark_chain, without_policy
 EP = iv.EventuallyPeriodicWord
 
 DEPTHS = range(1, 11)
-# the word-listing rows enumerate |X|^level words, so they stop here
+# the word-listing rows list every surviving word, and on these chains
+# that can be |X|^level words, so they stop here
 MAX_LISTED_LEVEL = 4
 
 EP_WORDS = [

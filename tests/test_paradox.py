@@ -77,6 +77,12 @@ def test_minimal_level_examples():
 def test_minimal_level_is_first_satisfied_report(block_factor):
     corpus = binary_corpus()
     groups = [[g] for g in corpus] + [corpus[:2], corpus[5:], corpus]
+    # repeats, some equal by value only: each copy counts once more
+    groups += [
+        [adding().at("q") for _ in range(6)] + corpus[5:7],
+        [corpus[6]] * 3 + [corpus[0], corpus[6]],
+        corpus + corpus,
+    ]
     answers = set()
     for hs in groups:
         first = next(
@@ -196,3 +202,59 @@ def test_funnel_compositions_stay_small():
         assert iv.decide_g0(g.then(h)).member
         assert iv.decide_g0(g.inverse()).member
         assert iv.find_minimal_level([g, h], 8, 64) is not None
+
+
+# ---------------------------------------------------------------- repeated items
+
+def _repeated_items():
+    """Six copies of one item, equal by value but built apart, then two more."""
+    items = [adding().at("q") for _ in range(6)]
+    return items + [poly_chain().at("c2"), flip_alternator().at("a")]
+
+
+@pytest.mark.parametrize("level", [0, 1, 4, 7])
+def test_reports_with_repeats_match_reports_per_item(level):
+    items = _repeated_items()
+    t1 = iv.theorem1_report(items, level)
+    t2 = iv.theorem2_report(items, level, 2)
+    assert t1.per_item == tuple(iv.theorem1_report([h], level).per_item[0] for h in items)
+    assert t2.per_item == tuple(iv.theorem2_report([h], level, 2).per_item[0] for h in items)
+    assert t1.transformations == t2.transformations == tuple(items)
+    assert t1.aggregate == 8 * sum(t1.per_item)
+
+
+def test_reports_sweep_each_distinct_item_once(monkeypatch):
+    sweeps = []
+    survivor_counts = iv.counting._iter_survivor_counts
+
+    def counted(g, dead):
+        sweeps.append(g)
+        return survivor_counts(g, dead)
+
+    monkeypatch.setattr(iv.counting, "_iter_survivor_counts", counted)
+    items = _repeated_items()
+    for run in (
+        lambda: iv.theorem1_report(items, 5),
+        lambda: iv.theorem2_report(items, 5, 2),
+        lambda: iv.find_minimal_level(items, 8, 64),
+    ):
+        sweeps.clear()
+        run()
+        assert sweeps == [items[0], items[6], items[7]]
+
+
+def test_t2_walks_each_distinct_item_once(monkeypatch):
+    walked = []
+    reachable = iv.paradox.reachable_uc_lengths
+
+    def counted(g, level):
+        walked.append(g)
+        return reachable(g, level)
+
+    monkeypatch.setattr(iv.paradox, "reachable_uc_lengths", counted)
+    iv.theorem2_report(_repeated_items(), 5, 2)
+    assert len(walked) == 3
+    # the first offending item is still the one named
+    items = [adding().at("q")] * 3 + [flip_alternator().at("b"), flip_alternator().at("a")] * 2
+    with pytest.raises(iv.PeriodBoundInvalidError, match="reachable by 'b'"):
+        iv.theorem2_report(items, 4, 1)
