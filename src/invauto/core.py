@@ -10,9 +10,9 @@ audits.
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -92,11 +92,14 @@ class Alphabet:
 
     def check_word(self, word: Sequence[int]) -> Word:
         w = tuple(word)
-        for x in w:
-            if not 0 <= x < self.size:
-                raise LetterOutOfRangeError(
-                    f"letter index {x} out of range for alphabet of size {self.size}"
-                )
+        k = len(self.symbols)
+        if w and not (0 <= min(w) and max(w) < k):
+            # slow path only to name the first bad letter
+            for x in w:
+                if not 0 <= x < k:
+                    raise LetterOutOfRangeError(
+                        f"letter index {x} out of range for alphabet of size {k}"
+                    )
         return w
 
 
@@ -139,15 +142,33 @@ class Automaton:
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "transitions", tuple(tuple(r) for r in self.transitions))
-        object.__setattr__(self, "outputs", tuple(tuple(r) for r in self.outputs))
+        object.__setattr__(self, "transitions", tuple(map(tuple, self.transitions)))
+        object.__setattr__(self, "outputs", tuple(map(tuple, self.outputs)))
         if not self.states:
             raise ValidationError("automaton needs at least one state")
-        if len(set(self.states)) != len(self.states):
-            raise ValidationError("state names must be distinct")
         n, k = len(self.states), self.alphabet.size
-        if len(self.transitions) != n or len(self.outputs) != n:
+        # the name lookup doubles as the duplicate check
+        index = dict(zip(self.states, range(n)))
+        if len(index) != n:
+            raise ValidationError("state names must be distinct")
+        trans, outs = self.transitions, self.outputs
+        if len(trans) != n or len(outs) != n:
             raise MissingTransitionError("transition and output tables must cover every state")
+        # whole-table checks first; each distinct output row is checked once
+        identity = list(range(k))
+        valid = (
+            set(map(len, trans)) == {k} == set(map(len, outs))
+            and min(chain.from_iterable(trans)) >= 0
+            and max(chain.from_iterable(trans)) < n
+            and all(sorted(row) == identity for row in set(outs))
+        )
+        if not valid:
+            self._reject_first_bad_state()
+        object.__setattr__(self, "_index", index)
+
+    def _reject_first_bad_state(self) -> None:
+        """Raise for the first state whose rows are malformed, state by state."""
+        n, k = len(self.states), self.alphabet.size
         identity = tuple(range(k))
         for q, name in enumerate(self.states):
             trow, orow = self.transitions[q], self.outputs[q]
@@ -166,7 +187,6 @@ class Automaton:
                 raise NonBijectiveOutputError(
                     f"output row of state {name!r} is not a permutation of the alphabet"
                 )
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.states)})
 
     @classmethod
     def from_table(
@@ -271,8 +291,9 @@ class Transformation:
         trans, out = self.automaton.transitions, self.automaton.outputs
         q = self._start
         result = []
+        append = result.append
         for x in w:
-            result.append(out[q][x])
+            append(out[q][x])
             q = trans[q][x]
         return tuple(result)
 
@@ -370,42 +391,53 @@ def compose(
             f"cannot compose over alphabets {a.alphabet.symbols} and {b.alphabet.symbols}"
         )
     k = a.alphabet.size
-
-    if prune_from is None:
-        pairs = list(itertools.product(range(a.n_states), range(b.n_states)))
-    else:
-        start = (a.state_index(prune_from[0]), b.state_index(prune_from[1]))
-        pairs = [start]
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            qa, qb = queue.popleft()
-            for x in range(k):
-                nxt = (a.transitions[qa][x], b.transitions[qb][a.outputs[qa][x]])
-                if nxt not in seen:
-                    seen.add(nxt)
-                    pairs.append(nxt)
-                    queue.append(nxt)
-
-    index = {p: i for i, p in enumerate(pairs)}
+    nb = b.n_states
+    # pair_name(sa, sb) is heads[qa] + tails[qb]
+    heads = [f"({s}," for s in a.states]
+    tails = [f"{s})" for s in b.states]
     names, transitions, outputs = [], [], []
-    for qa, qb in pairs:
-        names.append(pair_name(a.states[qa], b.states[qb]))
-        trow, orow = [], []
-        for x in range(k):
-            y = a.outputs[qa][x]
-            trow.append(index[(a.transitions[qa][x], b.transitions[qb][y])])
-            orow.append(b.outputs[qb][y])
-        transitions.append(tuple(trow))
-        outputs.append(tuple(orow))
+    # pair (qa, qb) is numbered qa * nb + qb: a-major, as the full product lists it
+    if prune_from is None:
+        codes = range(a.n_states * nb)
+        # one shared int per state index, so the table holds no copies of them
+        ids = list(codes)
+        # column[y][qb] is b's successor from qb on letter y
+        column = [itemgetter(*(row[y] for row in b.transitions)) for y in range(k)]
+        for head, ta, oa in zip(heads, a.transitions, a.outputs):
+            names.extend(map(head.__add__, tails))
+            # successor pairs of (qa, qb) for every qb at once, letter by letter
+            targets = [column[y](ids[t * nb:(t + 1) * nb]) for t, y in zip(ta, oa)]
+            # an itemgetter of one index returns the item itself, not a 1-tuple
+            transitions.extend(zip(*targets) if nb > 1 else [tuple(targets)])
+            outputs.extend(map(itemgetter(*oa), b.outputs))
+    else:
+        start = a.state_index(prune_from[0]) * nb + b.state_index(prune_from[1])
+        # breadth-first from the start pair, letters ascending
+        codes = [start]
+        slot = {start: 0}
+        for code in codes:
+            qa, qb = divmod(code, nb)
+            oa, tb = a.outputs[qa], b.transitions[qb]
+            row = []
+            for t, y in zip(a.transitions[qa], oa):
+                nxt = t * nb + tb[y]
+                i = slot.get(nxt)
+                if i is None:
+                    i = slot[nxt] = len(codes)
+                    codes.append(nxt)
+                row.append(i)
+            names.append(heads[qa] + tails[qb])
+            transitions.append(tuple(row))
+            outputs.append(itemgetter(*oa)(b.outputs[qb]))
 
     policy = None
     if a.policy is not None or b.policy is not None:
         horizons = []
-        for qa, qb in pairs:
+        for name, code in zip(names, codes):
+            qa, qb = divmod(code, nb)
             hs = [h for h in (a.horizon(a.states[qa]), b.horizon(b.states[qb])) if h is not None]
             if hs:
-                horizons.append((pair_name(a.states[qa], b.states[qb]), min(hs)))
+                horizons.append((name, min(hs)))
         depths = [p.depth for p in (a.policy, b.policy) if p is not None]
         fam_a = a.policy.family if a.policy else "finite"
         fam_b = b.policy.family if b.policy else "finite"

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .core import Transformation, Word
-from .counting import NC, NS, _iter_counts, iter_ns_counts, reachable_uc_lengths
+from .counting import NC, NS, _iter_counts, _reachable_uc_lengths, iter_ns_counts, uc_state_lengths
 from .errors import (
     AlphabetMismatchError,
     ArgumentError,
@@ -90,8 +90,13 @@ def _report(
     if kind == NC:
         if period_divisor < 1:
             raise ArgumentError("period divisor must be >= 1")
+        # items of one machine share its cycles: find them once per machine
+        lengths: dict[int, dict[int, int]] = {}
         for h in distinct:
-            for n in reachable_uc_lengths(h, level):
+            key = id(h.automaton)
+            if key not in lengths:
+                lengths[key] = uc_state_lengths(h.automaton)
+            for n in _reachable_uc_lengths(h, level, lengths[key]):
                 if period_divisor % n != 0:
                     raise PeriodBoundInvalidError(
                         f"period divisor {period_divisor} is not a multiple of cycle "

@@ -9,8 +9,17 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 import invauto as iv
+from invauto.core import pair_name
+from invauto.errors import (
+    AlphabetMismatchError,
+    MissingTransitionError,
+    NonBijectiveOutputError,
+    UnknownStateError,
+    ValidationError,
+)
 
 
 # ---------------------------------------------------------------- corpus
@@ -343,6 +352,93 @@ def oracle_growth(g):
     if met <= 1:
         return "bounded", None, None
     return "polynomial", met - 1, None
+
+
+# ---------------------------------------------------------------- table oracles
+
+def oracle_compose(a, b, prune_from=None):
+    """The product built pair by pair with a tuple-keyed index, as compose
+    once did: the reference for its state order, tables and policy."""
+    if a.alphabet != b.alphabet:
+        raise AlphabetMismatchError(
+            f"cannot compose over alphabets {a.alphabet.symbols} and {b.alphabet.symbols}"
+        )
+    k = a.alphabet.size
+
+    if prune_from is None:
+        pairs = list(itertools.product(range(a.n_states), range(b.n_states)))
+    else:
+        start = (a.state_index(prune_from[0]), b.state_index(prune_from[1]))
+        pairs = [start]
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            qa, qb = queue.popleft()
+            for x in range(k):
+                nxt = (a.transitions[qa][x], b.transitions[qb][a.outputs[qa][x]])
+                if nxt not in seen:
+                    seen.add(nxt)
+                    pairs.append(nxt)
+                    queue.append(nxt)
+
+    index = {p: i for i, p in enumerate(pairs)}
+    names, transitions, outputs = [], [], []
+    for qa, qb in pairs:
+        names.append(pair_name(a.states[qa], b.states[qb]))
+        trow, orow = [], []
+        for x in range(k):
+            y = a.outputs[qa][x]
+            trow.append(index[(a.transitions[qa][x], b.transitions[qb][y])])
+            orow.append(b.outputs[qb][y])
+        transitions.append(tuple(trow))
+        outputs.append(tuple(orow))
+
+    policy = None
+    if a.policy is not None or b.policy is not None:
+        horizons = []
+        for qa, qb in pairs:
+            hs = [h for h in (a.horizon(a.states[qa]), b.horizon(b.states[qb])) if h is not None]
+            if hs:
+                horizons.append((pair_name(a.states[qa], b.states[qb]), min(hs)))
+        depths = [p.depth for p in (a.policy, b.policy) if p is not None]
+        fam_a = a.policy.family if a.policy else "finite"
+        fam_b = b.policy.family if b.policy else "finite"
+        policy = iv.MaterializationPolicy(f"{fam_a}*{fam_b}", min(depths), tuple(horizons))
+
+    return iv.Automaton(a.alphabet, tuple(names), tuple(transitions), tuple(outputs), policy)
+
+
+def oracle_validate(alphabet, states, transitions, outputs):
+    """Raise what a malformed table must raise, checking state by state in
+    order, as the constructor once did; return None for a valid table."""
+    states = tuple(states)
+    transitions = tuple(tuple(r) for r in transitions)
+    outputs = tuple(tuple(r) for r in outputs)
+    if not states:
+        raise ValidationError("automaton needs at least one state")
+    if len(set(states)) != len(states):
+        raise ValidationError("state names must be distinct")
+    n, k = len(states), alphabet.size
+    if len(transitions) != n or len(outputs) != n:
+        raise MissingTransitionError("transition and output tables must cover every state")
+    identity = tuple(range(k))
+    for q, name in enumerate(states):
+        trow, orow = transitions[q], outputs[q]
+        if len(trow) > k or len(orow) > k:
+            raise ValidationError(f"state {name!r} has more rows than letters")
+        if len(trow) < k or len(orow) < k:
+            missing = min(len(trow), len(orow))
+            raise MissingTransitionError(
+                f"state {name!r} has no entry for letter "
+                f"{alphabet.symbols[missing]!r}"
+            )
+        for t in trow:
+            if not 0 <= t < n:
+                raise UnknownStateError(f"state {name!r} has a dangling transition target")
+        if tuple(sorted(orow)) != identity:
+            raise NonBijectiveOutputError(
+                f"output row of state {name!r} is not a permutation of the alphabet"
+            )
 
 
 # ---------------------------------------------------------------- generators

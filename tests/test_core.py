@@ -18,7 +18,10 @@ from helpers import (
     flip_alternator,
     full_corpus,
     isomorphic_under,
+    oracle_compose,
+    oracle_validate,
     random_automaton,
+    random_leaky,
     remark_chain,
     subtract_one,
     uv_core,
@@ -349,3 +352,159 @@ def test_composition_law_property(first, second):
     if g.alphabet != h.alphabet:
         return
     assert g.then(h).apply(word) == h.apply(g.apply(word))
+
+
+# ---------------------------------------------------------------- table kernels against oracles
+
+def assert_same_table(got, want):
+    assert got.alphabet == want.alphabet
+    assert got.states == want.states
+    assert got.transitions == want.transitions
+    assert got.outputs == want.outputs
+    assert got.policy == want.policy
+
+
+def assert_composes_like_oracle(a, b):
+    assert_same_table(iv.compose(a, b), oracle_compose(a, b))
+    for pair in itertools.product(a.states, b.states):
+        assert_same_table(iv.compose(a, b, prune_from=pair), oracle_compose(a, b, prune_from=pair))
+
+
+@st.composite
+def machine_pairs(draw):
+    k = draw(st.sampled_from([2, 3]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    make = st.sampled_from([random_automaton, random_leaky])
+    return tuple(draw(make)(rng, draw(st.integers(1, 12)), k) for _ in range(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(machine_pairs())
+def test_compose_matches_oracle(pair):
+    assert_composes_like_oracle(*pair)
+
+
+@pytest.mark.parametrize("da,db", [(1, 1), (2, 5), (4, 3)])
+def test_compose_matches_oracle_with_policies(da, db):
+    finite = random_automaton(random.Random(da * 10 + db), 3, 4)
+    assert_composes_like_oracle(remark_chain(da), remark_chain(db))
+    assert_composes_like_oracle(remark_chain(da), finite)
+    assert_composes_like_oracle(finite, remark_chain(db))
+
+
+def _raised(build):
+    try:
+        build()
+    except iv.AutomatonError as error:
+        return type(error), str(error)
+    return None
+
+
+def test_compose_errors_match_oracle():
+    chain = remark_chain(3)
+    cases = [
+        (adding(), chain, None),
+        (chain, chain, ("q_1", "ghost")),
+        (chain, chain, ("ghost", "q_1")),
+    ]
+    for a, b, prune in cases:
+        want = _raised(lambda: oracle_compose(a, b, prune_from=prune))
+        assert want is not None
+        assert _raised(lambda: iv.compose(a, b, prune_from=prune)) == want
+
+
+# in the order they are applied, so an earlier one never leaves a later one
+# without the row or the entry it spoils
+CORRUPTIONS = (
+    "target_low",
+    "target_high",
+    "repeated_output",
+    "short_row",
+    "long_row",
+    "duplicate_name",
+    "row_count",
+)
+
+
+def _corrupt(draw, kind, states, transitions, outputs, k):
+    """Spoil the table in place in one way; rows and names are lists."""
+    n = len(states)
+    q = draw(st.integers(0, n - 1))
+    table = draw(st.sampled_from([transitions, outputs]))
+    if kind == "target_low":
+        transitions[q][draw(st.integers(0, k - 1))] = -1
+    elif kind == "target_high":
+        transitions[q][draw(st.integers(0, k - 1))] = n
+    elif kind == "repeated_output":
+        x, y = draw(st.permutations(range(k)))[:2]
+        outputs[q][x] = outputs[q][y]
+    elif kind == "short_row":
+        if table[q]:
+            table[q].pop()
+    elif kind == "long_row":
+        table[q].append(draw(st.integers(0, k - 1)))
+    elif kind == "duplicate_name":
+        if n > 1:
+            states[q] = states[(q + draw(st.integers(1, n - 1))) % n]
+    elif table and draw(st.booleans()):
+        table.pop()
+    else:
+        table.append([0] * k)
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_validation_matches_oracle(kind, data):
+    """One or two spoiled rows: the constructor raises what the state-by-state
+    checks raise, so the first offending state still names the error."""
+    draw = data.draw
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 6))
+    states = [f"s{i}" for i in range(n)]
+    transitions = [[draw(st.integers(0, n - 1)) for _ in range(k)] for _ in range(n)]
+    outputs = [list(draw(st.permutations(range(k)))) for _ in range(n)]
+    kinds = [kind]
+    if draw(st.booleans()):
+        kinds.append(draw(st.sampled_from(CORRUPTIONS)))
+    for spoil in sorted(kinds, key=CORRUPTIONS.index):
+        _corrupt(draw, spoil, states, transitions, outputs, k)
+    alphabet = iv.Alphabet.of_size(k)
+    args = (alphabet, tuple(states), tuple(map(tuple, transitions)), tuple(map(tuple, outputs)))
+    want = _raised(lambda: oracle_validate(*args))
+    assert _raised(lambda: iv.Automaton(*args)) == want
+    # a second corruption may undo the first (a short row made long again)
+    if len(kinds) == 1 and (kind != "duplicate_name" or n > 1):
+        assert want is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_check_word_names_first_bad_letter(data):
+    draw = data.draw
+    k = draw(st.integers(2, 4))
+    alphabet = iv.Alphabet.of_size(k)
+    word = draw(st.lists(st.integers(0, k - 1), max_size=20))
+    assert alphabet.check_word(word) == tuple(word)
+    bad = draw(st.lists(st.sampled_from([-1, k]), min_size=1, max_size=2))
+    for x in bad:
+        word.insert(draw(st.integers(0, len(word))), x)
+    first = next(x for x in word if not 0 <= x < k)
+    message = f"letter index {first} out of range for alphabet of size {k}"
+    with pytest.raises(iv.LetterOutOfRangeError) as info:
+        alphabet.check_word(word)
+    assert str(info.value) == message
+    g = iv.identity_automaton(alphabet).at("e")
+    with pytest.raises(iv.LetterOutOfRangeError) as info:
+        g.apply(word)
+    assert str(info.value) == message
+
+
+def test_check_word_edges():
+    alphabet = iv.Alphabet.of_size(3)
+    assert alphabet.check_word(()) == ()
+    assert alphabet.check_word([0, 2, 1]) == (0, 2, 1)
+    for word in ([3], [0, 1, 3], [-1, 0], [2, 2, -1, 3]):
+        with pytest.raises(iv.LetterOutOfRangeError):
+            alphabet.check_word(word)
+    assert iv.identity_automaton(alphabet).at("e").apply(()) == ()

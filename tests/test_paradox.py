@@ -245,16 +245,41 @@ def test_reports_sweep_each_distinct_item_once(monkeypatch):
 
 def test_t2_walks_each_distinct_item_once(monkeypatch):
     walked = []
-    reachable = iv.paradox.reachable_uc_lengths
+    reachable = iv.paradox._reachable_uc_lengths
 
-    def counted(g, level):
+    def counted(g, level, lengths):
         walked.append(g)
-        return reachable(g, level)
+        return reachable(g, level, lengths)
 
-    monkeypatch.setattr(iv.paradox, "reachable_uc_lengths", counted)
+    monkeypatch.setattr(iv.paradox, "_reachable_uc_lengths", counted)
     iv.theorem2_report(_repeated_items(), 5, 2)
     assert len(walked) == 3
     # the first offending item is still the one named
     items = [adding().at("q")] * 3 + [flip_alternator().at("b"), flip_alternator().at("a")] * 2
     with pytest.raises(iv.PeriodBoundInvalidError, match="reachable by 'b'"):
         iv.theorem2_report(items, 4, 1)
+
+
+def test_t2_finds_cycles_once_per_machine(monkeypatch):
+    calls = []
+    find_ucs = iv.counting.find_ucs
+
+    def counted(automaton):
+        calls.append(automaton)
+        return find_ucs(automaton)
+
+    monkeypatch.setattr(iv.counting, "find_ucs", counted)
+    chain = remark_chain(2000)
+    items = [chain.at("q_1")] * 6 + [chain.at("q_5"), chain.at("q_900")]
+    report = iv.theorem2_report(items, 8, 1)
+    # one search for the period check, one per distinct item for its sweep
+    assert len(calls) == 4
+    assert all(a is chain for a in calls)
+    assert report.per_item == tuple(iv.count_nc(h, 8)[8] for h in items)
+    # two machines, two searches; the first offending item is still named
+    calls.clear()
+    alternator = flip_alternator()
+    items = [adding().at("q"), alternator.at("b"), alternator.at("a")]
+    with pytest.raises(iv.PeriodBoundInvalidError, match="reachable by 'b'"):
+        iv.theorem2_report(items, 4, 1)
+    assert len(calls) == 2
