@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import Transformation, generate_builtin, invert, compose, minimize
+from .core import Transformation, _exact_str, generate_builtin, invert, compose, minimize
 from .counting import (
     classify_growth,
     count_nc,
@@ -136,12 +136,12 @@ def _report_payload(report) -> dict:
         "level": report.level,
         "block_factor": report.block_factor,
         "items": [h.state for h in report.transformations],
-        "per_item": [str(c) for c in report.per_item],
-        "aggregate": str(report.aggregate),
-        "threshold": str(report.threshold),
+        "per_item": [_exact_str(c) for c in report.per_item],
+        "aggregate": _exact_str(report.aggregate),
+        "threshold": _exact_str(report.threshold),
         "satisfied": report.satisfied,
         "period_divisor": report.period_divisor,
-        "period_count": None if report.period_count is None else str(report.period_count),
+        "period_count": None if report.period_count is None else _exact_str(report.period_count),
         "note": report.note,
     }
 
@@ -152,12 +152,14 @@ def _report_lines(report) -> list[str]:
         f"kind {report.kind}",
     ]
     for h, c in zip(report.transformations, report.per_item):
-        lines.append(f"  {h.state}: {c}")
-    lines.append(f"aggregate {report.aggregate} vs threshold {report.threshold}")
+        lines.append(f"  {h.state}: {_exact_str(c)}")
+    lines.append(
+        f"aggregate {_exact_str(report.aggregate)} vs threshold {_exact_str(report.threshold)}"
+    )
     if report.period_count is not None:
         lines.append(
             f"period divisor {report.period_divisor} "
-            f"({report.period_count} period classes)"
+            f"({_exact_str(report.period_count)} period classes)"
         )
     lines.append("satisfied" if report.satisfied else "NOT satisfied")
     return lines
@@ -247,12 +249,9 @@ def cmd_ucs(args) -> int:
 def _cmd_counts(args, counter, kind: str) -> int:
     g = _load_transformation(args)
     table = counter(g, args.max_level)
-    lines = [f"{level}\t{count}" for level, count in enumerate(table.counts)]
-    payload = {
-        "kind": kind,
-        "state": g.state,
-        "counts": [str(c) for c in table.counts],
-    }
+    counts = [_exact_str(c) for c in table.counts]
+    lines = [f"{level}\t{count}" for level, count in enumerate(counts)]
+    payload = {"kind": kind, "state": g.state, "counts": counts}
     return _emit(args, lines, payload)
 
 
@@ -278,7 +277,7 @@ def cmd_classify(args) -> int:
         "category": report.category,
         "degree": report.degree,
         "rate": report.rate,
-        "rate_bounds": None if bounds is None else [str(b) for b in bounds],
+        "rate_bounds": None if bounds is None else [_exact_str(b) for b in bounds],
     }
     return _emit(args, [line], payload)
 
@@ -351,8 +350,8 @@ def cmd_lemma2(args) -> int:
 
 
 def cmd_periods(args) -> int:
-    n = count_periods(args.alphabet_size, args.period_divisor)
-    return _emit(args, [str(n)], {"count": str(n)})
+    n = _exact_str(count_periods(args.alphabet_size, args.period_divisor))
+    return _emit(args, [n], {"count": n})
 
 
 def cmd_t1_report(args) -> int:

@@ -11,6 +11,8 @@ audits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -31,6 +33,14 @@ from .errors import (
 Word = tuple[int, ...]
 
 BUILTIN_FAMILIES = ("adding", "flip_all", "flip_alternator", "remark_chain")
+
+
+def _exact_str(x: int | Fraction) -> str:
+    """``str(x)`` with every digit, also past the interpreter's limit on
+    int-to-str conversion, which is left as it is: an int's Decimal is exact
+    and its str is not limited."""
+    text = str(Decimal(x.numerator))
+    return text if x.denominator == 1 else f"{text}/{Decimal(x.denominator)}"
 
 
 @dataclass(frozen=True)
@@ -288,6 +298,11 @@ class Transformation:
         """Image of ``word``; same length, each letter emitted as it is read."""
         w = self.alphabet.check_word(word)
         self._check_length(len(w))
+        return self._image(w)
+
+    def _image(self, w: Word) -> Word:
+        """:meth:`apply` for a word already checked against the alphabet and
+        the horizon."""
         trans, out = self.automaton.transitions, self.automaton.outputs
         q = self._start
         result = []
@@ -343,6 +358,21 @@ def pair_name(a: str, b: str) -> str:
     return f"({a},{b})"
 
 
+def _derived_policy(
+    family: str, depth: int, stands_for: Iterable[tuple[str, Iterable[int | None]]]
+) -> MaterializationPolicy:
+    """Policy of a machine derived from depth-bounded ones.
+
+    ``stands_for`` pairs each derived state name with the horizons of the
+    states it stands for (None: unbounded).  The derived state is exact only
+    as far as all of them are, so its horizon is the least of theirs.
+    """
+    least = (
+        (name, min((h for h in hs if h is not None), default=None)) for name, hs in stands_for
+    )
+    return MaterializationPolicy(family, depth, tuple((s, h) for s, h in least if h is not None))
+
+
 def invert(automaton: Automaton) -> Automaton:
     """Swap every edge's input and output letters; rename states q -> q^-1.
 
@@ -362,10 +392,8 @@ def invert(automaton: Automaton) -> Automaton:
         outputs.append(tuple(orow))
     policy = automaton.policy
     if policy is not None:
-        policy = MaterializationPolicy(
-            policy.family,
-            policy.depth,
-            tuple((inverse_name(s), h) for s, h in policy.horizons),
+        policy = _derived_policy(
+            policy.family, policy.depth, ((inverse_name(s), (h,)) for s, h in policy.horizons)
         )
     return Automaton(
         automaton.alphabet,
@@ -432,16 +460,13 @@ def compose(
 
     policy = None
     if a.policy is not None or b.policy is not None:
-        horizons = []
-        for name, code in zip(names, codes):
-            qa, qb = divmod(code, nb)
-            hs = [h for h in (a.horizon(a.states[qa]), b.horizon(b.states[qb])) if h is not None]
-            if hs:
-                horizons.append((name, min(hs)))
         depths = [p.depth for p in (a.policy, b.policy) if p is not None]
         fam_a = a.policy.family if a.policy else "finite"
         fam_b = b.policy.family if b.policy else "finite"
-        policy = MaterializationPolicy(f"{fam_a}*{fam_b}", min(depths), tuple(horizons))
+        policy = _derived_policy(f"{fam_a}*{fam_b}", min(depths), (
+            (name, (a.horizon(a.states[code // nb]), b.horizon(b.states[code % nb])))
+            for name, code in zip(names, codes)
+        ))
 
     return Automaton(a.alphabet, tuple(names), tuple(transitions), tuple(outputs), policy)
 
@@ -454,56 +479,37 @@ def minimize(automaton: Automaton) -> tuple[Automaton, dict[str, str]]:
     The quotient class is named after its lowest-index member.  Returns the
     quotient and the mapping old state name -> class name.
     """
-    n, k = automaton.n_states, automaton.alphabet.size
     labels: dict[tuple, int] = {}
-    cls = []
-    for q in range(n):
-        key = automaton.outputs[q]
-        cls.append(labels.setdefault(key, len(labels)))
-
+    cls = [labels.setdefault(row, len(labels)) for row in automaton.outputs]
     while True:
         labels = {}
-        refined = []
-        for q in range(n):
-            key = (cls[q], tuple(cls[t] for t in automaton.transitions[q]))
-            refined.append(labels.setdefault(key, len(labels)))
-        if len(labels) == len(set(cls)):
-            cls = refined
-            break
+        refined = [
+            labels.setdefault((c, tuple(cls[t] for t in row)), len(labels))
+            for c, row in zip(cls, automaton.transitions)
+        ]
+        stable = len(labels) == len(set(cls))
         cls = refined
+        if stable:
+            break
 
-    representative: dict[int, int] = {}
-    for q in range(n):
-        representative.setdefault(cls[q], q)
-    ordered = sorted(representative.values())
-    new_of_old_class = {cls[q]: i for i, q in enumerate(ordered)}
-
+    # classes are numbered in order of their lowest-index member
+    members: dict[int, list[int]] = {}
+    for q, c in enumerate(cls):
+        members.setdefault(c, []).append(q)
+    ordered = [qs[0] for qs in members.values()]
     names = tuple(automaton.states[q] for q in ordered)
-    transitions = tuple(
-        tuple(new_of_old_class[cls[automaton.transitions[q][x]]] for x in range(k))
-        for q in ordered
-    )
+    transitions = tuple(tuple(cls[t] for t in automaton.transitions[q]) for q in ordered)
     outputs = tuple(automaton.outputs[q] for q in ordered)
 
     policy = automaton.policy
     if policy is not None:
-        horizons = []
-        for i, rep in enumerate(ordered):
-            hs = [
-                h
-                for q in range(n)
-                if cls[q] == cls[rep]
-                for h in [automaton.horizon(automaton.states[q])]
-                if h is not None
-            ]
-            if hs:
-                horizons.append((names[i], min(hs)))
-        policy = MaterializationPolicy(policy.family, policy.depth, tuple(horizons))
+        policy = _derived_policy(policy.family, policy.depth, (
+            (names[c], [automaton.horizon(automaton.states[q]) for q in qs])
+            for c, qs in members.items()
+        ))
 
     quotient = Automaton(automaton.alphabet, names, transitions, outputs, policy)
-    mapping = {
-        automaton.states[q]: names[new_of_old_class[cls[q]]] for q in range(n)
-    }
+    mapping = {name: names[c] for name, c in zip(automaton.states, cls)}
     return quotient, mapping
 
 

@@ -5,7 +5,10 @@ leave the machine in a state still acting nontrivially, and ``count_nc`` the
 words whose state path never touches an unconditional cycle.  Both are path
 counts over the transition graph, computed by one frontier sweep per level
 with Python's arbitrary-precision integers: each level visits only the
-states that hold mass, along their precomputed alive successors.
+states that hold mass, along their precomputed alive successors.  Each
+automaton object's unconditional cycles are searched for once, on first use,
+and kept on the object: ``find_ucs``, the NC dead set and the reachable
+cycle lengths all read that one result.
 """
 
 from __future__ import annotations
@@ -118,50 +121,51 @@ class MembershipDecision:
         return self.member
 
 
-def _unconditional_successor(automaton: Automaton, q: int) -> int | None:
-    row = automaton.transitions[q]
-    return row[0] if all(t == row[0] for t in row) else None
+def _search_ucs(automaton: Automaton) -> tuple[tuple[UnconditionalCycle, ...], dict[int, int]]:
+    """The search behind :func:`find_ucs`: the cycles, and cycle state index ->
+    cycle length.  The states with input-independent successors form a partial
+    functional graph; its cycles are exactly the unconditional cycles."""
+    sigma = [row[0] if len(set(row)) == 1 else None for row in automaton.transitions]
+    walk_of = [None] * len(sigma)  # the start of the walk that first reached a state
+    found = []
+    for q0 in range(len(sigma)):
+        walk = []
+        q = q0
+        while q is not None and walk_of[q] is None:
+            walk_of[q] = q0
+            walk.append(q)
+            q = sigma[q]
+        if q is not None and walk_of[q] == q0:  # the walk closed on itself
+            cycle = walk[walk.index(q):]
+            low = cycle.index(min(cycle))
+            found.append(cycle[low:] + cycle[:low])
+    found.sort()  # by lowest index, which each cycle now starts with
+    cycles = tuple(UnconditionalCycle(tuple(automaton.states[i] for i in c)) for c in found)
+    return cycles, {q: len(c) for c in found for q in c}
 
 
 def find_ucs(automaton: Automaton) -> tuple[UnconditionalCycle, ...]:
-    """All maximal unconditional cycles.
+    """All maximal unconditional cycles, each starting at its lowest state
+    index, ordered by that index.
 
-    Restricting to states with input-independent successors gives a partial
-    functional graph; its cycles are exactly the unconditional cycles.  A
-    trivial sink state shows up as a cycle of length 1.
+    A trivial sink state shows up as a cycle of length 1.  The table is
+    searched once per automaton object, on first use (never at
+    construction), and the result is kept on the object.
     """
-    n = automaton.n_states
-    sigma = [_unconditional_successor(automaton, q) for q in range(n)]
-    cycles = []
-    state_flag = [0] * n  # 0 unvisited, 1 on current walk, 2 done
-    for q0 in range(n):
-        if state_flag[q0] or sigma[q0] is None:
-            continue
-        walk, pos = [], {}
-        q = q0
-        while q is not None and state_flag[q] == 0 and sigma[q] is not None:
-            state_flag[q] = 1
-            pos[q] = len(walk)
-            walk.append(q)
-            q = sigma[q]
-        if q is not None and state_flag[q] == 1:
-            cycle = walk[pos[q]:]
-            low = cycle.index(min(cycle))
-            cycle = cycle[low:] + cycle[:low]
-            cycles.append(UnconditionalCycle(tuple(automaton.states[i] for i in cycle)))
-        for i in walk:
-            state_flag[i] = 2
-    cycles.sort(key=lambda c: automaton.state_index(c.states[0]))
-    return tuple(cycles)
+    kept = getattr(automaton, "_ucs", None)
+    if kept is None:
+        kept = _search_ucs(automaton)
+        object.__setattr__(automaton, "_ucs", kept)
+    return kept[0]
 
 
 def uc_state_lengths(automaton: Automaton) -> dict[int, int]:
-    """State index -> length of the unconditional cycle it belongs to."""
-    lengths: dict[int, int] = {}
-    for cycle in find_ucs(automaton):
-        for name in cycle.states:
-            lengths[automaton.state_index(name)] = cycle.length
-    return lengths
+    """State index -> length of the unconditional cycle it belongs to, from
+    the search :func:`find_ucs` keeps (shared: read it, do not change it)."""
+    # a first search goes through the public name, so wrappers on it see it
+    if not hasattr(automaton, "_ucs"):
+        find_ucs(automaton)
+    return automaton._ucs[1]
 
 
 def _dead(automaton: Automaton, kind: str) -> frozenset[int]:
@@ -289,22 +293,16 @@ def _reach(g: Transformation) -> dict[int, tuple[int, int | None, int | None]]:
     return tree
 
 
-def _reachable_uc_lengths(
-    g: Transformation, level: int, lengths: dict[int, int]
-) -> tuple[int, ...]:
-    """:func:`reachable_uc_lengths` given ``lengths = uc_state_lengths(...)``."""
+def reachable_uc_lengths(g: Transformation, level: int) -> tuple[int, ...]:
+    """Lengths of the unconditional cycles g can enter within ``level`` steps."""
     if level < 0:
         raise ArgumentError("level must be >= 0")
     g._check_length(level)
+    lengths = uc_state_lengths(g.automaton)
     hit = {
         lengths[q] for q, (depth, _, _) in _reach(g).items() if depth <= level and q in lengths
     }
     return tuple(sorted(hit))
-
-
-def reachable_uc_lengths(g: Transformation, level: int) -> tuple[int, ...]:
-    """Lengths of the unconditional cycles g can enter within ``level`` steps."""
-    return _reachable_uc_lengths(g, level, uc_state_lengths(g.automaton))
 
 
 def max_uc_length(g: Transformation, level: int) -> int:

@@ -16,17 +16,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .core import Transformation, Word
-from .counting import NC, NS, _iter_counts, _reachable_uc_lengths, iter_ns_counts, uc_state_lengths
+from .core import Transformation, Word, _exact_str
+from .counting import NC, NS, _iter_counts, iter_ns_counts, reachable_uc_lengths
 from .errors import (
     AlphabetMismatchError,
     ArgumentError,
     BlockFactorTooSmallError,
     PartitionNotTotalError,
     PartitionOverlapError,
-    PeriodBoundInvalidError,
 )
-from .periodic import count_periods
+from .periodic import _check_period_divisor, count_periods
 
 MIN_BLOCK_FACTOR = 8
 
@@ -90,18 +89,8 @@ def _report(
     if kind == NC:
         if period_divisor < 1:
             raise ArgumentError("period divisor must be >= 1")
-        # items of one machine share its cycles: find them once per machine
-        lengths: dict[int, dict[int, int]] = {}
         for h in distinct:
-            key = id(h.automaton)
-            if key not in lengths:
-                lengths[key] = uc_state_lengths(h.automaton)
-            for n in _reachable_uc_lengths(h, level, lengths[key]):
-                if period_divisor % n != 0:
-                    raise PeriodBoundInvalidError(
-                        f"period divisor {period_divisor} is not a multiple of cycle "
-                        f"length {n} reachable by {h.state!r}"
-                    )
+            _check_period_divisor(h, reachable_uc_lengths(h, level), period_divisor)
         classes = count_periods(k, period_divisor)
     # one level per distinct item: the lazy sweep stops there, no table is kept
     for h in distinct:
@@ -111,14 +100,14 @@ def _report(
     threshold = Fraction(block_factor * k**level, 4)
     if kind == NS:
         note = (
-            f"at most {aggregate} coins can enter a block of "
-            f"{block_factor}*{k}^{level} consecutive words from outside "
-            f"its neighborhood; doubling would need more than {threshold} of them"
+            f"at most {_exact_str(aggregate)} coins can enter a block of "
+            f"{block_factor}*{k}^{level} consecutive words from outside its "
+            f"neighborhood; doubling would need more than {_exact_str(threshold)} of them"
         )
     else:
         note = (
-            f"per period class, at most {sum(per_item)} of {k}^{level} "
-            f"words can import coins; the {classes} period classes scale both sides"
+            f"per period class, at most {_exact_str(sum(per_item))} of {k}^{level} words "
+            f"can import coins; the {_exact_str(classes)} period classes scale both sides"
         )
     return ParadoxReport(
         kind, hs, level, block_factor, per_item, aggregate, threshold,
@@ -240,8 +229,12 @@ def coin_audit(
         raise PartitionNotTotalError(
             f"word {alphabet.text(missing)!r} is not assigned to any block"
         )
+    # every word was checked above; each block's horizon is checked once, in
+    # the order the words would first reach it
+    for i in dict.fromkeys(assignments.values()):
+        hs[i]._check_length(level)
     counts: dict[Word, int] = {w: 0 for w in universe}
     for w, i in assignments.items():
-        counts[hs[i].apply(w)] += 1
+        counts[hs[i]._image(w)] += 1
     deficit = tuple(w for w in universe if counts[w] < 2)
     return CoinAudit(level, assignments, hs, counts, deficit)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .core import Transformation, Word
-from .counting import _reachable_uc_lengths, uc_state_lengths
+from .counting import reachable_uc_lengths, uc_state_lengths
 from .errors import ArgumentError, CycleBoundTooSmallError, PeriodBoundInvalidError
 
 
@@ -143,15 +143,24 @@ class Lemma1Verdict:
     bound: int | None
 
 
-def _cycle_reached(
-    g: Transformation, w: EventuallyPeriodicWord, level: int, lengths: dict[int, int]
-) -> int | None:
-    """Length of the first unconditional cycle entered within ``level`` steps;
-    ``lengths`` is ``uc_state_lengths`` of g's automaton."""
+def _cycle_reached(g: Transformation, w: EventuallyPeriodicWord, level: int) -> int | None:
+    """Length of the first unconditional cycle entered within ``level`` steps."""
+    lengths = uc_state_lengths(g.automaton)
     for q in g.path(w.first(level)):
         if q in lengths:
             return lengths[q]
     return None
+
+
+def _check_period_divisor(g: Transformation, reachable: Sequence[int], divisor: int) -> None:
+    """The period rule: ``divisor`` must be a multiple of every cycle length
+    in ``reachable``, the ones g can enter within the level."""
+    for n in reachable:
+        if divisor % n != 0:
+            raise PeriodBoundInvalidError(
+                f"period divisor {divisor} is not a multiple of cycle "
+                f"length {n} reachable by {g.state!r}"
+            )
 
 
 def check_lemma1(
@@ -169,7 +178,7 @@ def check_lemma1(
             f"word is presented at level {w.level}, expected {level}"
         )
     t = len(w.period)
-    c = _cycle_reached(g, w, level, uc_state_lengths(g.automaton))
+    c = _cycle_reached(g, w, level)
     if c is None:
         return Lemma1Verdict(False, None, t, None, None, None)
     image = apply_to_ep_word(g, w)
@@ -210,19 +219,13 @@ def check_lemma2(
     """
     if period_divisor < 1:
         raise ArgumentError("period divisor must be >= 1")
-    lengths = uc_state_lengths(g.automaton)
-    reachable = _reachable_uc_lengths(g, level, lengths)
+    reachable = reachable_uc_lengths(g, level)
     longest = max(reachable, default=0)
     if cycle_bound < longest:
         raise CycleBoundTooSmallError(
             f"cycle bound {cycle_bound} is below the reachable maximum {longest}"
         )
-    for n in reachable:
-        if period_divisor % n != 0:
-            raise PeriodBoundInvalidError(
-                f"period divisor {period_divisor} is not a multiple of the "
-                f"reachable cycle length {n}"
-            )
+    _check_period_divisor(g, reachable, period_divisor)
     checked = skipped = failed = 0
     failures = []
     for w in samples:
@@ -233,7 +236,7 @@ def check_lemma2(
                 f"sample period length {len(w.period)} does not divide into "
                 f"{period_divisor}"
             )
-        if _cycle_reached(g, w, level, lengths) is None:
+        if _cycle_reached(g, w, level) is None:
             skipped += 1
             continue
         image = apply_to_ep_word(g, w)

@@ -117,6 +117,16 @@ def subtract_one(word):
 
 # ---------------------------------------------------------------- oracles
 
+def decimal_value(text):
+    """The int a decimal string of any length spells, read 1000 digits at a
+    time so no single conversion meets the interpreter's digit limit."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
 def oracle_trivial_states(automaton):
     """A state acts as the identity iff every reachable state copies letters."""
     k = automaton.alphabet.size

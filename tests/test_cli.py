@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invauto.cli import main
+from helpers import decimal_value
 
 DATA = Path(__file__).parent / "data"
 
@@ -492,3 +493,61 @@ def test_fuzzed_audit_spec_keeps_the_exit_code_contract(spec, as_json):
         path = Path(tmp) / "audit.json"
         path.write_text(json.dumps(spec))
         _check_contract(["audit", "--input", str(path)] + ["--json"] * as_json)
+
+
+# ---------------------------------------------------------------- help
+
+def test_help_lists_every_subcommand():
+    code, out, err = _main_in_process(["--help"])
+    assert (code, err) == (0, "")
+    listed = out[out.index("{") + 1:out.index("}")].split(",")
+    assert sorted(listed) == sorted(VALID) and len(VALID) == 20
+    for command in VALID:
+        assert f"\n    {command} " in out
+
+
+@pytest.mark.parametrize("command", sorted(VALID))
+def test_subcommand_help_exits_zero(command):
+    code, out, err = _main_in_process([command, "--help"])
+    assert code == 0
+    assert "error:" not in out + err
+    assert out.startswith(f"usage: invauto {command}")
+
+
+# ---------------------------------------------------------------- long integers
+
+def test_periods_prints_every_digit_of_a_long_count(capsys):
+    code, out, err = run(capsys, "periods", "-k", "2", "-m", "20000")
+    assert (code, err) == (0, "")
+    assert len(out.strip()) == 6021
+    assert decimal_value(out.strip()) == 2**20000
+
+
+def test_t2_report_json_carries_long_counts(capsys):
+    code, out, err = run(
+        capsys, "t2-report", "--gen", "flip_alternator", "--state", "a",
+        "-l", "3", "-m", "20000", "--json",
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert decimal_value(payload["period_count"]) == 2**20000
+    assert f"the {payload['period_count']} period classes" in payload["note"]
+
+
+def test_counts_print_every_digit_past_the_conversion_limit(capsys, tmp_path):
+    # one state over 1024 letters acting on every letter: NS(l) = 1024^l,
+    # which passes 4300 digits at level 1430 (2^14300)
+    letters = [str(x) for x in range(1024)]
+    row = {x: ["r", letters[(i + 1) % 1024]] for i, x in enumerate(letters)}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"alphabet": letters, "states": {"r": row}}))
+    for extra in ([], ["--json"]):
+        code, out, err = run(
+            capsys, "ns", "--file", str(path), "--state", "r", "--max-level", "1430", *extra
+        )
+        assert (code, err) == (0, "")
+        last = json.loads(out)["counts"][-1] if extra else out.splitlines()[-1].split("\t")[1]
+        assert decimal_value(last) == 2**14300
+    code, out, err = run(capsys, "t1-report", "--file", str(path), "--state", "r", "-l", "1430")
+    assert (code, err) == (0, "")
+    assert decimal_value(out.splitlines()[1].split(": ")[1]) == 2**14300

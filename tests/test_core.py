@@ -216,6 +216,22 @@ def test_minimize_flip_alternator_is_already_minimal():
     assert flip_alternator().at("a").apply_text("0") == "1"
 
 
+@pytest.mark.parametrize("depth", [3, 6])
+def test_minimize_gives_each_class_its_least_horizon(depth):
+    g = remark_chain(depth).at("q_1")
+    product = g.then(g.inverse()).automaton
+    quotient, mapping = iv.minimize(product)
+    members = {c: [s for s in product.states if mapping[s] == c] for c in quotient.states}
+    for c, states in members.items():
+        horizons = [h for h in map(product.horizon, states) if h is not None]
+        assert quotient.horizon(c) == min(horizons, default=None)
+    assert (quotient.policy.family, quotient.policy.depth) == (
+        product.policy.family, product.policy.depth,
+    )
+    # some class merges states of different horizons, so the rule is exercised
+    assert any(len(set(map(product.horizon, states))) > 1 for states in members.values())
+
+
 def test_minimization_preserves_behavior():
     rng = random.Random(11)
     machines = [adding(), flip_alternator(), uv_core()]

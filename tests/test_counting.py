@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -321,6 +323,47 @@ def test_decide_false_forces_full_growth():
             m = len(decision.witness)
             for level in range(m, 9):
                 assert counts[level] >= g.alphabet.size ** (level - m)
+
+
+def test_kept_cycles_survive_pickling():
+    machine = flip_alternator()
+    cycles = iv.find_ucs(machine)
+    for copied in (pickle.loads(pickle.dumps(machine)), copy.deepcopy(machine)):
+        assert copied == machine
+        assert iv.find_ucs(copied) == cycles
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["random", "leaky", "funnel", "functional"]),
+    st.integers(1, 30),
+    st.sampled_from([2, 3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_find_ucs_matches_oracle(kind, n, k, seed):
+    """The cycles' members, each cycle rotated to start at its lowest index,
+    and the cycles ordered by that index, against successor walks.  In a
+    functional machine every row ignores the letter, so walks enter cycles
+    from tails at any member."""
+    rng = random.Random(seed)
+    generate = {"random": random_automaton, "leaky": random_leaky, "funnel": random_funnel}
+    machine = generate.get(kind, random_automaton)(rng, n, k)
+    if kind == "functional":
+        rows = tuple((row[0],) * k for row in machine.transitions)
+        machine = iv.Automaton(machine.alphabet, machine.states, rows, machine.outputs)
+    uc = oracle_uc_lengths(machine)
+    expected = []
+    covered = set()
+    for q in sorted(uc):  # the first member met is the cycle's lowest index
+        if q in covered:
+            continue
+        cycle = [q]
+        while len(cycle) < uc[q]:
+            cycle.append(machine.transitions[cycle[-1]][0])
+        covered.update(cycle)
+        expected.append(tuple(machine.states[i] for i in cycle))
+    assert [c.states for c in iv.find_ucs(machine)] == expected
+    assert dict(iv.counting.uc_state_lengths(machine)) == uc
 
 
 @settings(max_examples=200, deadline=None)

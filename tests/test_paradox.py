@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from helpers import (
     adding,
     all_words,
     binary_corpus,
+    decimal_value,
     flip_all,
     flip_alternator,
     poly_chain,
@@ -19,6 +22,8 @@ from helpers import (
     remark_chain,
     uv_core,
 )
+
+EP = iv.EventuallyPeriodicWord
 
 
 # ---------------------------------------------------------------- theorem 1
@@ -176,6 +181,39 @@ def test_audit_partition_not_total():
         iv.coin_audit(1, [[(0,)], []], [e, e])
 
 
+def test_audit_checks_each_word_once(monkeypatch):
+    calls = []
+    check_word = iv.Alphabet.check_word
+
+    def counted(self, word):
+        calls.append(word)
+        return check_word(self, word)
+
+    monkeypatch.setattr(iv.Alphabet, "check_word", counted)
+    words = list(all_words(2, 4))
+    q = adding().at("q")
+    hs = [q, q.inverse()]
+    audit = iv.coin_audit(4, [words[:5], words[5:]], hs)
+    assert len(calls) == len(words)
+    images = [hs[0].apply(w) for w in words[:5]] + [hs[1].apply(w) for w in words[5:]]
+    assert audit.coin_counts == {w: images.count(w) for w in words}
+
+
+def test_audit_refuses_blocks_past_their_horizon():
+    chain = remark_chain(3)
+    words = list(all_words(4, 3))
+    q1, q2, q3 = (chain.at(f"q_{i}") for i in (1, 2, 3))  # horizons 3, 2, 1
+    # a block no word is sent through is never run
+    assert iv.coin_audit(3, [words, []], [q1, q3]).total_coins == 64
+    with pytest.raises(iv.NotMaterializableError, match="horizon 1 of state 'q_3'"):
+        iv.coin_audit(3, [words[:1], words[1:]], [q1, q3])
+    # the first block a word is sent through is the one named
+    with pytest.raises(iv.NotMaterializableError, match="of state 'q_3'"):
+        iv.coin_audit(3, [words[1:], words[:1]], [q3, q2])
+    with pytest.raises(iv.NotMaterializableError, match="of state 'q_2'"):
+        iv.coin_audit(3, [words[1:], words[:1]], [q2, q3])
+
+
 def test_random_audits_never_double():
     rng = random.Random(99)
     members = binary_corpus()
@@ -202,6 +240,19 @@ def test_funnel_compositions_stay_small():
         assert iv.decide_g0(g.then(h)).member
         assert iv.decide_g0(g.inverse()).member
         assert iv.find_minimal_level([g, h], 8, 64) is not None
+
+
+def test_notes_carry_counts_past_the_conversion_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    t2 = iv.theorem2_report([flip_alternator().at("a")], 3, 20000)
+    classes = re.search(r"the ([0-9]+) period classes", t2.note).group(1)
+    assert decimal_value(classes) == t2.period_count == 2**20000
+    t1 = iv.theorem1_report([flip_all().at("r")], 14300)
+    aggregate, threshold = re.search(r"at most ([0-9]+) .* than ([0-9]+) of", t1.note).groups()
+    assert decimal_value(aggregate) == t1.aggregate == 8 * 2**14300
+    assert decimal_value(threshold) == t1.threshold == 2 * 2**14300
+    # the interpreter-wide limit is left as it was
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 # ---------------------------------------------------------------- repeated items
@@ -245,13 +296,13 @@ def test_reports_sweep_each_distinct_item_once(monkeypatch):
 
 def test_t2_walks_each_distinct_item_once(monkeypatch):
     walked = []
-    reachable = iv.paradox._reachable_uc_lengths
+    reachable = iv.paradox.reachable_uc_lengths
 
-    def counted(g, level, lengths):
+    def counted(g, level):
         walked.append(g)
-        return reachable(g, level, lengths)
+        return reachable(g, level)
 
-    monkeypatch.setattr(iv.paradox, "_reachable_uc_lengths", counted)
+    monkeypatch.setattr(iv.paradox, "reachable_uc_lengths", counted)
     iv.theorem2_report(_repeated_items(), 5, 2)
     assert len(walked) == 3
     # the first offending item is still the one named
@@ -261,25 +312,32 @@ def test_t2_walks_each_distinct_item_once(monkeypatch):
 
 
 def test_t2_finds_cycles_once_per_machine(monkeypatch):
-    calls = []
-    find_ucs = iv.counting.find_ucs
+    searches = []
+    search = iv.counting._search_ucs
 
     def counted(automaton):
-        calls.append(automaton)
-        return find_ucs(automaton)
+        searches.append(automaton)
+        return search(automaton)
 
-    monkeypatch.setattr(iv.counting, "find_ucs", counted)
+    monkeypatch.setattr(iv.counting, "_search_ucs", counted)
     chain = remark_chain(2000)
     items = [chain.at("q_1")] * 6 + [chain.at("q_5"), chain.at("q_900")]
     report = iv.theorem2_report(items, 8, 1)
-    # one search for the period check, one per distinct item for its sweep
-    assert len(calls) == 4
-    assert all(a is chain for a in calls)
+    # one search serves the period check and every item's sweep
+    assert searches == [chain]
     assert report.per_item == tuple(iv.count_nc(h, 8)[8] for h in items)
+    # later cycle questions on the same machine read the kept result
+    g = chain.at("q_1")
+    iv.count_nc(g, 8)
+    iv.reachable_uc_lengths(g, 8)
+    iv.check_lemma1(g, EP((1,), (0,)), 1)
+    iv.check_lemma2(g, 8, 1, 1, [EP((2,) * 8, (0,))])
+    iv.find_ucs(chain)
+    assert searches == [chain]
     # two machines, two searches; the first offending item is still named
-    calls.clear()
+    searches.clear()
     alternator = flip_alternator()
     items = [adding().at("q"), alternator.at("b"), alternator.at("a")]
     with pytest.raises(iv.PeriodBoundInvalidError, match="reachable by 'b'"):
         iv.theorem2_report(items, 4, 1)
-    assert len(calls) == 2
+    assert len(searches) == 2

@@ -196,8 +196,15 @@ def test_lemma2_cycle_bound_too_small():
 
 
 def test_lemma2_period_divisor_must_cover_reachable_cycles():
-    with pytest.raises(iv.PeriodBoundInvalidError):
-        iv.check_lemma2(flip_alternator().at("a"), 0, 2, 3, [])
+    a = flip_alternator().at("a")
+    with pytest.raises(
+        iv.PeriodBoundInvalidError,
+        match="period divisor 3 is not a multiple of cycle length 2 reachable by 'a'",
+    ):
+        iv.check_lemma2(a, 0, 2, 3, [])
+    # a too-small cycle bound is reported before a bad divisor
+    with pytest.raises(iv.CycleBoundTooSmallError):
+        iv.check_lemma2(a, 0, 1, 3, [])
 
 
 def test_lemma2_rejects_samples_outside_the_class():
