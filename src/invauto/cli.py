@@ -38,10 +38,6 @@ from .periodic import (
 from .textio import parse_document, render_dot, render_dsl, render_json
 
 
-class UsageError(Exception):
-    """Bad command-line input that argparse alone cannot catch."""
-
-
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -53,7 +49,7 @@ def _open_automaton(path: str | None, family: str | None, depth=None, length=Non
     """The machine in file ``path``, or builtin ``family`` materialized for
     ``depth``/``length``; exactly one of ``path`` and ``family`` is given."""
     if (path is None) == (family is None):
-        raise UsageError("exactly one of --file or --gen is required")
+        raise ArgumentError("exactly one of --file or --gen is required")
     if family is not None:
         return generate_builtin(family, depth=depth, length=length)
     return parse_document(_read_text(path))[0]
@@ -68,11 +64,11 @@ def _automaton_from_source(source: str):
     for opt in parts[2:]:
         key, _, value = opt.partition("=")
         if key not in options:
-            raise UsageError(f"unknown generator option {key!r} in {source!r}")
+            raise ArgumentError(f"unknown generator option {key!r} in {source!r}")
         try:
             options[key] = int(value)
         except ValueError:
-            raise UsageError(
+            raise ArgumentError(
                 f"generator option {key!r} needs an integer, got {value!r} in {source!r}"
             ) from None
     return _open_automaton(None, parts[1], **options)
@@ -81,7 +77,7 @@ def _automaton_from_source(source: str):
 def _transformation_from_item(item: str) -> Transformation:
     source, sep, state = item.rpartition("@")
     if not sep or not source or not state:
-        raise UsageError(f"expected SOURCE@STATE, got {item!r}")
+        raise ArgumentError(f"expected SOURCE@STATE, got {item!r}")
     return Transformation(_automaton_from_source(source), state)
 
 
@@ -103,7 +99,7 @@ def _load_automaton(args: argparse.Namespace):
 def _load_transformation(args: argparse.Namespace) -> Transformation:
     automaton = _load_automaton(args)
     if not getattr(args, "state", None):
-        raise UsageError("--state is required for this command")
+        raise ArgumentError("--state is required for this command")
     return Transformation(automaton, args.state)
 
 
@@ -126,7 +122,7 @@ def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> int:
 def _ep_word(alphabet, text: str) -> EventuallyPeriodicWord:
     prefix, sep, period = text.partition(":")
     if not sep or not period:
-        raise UsageError(f"expected PREFIX:PERIOD (prefix may be empty), got {text!r}")
+        raise ArgumentError(f"expected PREFIX:PERIOD (prefix may be empty), got {text!r}")
     return EventuallyPeriodicWord(alphabet.word(prefix), alphabet.word(period))
 
 
@@ -216,7 +212,7 @@ def cmd_compose(args) -> int:
     if args.prune:
         a, sep, b = args.prune.partition(",")
         if not sep:
-            raise UsageError("--prune expects STATE_A,STATE_B")
+            raise ArgumentError("--prune expects STATE_A,STATE_B")
         prune = (a.strip(), b.strip())
     sys.stdout.write(render_dsl(compose(left, right, prune_from=prune)))
     return 0
@@ -406,7 +402,7 @@ def cmd_audit(args) -> int:
     spec = _audit_spec(args.input)
     hs = [_transformation_from_item(item) for item in spec["transformations"]]
     if not hs:
-        raise UsageError("audit needs at least one transformation")
+        raise ArgumentError("audit needs at least one transformation")
     alphabet = hs[0].alphabet
     parts = [[alphabet.word(w) for w in part] for part in spec["parts"]]
     audit = coin_audit(spec["level"], parts, hs)
@@ -525,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, UsageError, ArgumentError) as exc:
+    except (ParseError, ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AutomatonError, OSError) as exc:

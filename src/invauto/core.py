@@ -10,7 +10,7 @@ audits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import (
     AlphabetMismatchError,
     AlphabetTooSmallError,
+    ArgumentError,
     DepthTooSmallError,
     LetterOutOfRangeError,
     MissingTransitionError,
@@ -41,6 +42,30 @@ def _exact_str(x: int | Fraction) -> str:
     and its str is not limited."""
     text = str(Decimal(x.numerator))
     return text if x.denominator == 1 else f"{text}/{Decimal(x.denominator)}"
+
+
+def _exact_repr(value) -> str:
+    """``repr(value)``, with every digit of an int or Fraction past the
+    interpreter's limit on int-to-str conversion, also inside tuples."""
+    try:
+        return repr(value)
+    except ValueError:  # the limit was hit: rebuild the repr piece by piece
+        pass
+    if type(value) is Fraction:
+        return f"Fraction({_exact_str(value.numerator)}, {_exact_str(value.denominator)})"
+    if type(value) is tuple:
+        inner = ", ".join(map(_exact_repr, value))
+        return f"({inner},)" if len(value) == 1 else f"({inner})"
+    return _exact_str(value)
+
+
+def _dataclass_repr(obj) -> str:
+    """The repr a dataclass generates, built with :func:`_exact_repr`, so a
+    record holding long counts prints them in full."""
+    shown = ", ".join(
+        f"{f.name}={_exact_repr(getattr(obj, f.name))}" for f in fields(obj) if f.repr
+    )
+    return f"{type(obj).__qualname__}({shown})"
 
 
 @dataclass(frozen=True)
@@ -287,7 +312,9 @@ class Transformation:
         return self.automaton.alphabet
 
     def _check_length(self, level: int) -> None:
-        """Refuse to answer for words of length ``level`` past the horizon."""
+        """The level rule: words of length ``level`` need 0 <= level <= horizon."""
+        if level < 0:
+            raise ArgumentError("level must be >= 0")
         if self._horizon is not None and level > self._horizon:
             raise NotMaterializableError(
                 f"level {level} exceeds the materialized horizon {self._horizon} "

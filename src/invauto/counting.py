@@ -18,7 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import Automaton, Transformation, Word, greatest_closed_subset, trivial_states
+from .core import (
+    Automaton,
+    Transformation,
+    Word,
+    _dataclass_repr,
+    greatest_closed_subset,
+    trivial_states,
+)
 from .errors import ArgumentError
 
 NS = "ns"
@@ -60,9 +67,13 @@ class CountTable:
         if not self.counts or self.counts[0] not in (0, 1):
             raise ArgumentError("level-0 count must be 0 or 1")
         k = self.transformation.alphabet.size
+        bound = 1  # k**level
         for level, c in enumerate(self.counts):
-            if not 0 <= c <= k**level:
+            if not 0 <= c <= bound:
                 raise ArgumentError(f"count {c} at level {level} exceeds {k}^{level}")
+            bound *= k
+
+    __repr__ = _dataclass_repr
 
     @property
     def max_level(self) -> int:
@@ -224,8 +235,7 @@ def _iter_counts(g: Transformation, kind: str) -> Iterator[int]:
 
 
 def _count(g: Transformation, max_level: int, kind: str) -> CountTable:
-    if max_level < 0:
-        raise ArgumentError("max_level must be >= 0")
+    g._check_length(max_level)
     return CountTable(g, kind, tuple(itertools.islice(_iter_counts(g, kind), max_level + 1)))
 
 
@@ -240,8 +250,6 @@ def count_nc(g: Transformation, max_level: int) -> CountTable:
 
 
 def _survivor_words(g: Transformation, level: int, kind: str) -> list[Word]:
-    if level < 0:
-        raise ArgumentError("level must be >= 0")
     g._check_length(level)
     dead = _dead(g.automaton, kind)
     trans = g.automaton.transitions
@@ -295,8 +303,6 @@ def _reach(g: Transformation) -> dict[int, tuple[int, int | None, int | None]]:
 
 def reachable_uc_lengths(g: Transformation, level: int) -> tuple[int, ...]:
     """Lengths of the unconditional cycles g can enter within ``level`` steps."""
-    if level < 0:
-        raise ArgumentError("level must be >= 0")
     g._check_length(level)
     lengths = uc_state_lengths(g.automaton)
     hit = {

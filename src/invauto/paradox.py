@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .core import Transformation, Word, _exact_str
+from .core import Transformation, Word, _dataclass_repr, _exact_str
 from .counting import NC, NS, _iter_counts, iter_ns_counts, reachable_uc_lengths
 from .errors import (
     AlphabetMismatchError,
@@ -49,8 +49,9 @@ class ParadoxReport:
     def __post_init__(self):
         if self.satisfied != (self.aggregate <= self.threshold):
             raise ArgumentError("verdict disagrees with the exact comparison")
-        if self.block_factor < MIN_BLOCK_FACTOR:
-            raise ArgumentError(f"block factor must be >= {MIN_BLOCK_FACTOR}")
+        _check_block_factor(self.block_factor)
+
+    __repr__ = _dataclass_repr
 
 
 def _common_alphabet(hs: Sequence[Transformation]):
@@ -80,18 +81,16 @@ def _report(
     hs = tuple(hs)
     k = _common_alphabet(hs).size
     _check_block_factor(block_factor)
-    if level < 0:
-        raise ArgumentError("level must be >= 0")
-    # equal items have equal counts: sweep each distinct one once, in
-    # first-occurrence order, so the first failing item still raises first
+    # equal items have equal counts: check and sweep each distinct one once,
+    # in first-occurrence order, so the first failing item still raises first
     distinct = dict.fromkeys(hs)
+    for h in distinct:
+        h._check_length(level)
     classes = None
     if kind == NC:
-        if period_divisor < 1:
-            raise ArgumentError("period divisor must be >= 1")
+        classes = count_periods(k, period_divisor)
         for h in distinct:
             _check_period_divisor(h, reachable_uc_lengths(h, level), period_divisor)
-        classes = count_periods(k, period_divisor)
     # one level per distinct item: the lazy sweep stops there, no table is kept
     for h in distinct:
         distinct[h] = next(itertools.islice(_iter_counts(h, kind), level, None))

@@ -81,14 +81,12 @@ def apply_to_ep_word(g: Transformation, w: EventuallyPeriodicWord) -> Eventually
     alphabet.check_word(w.prefix)
     alphabet.check_word(w.period)
     trans, out = automaton.transitions, automaton.outputs
+    g._check_length(len(w.prefix))
     q = g.start
-    consumed = 0
     head = []
     for x in w.prefix:
-        g._check_length(consumed + 1)
         head.append(out[q][x])
         q = trans[q][x]
-        consumed += 1
 
     t = len(w.period)
     seen: dict[tuple[int, int], int] = {}
@@ -98,7 +96,7 @@ def apply_to_ep_word(g: Transformation, w: EventuallyPeriodicWord) -> Eventually
         # On a depth-clamped machine only states strictly inside the horizon
         # are exact; the final in-horizon step still emits the right letter
         # but its target may be the clamp, so it cannot anchor a repeat.
-        g._check_length(consumed + 1)
+        g._check_length(len(w.prefix) + i + 1)
         key = (q, i % t)
         if key in seen:
             first = seen[key]
@@ -107,7 +105,6 @@ def apply_to_ep_word(g: Transformation, w: EventuallyPeriodicWord) -> Eventually
         x = w.period[i % t]
         tail.append(out[q][x])
         q = trans[q][x]
-        consumed += 1
         i += 1
     return EventuallyPeriodicWord(tuple(head) + tuple(tail[:first]), tuple(tail[first:]))
 

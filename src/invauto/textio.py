@@ -117,6 +117,8 @@ def _parse_json(text: str) -> tuple[Automaton, dict[str, str]]:
     for key in ("alphabet", "states"):
         if key not in data:
             raise ParseError(f"missing top-level key {key!r}")
+    if not isinstance(data["alphabet"], list):
+        raise ParseError("'alphabet' must be an array")
     if not isinstance(data["states"], dict):
         raise ParseError("'states' must be an object")
     table: dict[str, dict[str, tuple[str, str]]] = {}

@@ -7,6 +7,7 @@ along reachability, and the adding machine against plain binary arithmetic.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from collections import deque
@@ -125,6 +126,15 @@ def decimal_value(text):
         chunk = text[i:i + 1000]
         value = value * 10 ** len(chunk) + int(chunk)
     return value
+
+
+def generated_repr(obj):
+    """The repr ``@dataclass`` generates for ``obj``: every field with
+    ``repr=True``, as ``name=repr(value)``."""
+    shown = ", ".join(
+        f"{f.name}={getattr(obj, f.name)!r}" for f in dataclasses.fields(obj) if f.repr
+    )
+    return f"{type(obj).__qualname__}({shown})"
 
 
 def oracle_trivial_states(automaton):
@@ -309,20 +319,24 @@ def oracle_sccs(succ):
 def oracle_power_rate(matrix):
     """Float power-iteration estimate of the growth base of a dense matrix:
     the identity-shifted iteration the classifier used before exact
-    bracketing, with its absolute 1e-9 stopping rule and 10 000-step cap."""
+    bracketing.  It stops once the estimate's relative change has stayed
+    within 1e-12 for 20 steps in a row, or after 10 000 steps: one small
+    change can be a plateau, where the iterate lingers near a vector that is
+    not yet the Perron vector."""
     n = len(matrix)
     shifted = [[a + (i == j) for j, a in enumerate(row)] for i, row in enumerate(matrix)]
     v = [1.0 / n] * n
     estimate = 0.0
+    calm = 0
     for _ in range(10_000):
         w = [sum(a * x for a, x in zip(row, v)) for row in shifted]
         total = sum(w)
         if total == 0.0:
             return 0.0
-        if abs(total - estimate) < 1e-9:
-            estimate = total
-            break
+        calm = calm + 1 if abs(total - estimate) <= 1e-12 * total else 0
         estimate = total
+        if calm == 20:
+            break
         v = [x / total for x in w]
     return estimate - 1.0
 

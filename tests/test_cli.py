@@ -305,19 +305,29 @@ def test_t1_report_multiple_items(capsys):
         ["audit", "--input", "{not_json}"],
         ["t1-report", "--gen", "adding", "--state", "q", "-l", "2",
          "--item", "gen:adding:depth=x@q"],
+        ["validate", "--file", "{alphabet_number}"],
+        ["validate", "--file", "{alphabet_null}"],
+        ["validate", "--file", "{alphabet_true}"],
+        ["validate", "--file", "{alphabet_float}"],
     ],
     ids=["negative-level", "periods-zero", "lemma2-zero", "audit-no-parts",
-         "audit-not-json", "item-bad-depth"],
+         "audit-not-json", "item-bad-depth", "alphabet-number", "alphabet-null",
+         "alphabet-true", "alphabet-float"],
 )
 def test_malformed_input_gives_one_error_line(capsys, tmp_path, argv):
-    files = {
-        "no_parts": tmp_path / "no_parts.json",
-        "not_json": tmp_path / "not_json.json",
+    texts = {
+        "no_parts": json.dumps({"level": 1, "transformations": ["gen:adding@q"]}),
+        "not_json": "level: 2\n",
+        "alphabet_number": '{"alphabet": 5, "states": {}}',
+        "alphabet_null": '{"alphabet": null, "states": {}}',
+        "alphabet_true": '{"alphabet": true, "states": {}}',
+        "alphabet_float": '{"alphabet": 1.5, "states": {}}',
     }
-    files["no_parts"].write_text(json.dumps({"level": 1, "transformations": ["gen:adding@q"]}))
-    files["not_json"].write_text("level: 2\n")
+    files = {name: tmp_path / f"{name}.json" for name in texts}
+    for name, text in texts.items():
+        files[name].write_text(text)
     code, _, err = run(capsys, *(a.format(**files) for a in argv))
-    assert code in (1, 2)
+    assert code == 2
     assert sum(line.startswith("error:") for line in err.splitlines()) == 1
     assert "Traceback" not in err
 

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import invauto as iv
@@ -17,10 +17,12 @@ from helpers import (
     adding,
     binary_corpus,
     brute_counts,
+    decimal_value,
     dense_counts,
     flip_all,
     flip_alternator,
     full_corpus,
+    generated_repr,
     oracle_core,
     oracle_first_word_into,
     oracle_growth,
@@ -186,6 +188,8 @@ def test_max_uc_length_examples():
         ("check_lemma2", (5, 2, [])),
         ("ns_words", ()),
         ("nc_words", ()),
+        ("count_ns", ()),
+        ("count_nc", ()),
     ],
 )
 def test_negative_level_is_refused(name, rest):
@@ -246,6 +250,9 @@ def test_classify_rate_bounds_bracket_the_rate():
     st.sampled_from([2, 3]),
     st.integers(0, 2**32 - 1),
 )
+# a power iteration that stops at its first small change reads 1.5 here,
+# where the growth base is 1.54583946942...
+@example("random", 14, 2, 5066912)
 def test_classify_growth_matches_reference(kind, n, k, seed):
     rng = random.Random(seed)
     if kind == "random":
@@ -462,8 +469,24 @@ def test_remark_bounds():
 
 
 def test_count_table_rejects_impossible_counts():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"count 3 at level 1 exceeds 2\^1"):
         iv.CountTable(adding().at("q"), "ns", (1, 3))
+    # the bound is k^level at every level: flip_all meets it exactly
+    r = flip_all().at("r")
+    counts = iv.count_ns(r, 40).counts
+    assert iv.CountTable(r, "ns", counts).counts == counts
+    with pytest.raises(ValueError, match=r"at level 40 exceeds 2\^40"):
+        iv.CountTable(r, "ns", counts[:-1] + (2**40 + 1,))
+
+
+def test_count_table_repr_prints_every_digit():
+    table = iv.count_ns(adding().at("q"), 6)
+    assert repr(table) == generated_repr(table)
+    # a count past the interpreter's 4300-digit limit on int-to-str
+    long = iv.CountTable(flip_all().at("r"), "ns", (1,) + (0,) * 14299 + (2**14300,))
+    head, last = repr(long).rsplit(", ", 1)
+    assert head.startswith("CountTable(transformation=Transformation(")
+    assert last.endswith("))") and decimal_value(last[:-2]) == 2**14300
 
 
 def test_word_set_enumerations_match_counts():

@@ -72,13 +72,18 @@ LENGTH_OPS = {
     "count_nc": lambda g, level: iv.count_nc(g, level),
     "reachable_uc_lengths": iv.reachable_uc_lengths,
     "ns_words": iv.ns_words,
+    "nc_words": iv.nc_words,
+    "theorem1_report": lambda g, level: iv.theorem1_report([g], level),
+    # every cycle these chains reach has length 1, so divisor 1 is valid
+    "theorem2_report": lambda g, level: iv.theorem2_report([g], level, 1),
 }
+LISTING_OPS = {"ns_words", "nc_words"}
 
 
 @pytest.mark.parametrize("name", sorted(LENGTH_OPS))
 def test_length_bounded_operation_stops_at_horizon(name):
     op = LENGTH_OPS[name]
-    limit = MAX_LISTED_LEVEL if name == "ns_words" else math.inf
+    limit = MAX_LISTED_LEVEL if name in LISTING_OPS else math.inf
     for g, h in CASES:
         if h <= limit:
             op(g, h)
@@ -120,3 +125,29 @@ def test_whole_table_operation_refuses_materialization(name):
         with pytest.raises(iv.NotMaterializableError):
             op(g)
         op(_unbounded(g))
+
+
+def test_fixed_level_calls_refuse_before_sweeping(monkeypatch):
+    """A call given its level checks it before any sweep, so a deep chain
+    refuses at once and names the level asked, not where a sweep stopped."""
+    sweeps = []
+    survivor_counts = iv.counting._iter_survivor_counts
+
+    def counted(g, dead):
+        sweeps.append(g)
+        return survivor_counts(g, dead)
+
+    monkeypatch.setattr(iv.counting, "_iter_survivor_counts", counted)
+    chain = remark_chain(2000)
+    q1, q2000 = chain.at("q_1"), chain.at("q_2000")
+    past_q1 = "level 2001 exceeds the materialized horizon 2000 of state 'q_1'"
+    past_q2000 = "level 1500 exceeds the materialized horizon 1 of state 'q_2000'"
+    for op, args, message in [
+        (iv.count_ns, (q1, 2001), past_q1),
+        (iv.count_nc, (q1, 2001), past_q1),
+        (iv.theorem1_report, ([q1, q2000], 1500), past_q2000),
+        (iv.theorem2_report, ([q1, q2000], 1500, 1), past_q2000),
+    ]:
+        with pytest.raises(iv.NotMaterializableError, match=message):
+            op(*args)
+    assert sweeps == []

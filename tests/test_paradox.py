@@ -17,6 +17,7 @@ from helpers import (
     decimal_value,
     flip_all,
     flip_alternator,
+    generated_repr,
     poly_chain,
     random_funnel,
     remark_chain,
@@ -63,6 +64,26 @@ def test_report_threshold_is_exact_rational():
 def test_report_rejects_small_block_factor():
     with pytest.raises(iv.BlockFactorTooSmallError):
         iv.theorem1_report([adding().at("q")], 3, 7)
+
+
+def test_report_object_rejects_small_block_factor():
+    report = iv.theorem1_report([adding().at("q")], 3)
+    fields = {**report.__dict__, "block_factor": 7}
+    with pytest.raises(iv.BlockFactorTooSmallError, match="block factor 7 is below the minimum 8"):
+        iv.ParadoxReport(**fields)
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        lambda hs, level: iv.theorem1_report(hs, level),
+        lambda hs, level: iv.theorem2_report(hs, level, 1),
+    ],
+    ids=["t1", "t2"],
+)
+def test_report_refuses_negative_level(report):
+    with pytest.raises(iv.ArgumentError, match="level must be >= 0"):
+        report([adding().at("q")], -1)
 
 
 def test_report_rejects_mixed_alphabets():
@@ -140,7 +161,7 @@ def test_t2_input_dependent_core_fails():
 def test_t2_rejects_uncovered_cycle_length():
     with pytest.raises(iv.PeriodBoundInvalidError):
         iv.theorem2_report([flip_alternator().at("a")], 4, 1)
-    with pytest.raises(iv.ArgumentError):
+    with pytest.raises(iv.ArgumentError, match="period divisor must be >= 1"):
         iv.theorem2_report([adding().at("q")], 4, 0)
 
 
@@ -251,6 +272,9 @@ def test_notes_carry_counts_past_the_conversion_limit():
     aggregate, threshold = re.search(r"at most ([0-9]+) .* than ([0-9]+) of", t1.note).groups()
     assert decimal_value(aggregate) == t1.aggregate == 8 * 2**14300
     assert decimal_value(threshold) == t1.threshold == 2 * 2**14300
+    # the report objects print every digit too
+    assert f"aggregate={aggregate}, threshold=Fraction({threshold}, 1)," in repr(t1)
+    assert f"period_count={classes})" in repr(t2)
     # the interpreter-wide limit is left as it was
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
@@ -261,6 +285,12 @@ def _repeated_items():
     """Six copies of one item, equal by value but built apart, then two more."""
     items = [adding().at("q") for _ in range(6)]
     return items + [poly_chain().at("c2"), flip_alternator().at("a")]
+
+
+def test_report_repr_is_the_generated_one_for_short_counts():
+    g = adding().at("q")
+    for report in (iv.theorem1_report([g, g], 3), iv.theorem2_report([g], 3, 2)):
+        assert repr(report) == generated_repr(report)
 
 
 @pytest.mark.parametrize("level", [0, 1, 4, 7])

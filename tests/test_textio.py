@@ -86,6 +86,12 @@ def test_bad_json_reports_location():
         iv.parse_automaton('{"alphabet": ["0", "1"], "states": }')
 
 
+@pytest.mark.parametrize("alphabet", ["5", "null", "true", "1.5", '"01"', '{"0": 1, "1": 2}'])
+def test_json_alphabet_must_be_an_array(alphabet):
+    with pytest.raises(iv.ParseError, match="'alphabet' must be an array"):
+        iv.parse_document(f'{{"alphabet": {alphabet}, "states": {{}}}}')
+
+
 def test_dot_export_adding_machine():
     expected = (
         'digraph "adding" {\n'
