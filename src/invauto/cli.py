@@ -9,6 +9,10 @@ which every exact count is a decimal string, never a float.
 Exit status: 0 on success (a false verdict is still a success), 1 on domain
 errors, 2 on usage or parse errors (an argument a library call rejects is a
 usage error).
+
+A call pays only for its subcommand: the library is reached through the
+``invauto`` namespace, which imports each submodule on first use, and only
+the chosen subcommand's arguments are built.
 """
 
 from __future__ import annotations
@@ -18,24 +22,9 @@ import json
 import sys
 from pathlib import Path
 
-from .core import Transformation, _exact_str, generate_builtin, invert, compose, minimize
-from .counting import (
-    classify_growth,
-    count_nc,
-    count_ns,
-    decide_g0,
-    decide_g1,
-    find_ucs,
-)
+import invauto
+
 from .errors import ArgumentError, AutomatonError, ParseError
-from .paradox import coin_audit, find_minimal_level, theorem1_report, theorem2_report
-from .periodic import (
-    EventuallyPeriodicWord,
-    check_lemma1,
-    check_lemma2,
-    count_periods,
-)
-from .textio import parse_document, render_dot, render_dsl, render_json
 
 
 def _read_text(path: str) -> str:
@@ -51,8 +40,8 @@ def _open_automaton(path: str | None, family: str | None, depth=None, length=Non
     if (path is None) == (family is None):
         raise ArgumentError("exactly one of --file or --gen is required")
     if family is not None:
-        return generate_builtin(family, depth=depth, length=length)
-    return parse_document(_read_text(path))[0]
+        return invauto.generate_builtin(family, depth=depth, length=length)
+    return invauto.parse_document(_read_text(path))[0]
 
 
 def _automaton_from_source(source: str):
@@ -74,11 +63,11 @@ def _automaton_from_source(source: str):
     return _open_automaton(None, parts[1], **options)
 
 
-def _transformation_from_item(item: str) -> Transformation:
+def _transformation_from_item(item: str) -> invauto.Transformation:
     source, sep, state = item.rpartition("@")
     if not sep or not source or not state:
         raise ArgumentError(f"expected SOURCE@STATE, got {item!r}")
-    return Transformation(_automaton_from_source(source), state)
+    return invauto.Transformation(_automaton_from_source(source), state)
 
 
 def _add_source_options(parser: argparse.ArgumentParser, state: bool = True) -> None:
@@ -96,14 +85,14 @@ def _load_automaton(args: argparse.Namespace):
     return _open_automaton(args.file, args.gen, args.depth, args.length)
 
 
-def _load_transformation(args: argparse.Namespace) -> Transformation:
+def _load_transformation(args: argparse.Namespace) -> invauto.Transformation:
     automaton = _load_automaton(args)
     if not getattr(args, "state", None):
         raise ArgumentError("--state is required for this command")
-    return Transformation(automaton, args.state)
+    return invauto.Transformation(automaton, args.state)
 
 
-def _load_items(args: argparse.Namespace) -> list[Transformation]:
+def _load_items(args: argparse.Namespace) -> list[invauto.Transformation]:
     items = [_load_transformation(args)]
     for item in args.item or []:
         items.append(_transformation_from_item(item))
@@ -119,43 +108,43 @@ def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> int:
     return 0
 
 
-def _ep_word(alphabet, text: str) -> EventuallyPeriodicWord:
+def _ep_word(alphabet, text: str) -> invauto.EventuallyPeriodicWord:
     prefix, sep, period = text.partition(":")
     if not sep or not period:
         raise ArgumentError(f"expected PREFIX:PERIOD (prefix may be empty), got {text!r}")
-    return EventuallyPeriodicWord(alphabet.word(prefix), alphabet.word(period))
+    return invauto.EventuallyPeriodicWord(alphabet.word(prefix), alphabet.word(period))
 
 
 def _report_payload(report) -> dict:
+    exact = invauto.core._exact_str
     return {
         "kind": report.kind,
         "level": report.level,
         "block_factor": report.block_factor,
         "items": [h.state for h in report.transformations],
-        "per_item": [_exact_str(c) for c in report.per_item],
-        "aggregate": _exact_str(report.aggregate),
-        "threshold": _exact_str(report.threshold),
+        "per_item": [exact(c) for c in report.per_item],
+        "aggregate": exact(report.aggregate),
+        "threshold": exact(report.threshold),
         "satisfied": report.satisfied,
         "period_divisor": report.period_divisor,
-        "period_count": None if report.period_count is None else _exact_str(report.period_count),
+        "period_count": None if report.period_count is None else exact(report.period_count),
         "note": report.note,
     }
 
 
 def _report_lines(report) -> list[str]:
+    exact = invauto.core._exact_str
     lines = [
         f"level {report.level}, block factor {report.block_factor}, "
         f"kind {report.kind}",
     ]
     for h, c in zip(report.transformations, report.per_item):
-        lines.append(f"  {h.state}: {_exact_str(c)}")
-    lines.append(
-        f"aggregate {_exact_str(report.aggregate)} vs threshold {_exact_str(report.threshold)}"
-    )
+        lines.append(f"  {h.state}: {exact(c)}")
+    lines.append(f"aggregate {exact(report.aggregate)} vs threshold {exact(report.threshold)}")
     if report.period_count is not None:
         lines.append(
             f"period divisor {report.period_divisor} "
-            f"({_exact_str(report.period_count)} period classes)"
+            f"({exact(report.period_count)} period classes)"
         )
     lines.append("satisfied" if report.satisfied else "NOT satisfied")
     return lines
@@ -178,15 +167,15 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    automaton = generate_builtin(args.family, depth=args.depth, length=args.length)
-    sys.stdout.write(render_dsl(automaton, name=args.family))
+    automaton = invauto.generate_builtin(args.family, depth=args.depth, length=args.length)
+    sys.stdout.write(invauto.render_dsl(automaton, name=args.family))
     return 0
 
 
 def cmd_export_dot(args) -> int:
     automaton = _load_automaton(args)
     name = args.gen or Path(args.file).stem
-    sys.stdout.write(render_dot(automaton, name=name))
+    sys.stdout.write(invauto.render_dot(automaton, name=name))
     return 0
 
 
@@ -201,7 +190,7 @@ def cmd_apply(args) -> int:
 
 def cmd_invert(args) -> int:
     automaton = _load_automaton(args)
-    sys.stdout.write(render_dsl(invert(automaton)))
+    sys.stdout.write(invauto.render_dsl(invauto.invert(automaton)))
     return 0
 
 
@@ -214,27 +203,27 @@ def cmd_compose(args) -> int:
         if not sep:
             raise ArgumentError("--prune expects STATE_A,STATE_B")
         prune = (a.strip(), b.strip())
-    sys.stdout.write(render_dsl(compose(left, right, prune_from=prune)))
+    sys.stdout.write(invauto.render_dsl(invauto.compose(left, right, prune_from=prune)))
     return 0
 
 
 def cmd_minimize(args) -> int:
     automaton = _load_automaton(args)
-    quotient, mapping = minimize(automaton)
+    quotient, mapping = invauto.minimize(automaton)
     if args.json:
-        doc = json.loads(render_json(quotient))
+        doc = json.loads(invauto.render_json(quotient))
         doc["classes"] = mapping
         print(json.dumps(doc, sort_keys=True))
         return 0
     for old in automaton.states:
         print(f"# {old} -> {mapping[old]}")
-    sys.stdout.write(render_dsl(quotient))
+    sys.stdout.write(invauto.render_dsl(quotient))
     return 0
 
 
 def cmd_ucs(args) -> int:
     automaton = _load_automaton(args)
-    cycles = find_ucs(automaton)
+    cycles = invauto.find_ucs(automaton)
     lines = [
         f"length {c.length}: {' -> '.join(c.states + (c.states[0],))}" for c in cycles
     ] or ["no unconditional cycles"]
@@ -245,23 +234,23 @@ def cmd_ucs(args) -> int:
 def _cmd_counts(args, counter, kind: str) -> int:
     g = _load_transformation(args)
     table = counter(g, args.max_level)
-    counts = [_exact_str(c) for c in table.counts]
+    counts = [invauto.core._exact_str(c) for c in table.counts]
     lines = [f"{level}\t{count}" for level, count in enumerate(counts)]
     payload = {"kind": kind, "state": g.state, "counts": counts}
     return _emit(args, lines, payload)
 
 
 def cmd_ns(args) -> int:
-    return _cmd_counts(args, count_ns, "ns")
+    return _cmd_counts(args, invauto.count_ns, "ns")
 
 
 def cmd_nc(args) -> int:
-    return _cmd_counts(args, count_nc, "nc")
+    return _cmd_counts(args, invauto.count_nc, "nc")
 
 
 def cmd_classify(args) -> int:
     g = _load_transformation(args)
-    report = classify_growth(g)
+    report = invauto.classify_growth(g)
     if report.category == "polynomial":
         line = f"polynomial (degree {report.degree})"
     elif report.category == "exponential":
@@ -273,7 +262,7 @@ def cmd_classify(args) -> int:
         "category": report.category,
         "degree": report.degree,
         "rate": report.rate,
-        "rate_bounds": None if bounds is None else [_exact_str(b) for b in bounds],
+        "rate_bounds": None if bounds is None else [invauto.core._exact_str(b) for b in bounds],
     }
     return _emit(args, [line], payload)
 
@@ -298,19 +287,19 @@ def _cmd_member(args, decider) -> int:
 
 
 def cmd_member_g0(args) -> int:
-    return _cmd_member(args, decide_g0)
+    return _cmd_member(args, invauto.decide_g0)
 
 
 def cmd_member_g1(args) -> int:
-    return _cmd_member(args, decide_g1)
+    return _cmd_member(args, invauto.decide_g1)
 
 
 def cmd_lemma1(args) -> int:
     g = _load_transformation(args)
-    word = EventuallyPeriodicWord(
+    word = invauto.EventuallyPeriodicWord(
         g.alphabet.word(args.prefix), g.alphabet.word(args.period)
     )
-    verdict = check_lemma1(g, word, word.level)
+    verdict = invauto.check_lemma1(g, word, word.level)
     if not verdict.applicable:
         lines = ["not applicable: no unconditional cycle reached within the level"]
     else:
@@ -333,7 +322,7 @@ def cmd_lemma1(args) -> int:
 def cmd_lemma2(args) -> int:
     g = _load_transformation(args)
     samples = [_ep_word(g.alphabet, w) for w in args.word]
-    verdict = check_lemma2(g, args.level, args.cycle_bound, args.period_divisor, samples)
+    verdict = invauto.check_lemma2(g, args.level, args.cycle_bound, args.period_divisor, samples)
     lines = [
         f"checked {verdict.checked}, skipped {verdict.skipped}, failed {verdict.failed}"
     ]
@@ -346,24 +335,28 @@ def cmd_lemma2(args) -> int:
 
 
 def cmd_periods(args) -> int:
-    n = _exact_str(count_periods(args.alphabet_size, args.period_divisor))
+    n = invauto.core._exact_str(invauto.count_periods(args.alphabet_size, args.period_divisor))
     return _emit(args, [n], {"count": n})
 
 
+# the report commands load their items before they look up the library call,
+# so a malformed item exits before ``paradox`` is imported
+
 def cmd_t1_report(args) -> int:
-    report = theorem1_report(_load_items(args), args.level, args.block_factor)
+    items = _load_items(args)
+    report = invauto.theorem1_report(items, args.level, args.block_factor)
     return _emit(args, _report_lines(report), _report_payload(report))
 
 
 def cmd_t2_report(args) -> int:
-    report = theorem2_report(
-        _load_items(args), args.level, args.period_divisor, args.block_factor
-    )
+    items = _load_items(args)
+    report = invauto.theorem2_report(items, args.level, args.period_divisor, args.block_factor)
     return _emit(args, _report_lines(report), _report_payload(report))
 
 
 def cmd_min_level(args) -> int:
-    level = find_minimal_level(_load_items(args), args.block_factor, args.l_max)
+    items = _load_items(args)
+    level = invauto.find_minimal_level(items, args.block_factor, args.l_max)
     if level is None:
         return _emit(
             args, [f"no level up to {args.l_max} satisfies the bound"], {"level": None}
@@ -405,7 +398,7 @@ def cmd_audit(args) -> int:
         raise ArgumentError("audit needs at least one transformation")
     alphabet = hs[0].alphabet
     parts = [[alphabet.word(w) for w in part] for part in spec["parts"]]
-    audit = coin_audit(spec["level"], parts, hs)
+    audit = invauto.coin_audit(spec["level"], parts, hs)
     lines = [
         f"coins after the move: {audit.total_coins} "
         f"(of {alphabet.size}^{audit.level} words)",
@@ -428,97 +421,96 @@ def cmd_audit(args) -> int:
     return _emit(args, lines, payload)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_JSON = (("--json",), {"action": "store_true"})
+_ITEM = (("--item",), {"action": "append", "metavar": "SOURCE@STATE"})
+_LEVEL = (("-l", "--level"), {"type": int, "required": True})
+_DIVISOR = (("-m", "--period-divisor"), {"type": int, "required": True})
+_BLOCK = (("-s", "--block-factor"), {"type": int, "default": 8})
+_MAX_LEVEL = (("--max-level",), {"type": int, "required": True})
+
+# name -> (help, handler, source options, further arguments); the source
+# options are "state" (--file, --gen, --depth, --length, --state, then
+# --json), "machine" (the same without --state), "description" (without
+# --state and --json: the command prints a machine description, which has no
+# JSON form) or None, and each further argument is (flags, keywords) of
+# add_argument
+_COMMANDS = {
+    "validate": ("check an automaton description", cmd_validate, "machine", ()),
+    "gen": ("print a builtin machine as DSL text", cmd_gen, None, (
+        (("family",), {}), (("--depth",), {"type": int}), (("--length",), {"type": int}),
+    )),
+    "export-dot": ("print the labeled state diagram", cmd_export_dot, "description", ()),
+    "apply": ("run a machine on words", cmd_apply, "state", (
+        (("word",), {"nargs": "*", "help": "words (default: read from stdin)"}),
+    )),
+    "invert": ("print the inverse machine", cmd_invert, "description", ()),
+    "compose": ("print the product machine (left acts first)", cmd_compose, None, (
+        (("left",), {"help": "path or gen:FAMILY[:depth=N]"}),
+        (("right",), {"help": "path or gen:FAMILY[:depth=N]"}),
+        (("--prune",), {"metavar": "A,B", "help": "keep only pairs reachable from (A,B)"}),
+    )),
+    "minimize": ("print the behavioral quotient", cmd_minimize, "machine", ()),
+    "ucs": ("list unconditional cycles", cmd_ucs, "machine", ()),
+    "ns": ("count words ending in a nontrivial state, per level", cmd_ns, "state",
+           (_MAX_LEVEL,)),
+    "nc": ("count words avoiding all unconditional cycles, per level", cmd_nc, "state",
+           (_MAX_LEVEL,)),
+    "classify": ("growth class of the activity counts", cmd_classify, "state", ()),
+    "member-g0": ("exact small-activity membership", cmd_member_g0, "state", ()),
+    "member-g1": ("exact small-cycle-avoidance membership", cmd_member_g1, "state", ()),
+    "lemma1": ("image period divisibility for one word", cmd_lemma1, "state", (
+        (("--prefix",), {"required": True, "help": "prefix (may be empty: '')"}),
+        (("--period",), {"required": True}),
+    )),
+    "lemma2": ("period-class closure over sample words", cmd_lemma2, "state", (
+        _LEVEL,
+        (("-c", "--cycle-bound"), {"type": int, "required": True}),
+        _DIVISOR,
+        (("--word",), {"action": "append", "default": [], "metavar": "PREFIX:PERIOD"}),
+    )),
+    "periods": ("count primitive periods with length dividing m", cmd_periods, None, (
+        (("-k", "--alphabet-size"), {"type": int, "required": True}), _DIVISOR, _JSON,
+    )),
+    "t1-report": ("activity-based doubling bound at one level", cmd_t1_report, "state",
+                  (_LEVEL, _BLOCK, _ITEM)),
+    "t2-report": ("cycle-avoidance doubling bound at one level", cmd_t2_report, "state",
+                  (_LEVEL, _DIVISOR, _BLOCK, _ITEM)),
+    "min-level": ("smallest level satisfying the activity bound", cmd_min_level, "state", (
+        _BLOCK, (("--l-max",), {"type": int, "default": 64}), _ITEM,
+    )),
+    "audit": ("replay a candidate doubling scheme from JSON", cmd_audit, None, (
+        (("--input",), {"required": True, "metavar": "PATH"}), _JSON,
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand.  When ``command`` names one, only that
+    one gets its arguments (a call parses one subcommand); otherwise all do,
+    for the help and the error messages that list them."""
     parser = argparse.ArgumentParser(
         prog="invauto",
         description="invertible letter-to-letter automata: algebra, counting, audits",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler, help_: str, state: bool = True, json_: bool = True):
+    for name, (help_, handler, source, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
-        _add_source_options(p, state=state)
-        if json_:  # commands printing a machine description have no JSON form
+        if command in _COMMANDS and name != command:
+            continue
+        if source is not None:
+            _add_source_options(p, state=source == "state")
+        if source in ("state", "machine"):
             p.add_argument("--json", action="store_true", help="machine-readable output")
+        for flags, keywords in arguments:
+            p.add_argument(*flags, **keywords)
         p.set_defaults(handler=handler)
-        return p
-
-    add("validate", cmd_validate, "check an automaton description", state=False)
-
-    p = sub.add_parser("gen", help="print a builtin machine as DSL text")
-    p.add_argument("family")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--length", type=int)
-    p.set_defaults(handler=cmd_gen)
-
-    add("export-dot", cmd_export_dot, "print the labeled state diagram", state=False, json_=False)
-
-    p = add("apply", cmd_apply, "run a machine on words")
-    p.add_argument("word", nargs="*", help="words (default: read from stdin)")
-
-    add("invert", cmd_invert, "print the inverse machine", state=False, json_=False)
-
-    p = sub.add_parser("compose", help="print the product machine (left acts first)")
-    p.add_argument("left", help="path or gen:FAMILY[:depth=N]")
-    p.add_argument("right", help="path or gen:FAMILY[:depth=N]")
-    p.add_argument("--prune", metavar="A,B", help="keep only pairs reachable from (A,B)")
-    p.set_defaults(handler=cmd_compose)
-
-    add("minimize", cmd_minimize, "print the behavioral quotient", state=False)
-    add("ucs", cmd_ucs, "list unconditional cycles", state=False)
-
-    p = add("ns", cmd_ns, "count words ending in a nontrivial state, per level")
-    p.add_argument("--max-level", type=int, required=True)
-    p = add("nc", cmd_nc, "count words avoiding all unconditional cycles, per level")
-    p.add_argument("--max-level", type=int, required=True)
-
-    add("classify", cmd_classify, "growth class of the activity counts")
-    add("member-g0", cmd_member_g0, "exact small-activity membership")
-    add("member-g1", cmd_member_g1, "exact small-cycle-avoidance membership")
-
-    p = add("lemma1", cmd_lemma1, "image period divisibility for one word")
-    p.add_argument("--prefix", required=True, help="prefix (may be empty: '')")
-    p.add_argument("--period", required=True)
-
-    p = add("lemma2", cmd_lemma2, "period-class closure over sample words")
-    p.add_argument("-l", "--level", type=int, required=True)
-    p.add_argument("-c", "--cycle-bound", type=int, required=True)
-    p.add_argument("-m", "--period-divisor", type=int, required=True)
-    p.add_argument("--word", action="append", default=[], metavar="PREFIX:PERIOD")
-
-    p = sub.add_parser("periods", help="count primitive periods with length dividing m")
-    p.add_argument("-k", "--alphabet-size", type=int, required=True)
-    p.add_argument("-m", "--period-divisor", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_periods)
-
-    p = add("t1-report", cmd_t1_report, "activity-based doubling bound at one level")
-    p.add_argument("-l", "--level", type=int, required=True)
-    p.add_argument("-s", "--block-factor", type=int, default=8)
-    p.add_argument("--item", action="append", metavar="SOURCE@STATE")
-
-    p = add("t2-report", cmd_t2_report, "cycle-avoidance doubling bound at one level")
-    p.add_argument("-l", "--level", type=int, required=True)
-    p.add_argument("-m", "--period-divisor", type=int, required=True)
-    p.add_argument("-s", "--block-factor", type=int, default=8)
-    p.add_argument("--item", action="append", metavar="SOURCE@STATE")
-
-    p = add("min-level", cmd_min_level, "smallest level satisfying the activity bound")
-    p.add_argument("-s", "--block-factor", type=int, default=8)
-    p.add_argument("--l-max", type=int, default=64)
-    p.add_argument("--item", action="append", metavar="SOURCE@STATE")
-
-    p = sub.add_parser("audit", help="replay a candidate doubling scheme from JSON")
-    p.add_argument("--input", required=True, metavar="PATH")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_audit)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
     except (ParseError, ArgumentError) as exc:

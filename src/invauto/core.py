@@ -11,11 +11,9 @@ audits.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from decimal import Decimal
-from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     AlphabetMismatchError,
@@ -31,6 +29,9 @@ from .errors import (
     ValidationError,
 )
 
+if TYPE_CHECKING:  # imported where used: fractions loads decimal
+    from fractions import Fraction
+
 Word = tuple[int, ...]
 
 BUILTIN_FAMILIES = ("adding", "flip_all", "flip_alternator", "remark_chain")
@@ -40,6 +41,12 @@ def _exact_str(x: int | Fraction) -> str:
     """``str(x)`` with every digit, also past the interpreter's limit on
     int-to-str conversion, which is left as it is: an int's Decimal is exact
     and its str is not limited."""
+    try:
+        return str(x)
+    except ValueError:  # the limit was hit
+        pass
+    from decimal import Decimal
+
     text = str(Decimal(x.numerator))
     return text if x.denominator == 1 else f"{text}/{Decimal(x.denominator)}"
 
@@ -51,6 +58,8 @@ def _exact_repr(value) -> str:
         return repr(value)
     except ValueError:  # the limit was hit: rebuild the repr piece by piece
         pass
+    from fractions import Fraction
+
     if type(value) is Fraction:
         return f"Fraction({_exact_str(value.numerator)}, {_exact_str(value.denominator)})"
     if type(value) is tuple:

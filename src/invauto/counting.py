@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .core import (
     Automaton,
@@ -27,6 +26,9 @@ from .core import (
     trivial_states,
 )
 from .errors import ArgumentError
+
+if TYPE_CHECKING:  # imported in _rate_bounds: fractions loads decimal
+    from fractions import Fraction
 
 NS = "ns"
 NC = "nc"
@@ -352,6 +354,8 @@ def _rate_bounds(rows: list[list[int]]) -> tuple[Fraction, Fraction]:
             break
         shift = min(w).bit_length() - _VECTOR_BITS
         v = [x >> shift for x in w] if shift > 0 else w
+    from fractions import Fraction
+
     return Fraction(lo_n - lo_d, lo_d), Fraction(hi_n - hi_d, hi_d)
 
 

@@ -210,6 +210,12 @@ def coin_audit(
         raise ArgumentError("need exactly one word block per transformation")
     if level < 0:
         raise ArgumentError("level must be >= 0")
+    # refuse before any word is read: each block a word is sent through must
+    # reach the level, checked in block order
+    parts = [list(part) for part in parts]
+    for h, part in zip(hs, parts):
+        if part:
+            h._check_length(level)
     assignments: dict[Word, int] = {}
     for i, part in enumerate(parts):
         for word in part:
@@ -228,10 +234,6 @@ def coin_audit(
         raise PartitionNotTotalError(
             f"word {alphabet.text(missing)!r} is not assigned to any block"
         )
-    # every word was checked above; each block's horizon is checked once, in
-    # the order the words would first reach it
-    for i in dict.fromkeys(assignments.values()):
-        hs[i]._check_length(level)
     counts: dict[Word, int] = {w: 0 for w in universe}
     for w, i in assignments.items():
         counts[hs[i]._image(w)] += 1

@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import invauto as iv
 from invauto.core import pair_name
@@ -578,3 +582,16 @@ def isomorphic_under(a, b, rename):
         for state, row in named_table(a).items()
     }
     return renamed == named_table(b)
+
+
+# ---------------------------------------------------------------- subprocesses
+
+def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """``python -W error ARGS`` in a fresh interpreter that finds this
+    checkout's ``src`` first; ``kwargs`` go to ``subprocess.run``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run(
+        [sys.executable, "-W", "error", *args], env=env, capture_output=True, timeout=60, **kwargs
+    )

@@ -5,9 +5,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -16,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invauto.cli import main
-from helpers import decimal_value
+from invauto.cli import build_parser, main
+from helpers import decimal_value, run_python
 
 DATA = Path(__file__).parent / "data"
 
@@ -227,21 +224,41 @@ def test_classify_command(capsys):
     }
 
 
-def test_classify_imports_neither_numpy_nor_networkx():
+def _modules_after(argv: list[str] | None) -> set[str]:
+    """The modules a fresh interpreter holds after ``main(argv)``, or after a
+    bare ``import invauto`` when ``argv`` is None."""
+    call = "import invauto" if argv is None else f"from invauto.cli import main; main({argv!r})"
     script = (
-        "import sys\n"
-        "from invauto.cli import main\n"
-        "code = main(['classify', '--gen', 'flip_all', '--state', 'r', '--json'])\n"
-        "heavy = sorted({'numpy', 'networkx'} & set(sys.modules))\n"
-        "sys.exit(f'exit {code}, imported {heavy}' if code or heavy else 0)\n"
+        "import contextlib, io, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    {call}\n"
+        "print(' '.join(sys.modules))\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
+    result = run_python("-c", script, text=True)
+    assert (result.returncode, result.stderr) == (0, ""), result.stderr
+    return set(result.stdout.split())
+
+
+def test_classify_imports_neither_numpy_nor_networkx():
+    loaded = _modules_after(["classify", "--gen", "flip_all", "--state", "r", "--json"])
+    assert not {"numpy", "networkx", "invauto.paradox", "invauto.periodic"} & loaded
+
+
+LIBRARY = {f"invauto.{name}" for name in ("core", "counting", "periodic", "paradox", "textio")}
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (None, LIBRARY | {"invauto.cli"}),
+    (["periods", "-k", "2", "-m", "3"], {"invauto.paradox", "invauto.textio", "decimal"}),
+    (["gen", "adding"], {"invauto.counting", "invauto.periodic", "invauto.paradox"}),
+    (["export-dot", "--gen", "adding"], {"invauto.counting", "invauto.periodic", "invauto.paradox"}),
+    (["t1-report", "--gen", "adding", "--state", "q", "-l", "2", "--item", "gen:adding:depth=x@q"],
+     {"invauto.counting", "invauto.periodic", "invauto.paradox"}),
+], ids=["bare-import", "periods", "gen", "export-dot", "malformed-item"])
+def test_a_call_loads_only_the_modules_it_uses(argv, unused):
+    loaded = _modules_after(argv)
+    assert "invauto" in loaded
+    assert not unused & loaded
 
 
 def test_lemma2_command(capsys):
@@ -516,12 +533,34 @@ def test_help_lists_every_subcommand():
         assert f"\n    {command} " in out
 
 
+def _full_parser_in_process(argv):
+    """Exit code, stdout and stderr of parsing ``argv`` with every
+    subcommand's arguments built."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+    return info.value.code, out.getvalue(), err.getvalue()
+
+
 @pytest.mark.parametrize("command", sorted(VALID))
 def test_subcommand_help_exits_zero(command):
     code, out, err = _main_in_process([command, "--help"])
     assert code == 0
     assert "error:" not in out + err
     assert out.startswith(f"usage: invauto {command}")
+    # main builds only this subcommand's arguments; the help is the same
+    assert (code, out, err) == _full_parser_in_process([command, "--help"])
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["gen", "adding", "--bogus"]],
+                         ids=["no-arguments", "unknown-command", "unknown-option"])
+def test_usage_errors_match_the_full_parser(argv):
+    code, out, err = _main_in_process(argv)
+    assert (code, out, err) == _full_parser_in_process(argv)
+    # the top-level usage, with every subcommand
+    assert code == 2 and err.startswith("usage: invauto [-h]")
+    assert "{" + ",".join(VALID) + "}" in err
 
 
 # ---------------------------------------------------------------- long integers

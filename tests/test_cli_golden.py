@@ -3,7 +3,9 @@
 ``data/cli_golden.txt`` records the exit code, stdout and stderr of every
 invocation in ``INVOCATIONS``, run through ``main`` with ``tests/data`` as
 the working directory.  A refactor that changes any byte of it fails here.
-Regenerate the file (only when an output change is intended) with::
+Those in ``ENTRY_POINT`` are replayed through ``python -m invauto.cli`` as
+well, the entry point a user runs.  Regenerate the file (only when an output
+change is intended) with::
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -13,10 +15,12 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import re
 import shlex
 from pathlib import Path
 
 from invauto.cli import main
+from helpers import run_python
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "cli_golden.txt"
@@ -80,16 +84,30 @@ INVOCATIONS = [
 ]
 
 
-def _run(command: str) -> str:
+# replayed in a fresh interpreter as well: one of each import footprint
+ENTRY_POINT = [
+    "gen remark_chain --depth 3",
+    "classify --gen adding --state q --json",
+    "periods -k 3 -m 4 --json",
+    "t2-report --gen flip_alternator --state a -l 4 -m 2 --item gen:adding@q",
+    "audit --input audit_adding.json",
+]
+
+
+def _record(command: str, code: int, out: str, err: str) -> str:
     """One golden record: the command, its exit code, stdout and stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(shlex.split(command))
     parts = [f"$ {command}\n", f"exit {code}\n"]
-    for name, text in (("stdout", out.getvalue()), ("stderr", err.getvalue())):
+    for name, text in (("stdout", out), ("stderr", err)):
         assert not text or text.endswith("\n"), f"{command}: {name} lacks a final newline"
         parts.append(f"{name} {text.count(chr(10))} lines\n{text}")
     return "".join(parts)
+
+
+def _run(command: str) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(shlex.split(command))
+    return _record(command, code, out.getvalue(), err.getvalue())
 
 
 def _replay() -> str:
@@ -106,6 +124,15 @@ def test_cli_output_matches_golden_file():
     recorded = [line[2:] for line in expected.splitlines() if line.startswith("$ ")]
     assert recorded == INVOCATIONS
     assert _replay() == expected
+
+
+def test_entry_point_output_matches_golden_file():
+    records = re.split(r"^(?=\$ )", GOLDEN.read_text(encoding="utf-8"), flags=re.M)
+    expected = {record[2:record.index("\n")]: record for record in records if record}
+    for command in ENTRY_POINT:
+        result = run_python("-m", "invauto.cli", *shlex.split(command), cwd=DATA, text=True)
+        record = _record(command, result.returncode, result.stdout, result.stderr)
+        assert record == expected[command]
 
 
 if __name__ == "__main__":

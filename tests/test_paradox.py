@@ -235,6 +235,24 @@ def test_audit_refuses_blocks_past_their_horizon():
         iv.coin_audit(3, [words[1:], words[:1]], [q2, q3])
 
 
+def test_audit_refuses_past_a_horizon_before_reading_a_word(monkeypatch):
+    calls = []
+    check_word = iv.Alphabet.check_word
+
+    def counted(self, word):
+        calls.append(word)
+        return check_word(self, word)
+
+    monkeypatch.setattr(iv.Alphabet, "check_word", counted)
+    q4 = remark_chain(4).at("q_4")  # horizon 1
+    with pytest.raises(iv.NotMaterializableError, match="level 9 exceeds the materialized"):
+        iv.coin_audit(9, [list(all_words(4, 9))], [q4])
+    assert calls == []
+    # a horizon error wins over a partition error in the same call
+    with pytest.raises(iv.NotMaterializableError, match="of state 'q_4'"):
+        iv.coin_audit(2, [[(0, 0)], [(0, 0)]], [remark_chain(4).at("q_1"), q4])
+
+
 def test_random_audits_never_double():
     rng = random.Random(99)
     members = binary_corpus()
