@@ -10,9 +10,9 @@ Exit status: 0 on success (a false verdict is still a success), 1 on domain
 errors, 2 on usage or parse errors (an argument a library call rejects is a
 usage error).
 
-A call pays only for its subcommand: the library is reached through the
-``invauto`` namespace, which imports each submodule on first use, and only
-the chosen subcommand's arguments are built.
+A call pays only for the library modules its subcommand uses: the library
+is reached through the ``invauto`` namespace, which imports each submodule
+on first use.
 """
 
 from __future__ import annotations
@@ -421,96 +421,97 @@ def cmd_audit(args) -> int:
     return _emit(args, lines, payload)
 
 
-_JSON = (("--json",), {"action": "store_true"})
-_ITEM = (("--item",), {"action": "append", "metavar": "SOURCE@STATE"})
-_LEVEL = (("-l", "--level"), {"type": int, "required": True})
-_DIVISOR = (("-m", "--period-divisor"), {"type": int, "required": True})
-_BLOCK = (("-s", "--block-factor"), {"type": int, "default": 8})
-_MAX_LEVEL = (("--max-level",), {"type": int, "required": True})
-
-# name -> (help, handler, source options, further arguments); the source
-# options are "state" (--file, --gen, --depth, --length, --state, then
-# --json), "machine" (the same without --state), "description" (without
-# --state and --json: the command prints a machine description, which has no
-# JSON form) or None, and each further argument is (flags, keywords) of
-# add_argument
-_COMMANDS = {
-    "validate": ("check an automaton description", cmd_validate, "machine", ()),
-    "gen": ("print a builtin machine as DSL text", cmd_gen, None, (
-        (("family",), {}), (("--depth",), {"type": int}), (("--length",), {"type": int}),
-    )),
-    "export-dot": ("print the labeled state diagram", cmd_export_dot, "description", ()),
-    "apply": ("run a machine on words", cmd_apply, "state", (
-        (("word",), {"nargs": "*", "help": "words (default: read from stdin)"}),
-    )),
-    "invert": ("print the inverse machine", cmd_invert, "description", ()),
-    "compose": ("print the product machine (left acts first)", cmd_compose, None, (
-        (("left",), {"help": "path or gen:FAMILY[:depth=N]"}),
-        (("right",), {"help": "path or gen:FAMILY[:depth=N]"}),
-        (("--prune",), {"metavar": "A,B", "help": "keep only pairs reachable from (A,B)"}),
-    )),
-    "minimize": ("print the behavioral quotient", cmd_minimize, "machine", ()),
-    "ucs": ("list unconditional cycles", cmd_ucs, "machine", ()),
-    "ns": ("count words ending in a nontrivial state, per level", cmd_ns, "state",
-           (_MAX_LEVEL,)),
-    "nc": ("count words avoiding all unconditional cycles, per level", cmd_nc, "state",
-           (_MAX_LEVEL,)),
-    "classify": ("growth class of the activity counts", cmd_classify, "state", ()),
-    "member-g0": ("exact small-activity membership", cmd_member_g0, "state", ()),
-    "member-g1": ("exact small-cycle-avoidance membership", cmd_member_g1, "state", ()),
-    "lemma1": ("image period divisibility for one word", cmd_lemma1, "state", (
-        (("--prefix",), {"required": True, "help": "prefix (may be empty: '')"}),
-        (("--period",), {"required": True}),
-    )),
-    "lemma2": ("period-class closure over sample words", cmd_lemma2, "state", (
-        _LEVEL,
-        (("-c", "--cycle-bound"), {"type": int, "required": True}),
-        _DIVISOR,
-        (("--word",), {"action": "append", "default": [], "metavar": "PREFIX:PERIOD"}),
-    )),
-    "periods": ("count primitive periods with length dividing m", cmd_periods, None, (
-        (("-k", "--alphabet-size"), {"type": int, "required": True}), _DIVISOR, _JSON,
-    )),
-    "t1-report": ("activity-based doubling bound at one level", cmd_t1_report, "state",
-                  (_LEVEL, _BLOCK, _ITEM)),
-    "t2-report": ("cycle-avoidance doubling bound at one level", cmd_t2_report, "state",
-                  (_LEVEL, _DIVISOR, _BLOCK, _ITEM)),
-    "min-level": ("smallest level satisfying the activity bound", cmd_min_level, "state", (
-        _BLOCK, (("--l-max",), {"type": int, "default": 64}), _ITEM,
-    )),
-    "audit": ("replay a candidate doubling scheme from JSON", cmd_audit, None, (
-        (("--input",), {"required": True, "metavar": "PATH"}), _JSON,
-    )),
-}
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand.  When ``command`` names one, only that
-    one gets its arguments (a call parses one subcommand); otherwise all do,
-    for the help and the error messages that list them."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invauto",
         description="invertible letter-to-letter automata: algebra, counting, audits",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, handler, source, arguments) in _COMMANDS.items():
+
+    def add(name: str, handler, help_: str, state: bool = True, json_: bool = True):
         p = sub.add_parser(name, help=help_)
-        if command in _COMMANDS and name != command:
-            continue
-        if source is not None:
-            _add_source_options(p, state=source == "state")
-        if source in ("state", "machine"):
+        _add_source_options(p, state=state)
+        if json_:  # commands printing a machine description have no JSON form
             p.add_argument("--json", action="store_true", help="machine-readable output")
-        for flags, keywords in arguments:
-            p.add_argument(*flags, **keywords)
         p.set_defaults(handler=handler)
+        return p
+
+    add("validate", cmd_validate, "check an automaton description", state=False)
+
+    p = sub.add_parser("gen", help="print a builtin machine as DSL text")
+    p.add_argument("family")
+    p.add_argument("--depth", type=int)
+    p.add_argument("--length", type=int)
+    p.set_defaults(handler=cmd_gen)
+
+    add("export-dot", cmd_export_dot, "print the labeled state diagram", state=False, json_=False)
+
+    p = add("apply", cmd_apply, "run a machine on words")
+    p.add_argument("word", nargs="*", help="words (default: read from stdin)")
+
+    add("invert", cmd_invert, "print the inverse machine", state=False, json_=False)
+
+    p = sub.add_parser("compose", help="print the product machine (left acts first)")
+    p.add_argument("left", help="path or gen:FAMILY[:depth=N]")
+    p.add_argument("right", help="path or gen:FAMILY[:depth=N]")
+    p.add_argument("--prune", metavar="A,B", help="keep only pairs reachable from (A,B)")
+    p.set_defaults(handler=cmd_compose)
+
+    add("minimize", cmd_minimize, "print the behavioral quotient", state=False)
+    add("ucs", cmd_ucs, "list unconditional cycles", state=False)
+
+    p = add("ns", cmd_ns, "count words ending in a nontrivial state, per level")
+    p.add_argument("--max-level", type=int, required=True)
+    p = add("nc", cmd_nc, "count words avoiding all unconditional cycles, per level")
+    p.add_argument("--max-level", type=int, required=True)
+
+    add("classify", cmd_classify, "growth class of the activity counts")
+    add("member-g0", cmd_member_g0, "exact small-activity membership")
+    add("member-g1", cmd_member_g1, "exact small-cycle-avoidance membership")
+
+    p = add("lemma1", cmd_lemma1, "image period divisibility for one word")
+    p.add_argument("--prefix", required=True, help="prefix (may be empty: '')")
+    p.add_argument("--period", required=True)
+
+    p = add("lemma2", cmd_lemma2, "period-class closure over sample words")
+    p.add_argument("-l", "--level", type=int, required=True)
+    p.add_argument("-c", "--cycle-bound", type=int, required=True)
+    p.add_argument("-m", "--period-divisor", type=int, required=True)
+    p.add_argument("--word", action="append", default=[], metavar="PREFIX:PERIOD")
+
+    p = sub.add_parser("periods", help="count primitive periods with length dividing m")
+    p.add_argument("-k", "--alphabet-size", type=int, required=True)
+    p.add_argument("-m", "--period-divisor", type=int, required=True)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=cmd_periods)
+
+    p = add("t1-report", cmd_t1_report, "activity-based doubling bound at one level")
+    p.add_argument("-l", "--level", type=int, required=True)
+    p.add_argument("-s", "--block-factor", type=int, default=8)
+    p.add_argument("--item", action="append", metavar="SOURCE@STATE")
+
+    p = add("t2-report", cmd_t2_report, "cycle-avoidance doubling bound at one level")
+    p.add_argument("-l", "--level", type=int, required=True)
+    p.add_argument("-m", "--period-divisor", type=int, required=True)
+    p.add_argument("-s", "--block-factor", type=int, default=8)
+    p.add_argument("--item", action="append", metavar="SOURCE@STATE")
+
+    p = add("min-level", cmd_min_level, "smallest level satisfying the activity bound")
+    p.add_argument("-s", "--block-factor", type=int, default=8)
+    p.add_argument("--l-max", type=int, default=64)
+    p.add_argument("--item", action="append", metavar="SOURCE@STATE")
+
+    p = sub.add_parser("audit", help="replay a candidate doubling scheme from JSON")
+    p.add_argument("--input", required=True, metavar="PATH")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(handler=cmd_audit)
+
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.handler(args)
     except (ParseError, ArgumentError) as exc:
