@@ -36,6 +36,8 @@ Word = tuple[int, ...]
 
 BUILTIN_FAMILIES = ("adding", "flip_all", "flip_alternator", "remark_chain")
 
+_SPLIT_BITS = 128  # below this many bits an int goes to Decimal directly
+
 
 def _exact_str(x: int | Fraction) -> str:
     """``str(x)`` with every digit, also past the interpreter's limit on
@@ -45,10 +47,40 @@ def _exact_str(x: int | Fraction) -> str:
         return str(x)
     except ValueError:  # the limit was hit
         pass
-    from decimal import Decimal
+    text = _decimal_str(x.numerator)
+    return text if x.denominator == 1 else f"{text}/{_decimal_str(x.denominator)}"
 
-    text = str(Decimal(x.numerator))
-    return text if x.denominator == 1 else f"{text}/{Decimal(x.denominator)}"
+
+def _decimal_str(n: int) -> str:
+    """Every digit of ``n`` in near-linear time, as CPython 3.12's
+    ``_pylong`` does it: split n into binary halves, convert each half, and
+    join them as hi * 2**w + lo in ``decimal``, whose large products are
+    fast, at a precision that keeps every digit."""
+    import decimal
+
+    powers: dict[int, decimal.Decimal] = {}  # w -> 2**w, shared by the halves
+
+    def power(w: int) -> decimal.Decimal:
+        if w not in powers:
+            if w <= _SPLIT_BITS:
+                powers[w] = decimal.Decimal(2) ** w
+            else:
+                powers[w] = power(w >> 1) * power(w - (w >> 1))
+        return powers[w]
+
+    def convert(m: int, w: int) -> decimal.Decimal:  # 0 <= m < 2**w
+        if w <= _SPLIT_BITS:
+            return decimal.Decimal(m)
+        half = w >> 1
+        hi = m >> half
+        return convert(m - (hi << half), half) + convert(hi, w - half) * power(half)
+
+    with decimal.localcontext() as context:
+        context.prec = decimal.MAX_PREC
+        context.Emax = decimal.MAX_EMAX
+        context.traps[decimal.Inexact] = True
+        magnitude = convert(abs(n), n.bit_length())
+    return f"-{magnitude}" if n < 0 else str(magnitude)
 
 
 def _exact_repr(value) -> str:
@@ -209,6 +241,21 @@ class Automaton:
         if not valid:
             self._reject_first_bad_state()
         object.__setattr__(self, "_index", index)
+
+    def __hash__(self) -> int:
+        """The hash the dataclass would generate, computed once per object
+        (walking a long table is slow) and kept on it."""
+        kept = getattr(self, "_hash", None)
+        if kept is None:
+            kept = hash((self.alphabet, self.states, self.transitions, self.outputs, self.policy))
+            object.__setattr__(self, "_hash", kept)
+        return kept
+
+    def __getstate__(self) -> dict:
+        # str hashes change with PYTHONHASHSEED, so the kept hash stays here
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def _reject_first_bad_state(self) -> None:
         """Raise for the first state whose rows are malformed, state by state."""

@@ -5,7 +5,9 @@ leave the machine in a state still acting nontrivially, and ``count_nc`` the
 words whose state path never touches an unconditional cycle.  Both are path
 counts over the transition graph, computed by one frontier sweep per level
 with Python's arbitrary-precision integers: each level visits only the
-states that hold mass, along their precomputed alive successors.  Each
+states that hold mass, along their precomputed alive successors, and each
+level's count is carried forward from the previous one (the most common
+out-degree times it, corrected at the states of another degree).  Each
 automaton object's unconditional cycles are searched for once, on first use,
 and kept on the object: ``find_ucs``, the NC dead set and the reachable
 cycle lengths all read that one result.
@@ -14,6 +16,7 @@ cycle lengths all read that one result.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
@@ -196,18 +199,30 @@ def _iter_survivor_counts(g: Transformation, dead: frozenset[int]) -> Iterator[i
     lead to trivial states; cycle states only cycle), so dropping mass on
     entry is exact: a path ends outside ``dead`` iff it never entered it.
     Each level visits only the frontier, the states holding nonzero mass.
+
+    The total is carried forward, not summed: each alive edge carries its
+    source's mass, so with deg(q) the letters leading from q into alive
+    states and d the most common deg among them, the next total is
+    d * total + sum((deg(q) - d) * mass(q)), where only the frontier states
+    whose deg differs from d add a term.
     """
     automaton = g.automaton
     n = automaton.n_states
     succ = [[t for t in row if t not in dead] for row in automaton.transitions]
+    deg = [len(targets) for targets in succ]
+    tally = Counter(deg[q] for q in range(n) if q not in dead)
+    d = tally.most_common(1)[0][0] if tally else 0
     vec = [0] * n
     frontier = []
+    total = 0
     if g.start not in dead:
         vec[g.start] = 1
         frontier.append(g.start)
+        total = 1
     level = 0
     while True:
-        yield sum([vec[q] for q in frontier])
+        yield total
+        total = d * total + sum([(deg[q] - d) * vec[q] for q in frontier if deg[q] != d])
         level += 1
         g._check_length(level)
         nxt = [0] * n

@@ -548,6 +548,43 @@ def random_leaky(rng: random.Random, n_states: int, k: int) -> iv.Automaton:
     return iv.Automaton.from_table(symbols, table)
 
 
+def random_mixed_degree(rng: random.Random, n_states: int, k: int) -> iv.Automaton:
+    """Random machine whose states send different numbers of letters to live
+    states, for checking a sweep that treats the most common number apart.
+
+    Each non-sink state gets one of two or three numbers from 0..k, dealt in
+    turn so that they tie for most common when n_states is a multiple of how
+    many there are; its other letters go to the identity sink ``e`` or into
+    the unconditional cycle ``u0 -> u1 -> u0`` of non-identity states (dead
+    for NC, alive for NS).  A third of the rows send all their live letters
+    to one state; in the others a quarter of the live letters loop back to
+    the state itself.  The sinks are states of the machine, so they are
+    starts too."""
+    names = [f"m{i}" for i in range(n_states)]
+    symbols = [str(x) for x in range(k)]
+    swap = {symbols[x]: symbols[(x + 1) % k] for x in range(k)}
+    choices = rng.sample(range(k + 1), rng.randint(2, 3))
+    degrees = [choices[i % len(choices)] for i in range(n_states)]
+    rng.shuffle(degrees)
+    table = {}
+    for name, degree in zip(names, degrees):
+        perm = list(range(k))
+        while perm == list(range(k)):
+            rng.shuffle(perm)
+        live = set(rng.sample(range(k), degree))
+        shared = rng.choice(names) if rng.random() < 1 / 3 else None
+        targets = [
+            (shared or (name if rng.random() < 1 / 4 else rng.choice(names)))
+            if x in live else rng.choice(("e", "u0"))
+            for x in range(k)
+        ]
+        table[name] = {s: (t, symbols[p]) for s, t, p in zip(symbols, targets, perm)}
+    table["u0"] = {s: ("u1", swap[s]) for s in symbols}
+    table["u1"] = {s: ("u0", swap[s]) for s in symbols}
+    table["e"] = {s: ("e", s) for s in symbols}
+    return iv.Automaton.from_table(symbols, table)
+
+
 def random_ep_word(rng: random.Random, k: int, max_prefix: int, max_period: int):
     prefix = tuple(rng.randrange(k) for _ in range(rng.randint(0, max_prefix)))
     period = tuple(rng.randrange(k) for _ in range(rng.randint(1, max_period)))

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invauto as iv
+from invauto.core import _decimal_str, _exact_str
 from helpers import (
     adding,
     add_one,
@@ -23,6 +29,7 @@ from helpers import (
     random_automaton,
     random_leaky,
     remark_chain,
+    run_python,
     subtract_one,
     uv_core,
 )
@@ -524,3 +531,76 @@ def test_check_word_edges():
         with pytest.raises(iv.LetterOutOfRangeError):
             alphabet.check_word(word)
     assert iv.identity_automaton(alphabet).at("e").apply(()) == ()
+
+
+# ---------------------------------------------------------------- hashing
+
+class _CountedName(str):
+    """A state name that counts how often it is hashed."""
+
+    hashed = 0
+
+    def __hash__(self):
+        type(self).hashed += 1
+        return str.__hash__(self)
+
+
+def test_automaton_hash_is_the_dataclass_hash_and_walks_the_table_once():
+    names = [_CountedName(f"s{i}") for i in range(50)]
+    machine = iv.Automaton(
+        iv.Alphabet.of_size(2), names, [(i, (i + 1) % 50) for i in range(50)], [(1, 0)] * 50
+    )
+    _CountedName.hashed = 0
+    first = hash(machine)
+    assert _CountedName.hashed == 50
+    assert hash(machine) == first and _CountedName.hashed == 50
+    assert first == hash(tuple(getattr(machine, f.name) for f in dataclasses.fields(machine)))
+
+
+def test_kept_hash_stays_out_of_pickles_and_copies():
+    machine = remark_chain(6)
+    hash(machine)
+    for twin in (pickle.loads(pickle.dumps(machine)), copy.deepcopy(machine)):
+        assert "_hash" not in vars(twin)
+        assert twin == machine and hash(twin) == hash(machine)
+
+
+# ---------------------------------------------------------------- long decimals
+
+def _long_values():
+    """Ints and Fractions around and far past the 4300-digit limit on
+    int-to-str conversion: 2**14284 has 4300 digits, 2**14285 has 4301."""
+    values = [0, -7, 10**4300 - 1, 10**4300, 10**4301, 10**30_000 - 1, -(10**4301)]
+    for m in (14_284, 14_285, 100_000):
+        values += [2**m - 1, 2**m + 1]
+    values += [-(2**100_000 + 1), 3**40_000]
+    values += [
+        Fraction(3**20_000, 2**20_000 + 1),
+        -Fraction(10**5000 - 1, 7**6000),
+        Fraction(1, 10**4400),
+        Fraction(-(2**50_000), 3),
+    ]
+    return values
+
+
+def test_exact_decimals_match_str_without_the_digit_limit():
+    values = _long_values()
+    script = (
+        "import pickle, sys\n"
+        "from fractions import Fraction\n"
+        "if hasattr(sys, 'set_int_max_str_digits'):\n"
+        "    sys.set_int_max_str_digits(0)\n"
+        "pairs = pickle.load(sys.stdin.buffer)\n"
+        "sys.stdout.write('\\n'.join(str(n if d == 1 else Fraction(n, d)) for n, d in pairs))\n"
+    )
+    pairs = [(v.numerator, v.denominator) for v in values]
+    result = run_python("-c", script, input=pickle.dumps(pairs), text=False)
+    assert result.returncode == 0, result.stderr.decode()
+    expected = result.stdout.decode().split("\n")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert len(expected) == len(values)
+    for value, (n, d), text in zip(values, pairs, expected):
+        assert _exact_str(value) == text
+        # the fallback itself, also where this interpreter has no limit
+        assert "/".join(_decimal_str(p) for p in ((n,) if d == 1 else (n, d))) == text
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

@@ -35,6 +35,7 @@ from helpers import (
     random_constant_degree,
     random_funnel,
     random_leaky,
+    random_mixed_degree,
     remark_chain,
     uv_core,
     without_policy,
@@ -144,6 +145,37 @@ def test_frontier_sweep_matches_dense_sweep(kind, n, k, seed):
         g = machine.at(state)
         assert list(iv.count_ns(g, 64).counts) == dense_counts(g, "ns", 64)
         assert list(iv.count_nc(g, 64).counts) == dense_counts(g, "nc", 64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 30), st.sampled_from([2, 3, 4]), st.integers(0, 2**32 - 1))
+def test_carried_totals_match_dense_sweep_on_mixed_degrees(n, k, seed):
+    """The carried level totals against the dense sweep, which sums the whole
+    vector, on machines whose live out-degrees differ and tie: every level up
+    to 64, from every start, the sinks included."""
+    machine = random_mixed_degree(random.Random(seed), n, k)
+    for state in machine.states:
+        g = machine.at(state)
+        assert list(iv.count_ns(g, 64).counts) == dense_counts(g, "ns", 64)
+        assert list(iv.count_nc(g, 64).counts) == dense_counts(g, "nc", 64)
+
+
+@pytest.mark.parametrize("state", ["q_1", "q_150", "q_300"])
+def test_carried_totals_match_dense_sweep_deep_on_the_chain(state):
+    g = without_policy(remark_chain(300)).at(state)
+    assert list(iv.count_ns(g, 300).counts) == dense_counts(g, "ns", 300)
+    assert list(iv.count_nc(g, 300).counts) == dense_counts(g, "nc", 300)
+
+
+def test_carried_totals_match_dense_sweep_deep_at_constant_degree():
+    machine = random_constant_degree(random.Random(11), 40, 3, 2)
+    for state in ("c0", "c17", "e"):
+        g = machine.at(state)
+        ns = iv.count_ns(g, 400).counts
+        assert list(ns) == dense_counts(g, "ns", 400)
+        assert list(iv.count_nc(g, 400).counts) == dense_counts(g, "nc", 400)
+        if state != "e":  # every non-sink state is active with two live letters
+            assert ns == tuple(2**level for level in range(401))
 
 
 def test_sink_monotonicity():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import os
 import pickle
 
 import pytest
@@ -84,3 +85,19 @@ def test_a_pickled_automaton_loads_in_a_fresh_interpreter():
     result = run_python("-c", script, input=pickle.dumps(automaton))
     assert result.returncode == 0, result.stderr.decode()
     assert pickle.loads(result.stdout) == automaton
+
+
+def test_an_automaton_hashed_here_hashes_afresh_under_another_hash_seed(monkeypatch):
+    automaton = remark_chain(5)
+    here = hash(automaton)  # kept on the object; str hashes depend on the seed
+    monkeypatch.setenv("PYTHONHASHSEED", "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0")
+    script = (
+        "import pickle, sys\n"
+        "import invauto\n"
+        "loaded, here = pickle.load(sys.stdin.buffer)\n"
+        "fresh = invauto.generate_builtin('remark_chain', depth=5)\n"
+        "print(hash(loaded) == hash(fresh), hash(loaded) != here, {fresh: 'found'}[loaded])\n"
+    )
+    result = run_python("-c", script, input=pickle.dumps((automaton, here)))
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == b"True True found\n"
