@@ -70,17 +70,6 @@ def _transformation_from_item(item: str) -> invauto.Transformation:
     return invauto.Transformation(_automaton_from_source(source), state)
 
 
-def _add_source_options(parser: argparse.ArgumentParser, state: bool = True) -> None:
-    parser.add_argument("--file", metavar="PATH", help="automaton file (.maut or .json)")
-    parser.add_argument("--gen", metavar="FAMILY", help="builtin machine family")
-    parser.add_argument("--depth", type=int, help="materialization depth for --gen")
-    parser.add_argument(
-        "--length", type=int, help="processing length the generated table must serve"
-    )
-    if state:
-        parser.add_argument("--state", metavar="NAME", help="initial state")
-
-
 def _load_automaton(args: argparse.Namespace):
     return _open_automaton(args.file, args.gen, args.depth, args.length)
 
@@ -215,9 +204,10 @@ def cmd_minimize(args) -> int:
         doc["classes"] = mapping
         print(json.dumps(doc, sort_keys=True))
         return 0
+    text = invauto.render_dsl(quotient)  # refuses before anything is printed
     for old in automaton.states:
         print(f"# {old} -> {mapping[old]}")
-    sys.stdout.write(invauto.render_dsl(quotient))
+    sys.stdout.write(text)
     return 0
 
 
@@ -231,21 +221,13 @@ def cmd_ucs(args) -> int:
     return _emit(args, lines, payload)
 
 
-def _cmd_counts(args, counter, kind: str) -> int:
+def _cmd_counts(args) -> int:
     g = _load_transformation(args)
-    table = counter(g, args.max_level)
+    table = getattr(invauto, args.call)(g, args.max_level)
     counts = [invauto.core._exact_str(c) for c in table.counts]
     lines = [f"{level}\t{count}" for level, count in enumerate(counts)]
-    payload = {"kind": kind, "state": g.state, "counts": counts}
+    payload = {"kind": args.command, "state": g.state, "counts": counts}
     return _emit(args, lines, payload)
-
-
-def cmd_ns(args) -> int:
-    return _cmd_counts(args, invauto.count_ns, "ns")
-
-
-def cmd_nc(args) -> int:
-    return _cmd_counts(args, invauto.count_nc, "nc")
 
 
 def cmd_classify(args) -> int:
@@ -267,9 +249,9 @@ def cmd_classify(args) -> int:
     return _emit(args, [line], payload)
 
 
-def _cmd_member(args, decider) -> int:
+def _cmd_member(args) -> int:
     g = _load_transformation(args)
-    decision = decider(g)
+    decision = getattr(invauto, args.call)(g)
     if decision.member:
         lines = ["member: yes"]
     else:
@@ -284,14 +266,6 @@ def _cmd_member(args, decider) -> int:
         "core": list(decision.core),
     }
     return _emit(args, lines, payload)
-
-
-def cmd_member_g0(args) -> int:
-    return _cmd_member(args, invauto.decide_g0)
-
-
-def cmd_member_g1(args) -> int:
-    return _cmd_member(args, invauto.decide_g1)
 
 
 def cmd_lemma1(args) -> int:
@@ -428,15 +402,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_: str, state: bool = True, json_: bool = True):
-        p = sub.add_parser(name, help=help_)
-        _add_source_options(p, state=state)
-        if json_:  # commands printing a machine description have no JSON form
-            p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(handler=handler)
+    # each shared option is built once and every subparser reuses its action
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--file", metavar="PATH", help="automaton file (.maut or .json)")
+    source.add_argument("--gen", metavar="FAMILY", help="builtin machine family")
+    source.add_argument("--depth", type=int, help="materialization depth for --gen")
+    source.add_argument(
+        "--length", type=int, help="processing length the generated table must serve"
+    )
+    state = argparse.ArgumentParser(add_help=False)
+    state.add_argument("--state", metavar="NAME", help="initial state")
+    json_ = argparse.ArgumentParser(add_help=False)
+    json_.add_argument("--json", action="store_true", help="machine-readable output")
+
+    def add(name: str, handler, help_: str, parents=(source, state, json_), **defaults):
+        p = sub.add_parser(name, help=help_, parents=parents)
+        p.set_defaults(handler=handler, **defaults)
         return p
 
-    add("validate", cmd_validate, "check an automaton description", state=False)
+    add("validate", cmd_validate, "check an automaton description", [source, json_])
 
     p = sub.add_parser("gen", help="print a builtin machine as DSL text")
     p.add_argument("family")
@@ -444,12 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int)
     p.set_defaults(handler=cmd_gen)
 
-    add("export-dot", cmd_export_dot, "print the labeled state diagram", state=False, json_=False)
+    # commands printing a machine description have no JSON form
+    add("export-dot", cmd_export_dot, "print the labeled state diagram", [source])
 
     p = add("apply", cmd_apply, "run a machine on words")
     p.add_argument("word", nargs="*", help="words (default: read from stdin)")
 
-    add("invert", cmd_invert, "print the inverse machine", state=False, json_=False)
+    add("invert", cmd_invert, "print the inverse machine", [source])
 
     p = sub.add_parser("compose", help="print the product machine (left acts first)")
     p.add_argument("left", help="path or gen:FAMILY[:depth=N]")
@@ -457,17 +442,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prune", metavar="A,B", help="keep only pairs reachable from (A,B)")
     p.set_defaults(handler=cmd_compose)
 
-    add("minimize", cmd_minimize, "print the behavioral quotient", state=False)
-    add("ucs", cmd_ucs, "list unconditional cycles", state=False)
+    add("minimize", cmd_minimize, "print the behavioral quotient", [source, json_])
+    add("ucs", cmd_ucs, "list unconditional cycles", [source, json_])
 
-    p = add("ns", cmd_ns, "count words ending in a nontrivial state, per level")
+    # the library call is named here and looked up only when the handler runs
+    p = add("ns", _cmd_counts, "count words ending in a nontrivial state, per level",
+            call="count_ns")
     p.add_argument("--max-level", type=int, required=True)
-    p = add("nc", cmd_nc, "count words avoiding all unconditional cycles, per level")
+    p = add("nc", _cmd_counts, "count words avoiding all unconditional cycles, per level",
+            call="count_nc")
     p.add_argument("--max-level", type=int, required=True)
 
     add("classify", cmd_classify, "growth class of the activity counts")
-    add("member-g0", cmd_member_g0, "exact small-activity membership")
-    add("member-g1", cmd_member_g1, "exact small-cycle-avoidance membership")
+    add("member-g0", _cmd_member, "exact small-activity membership", call="decide_g0")
+    add("member-g1", _cmd_member, "exact small-cycle-avoidance membership", call="decide_g1")
 
     p = add("lemma1", cmd_lemma1, "image period divisibility for one word")
     p.add_argument("--prefix", required=True, help="prefix (may be empty: '')")

@@ -211,7 +211,7 @@ def _iter_survivor_counts(g: Transformation, dead: frozenset[int]) -> Iterator[i
     succ = [[t for t in row if t not in dead] for row in automaton.transitions]
     deg = [len(targets) for targets in succ]
     tally = Counter(deg[q] for q in range(n) if q not in dead)
-    d = tally.most_common(1)[0][0] if tally else 0
+    d = max(tally, key=tally.__getitem__, default=0)  # first seen on ties
     vec = [0] * n
     frontier = []
     total = 0

@@ -106,7 +106,7 @@ def _report(
     else:
         note = (
             f"per period class, at most {_exact_str(sum(per_item))} of {k}^{level} words "
-            f"can import coins; the {_exact_str(classes)} period classes scale both sides"
+            f"can import coins; the {k}^{period_divisor} period classes scale both sides"
         )
     return ParadoxReport(
         kind, hs, level, block_factor, per_item, aggregate, threshold,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 
 from .core import Automaton
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 
 def parse_automaton(text: str) -> Automaton:
@@ -77,12 +77,9 @@ def _parse_dsl(text: str) -> Automaton:
         if current is None:
             raise ParseError("transition before any state header", lineno, indent + 1)
 
-        if "->" not in line or "|" not in line:
-            raise ParseError(
-                "expected '<letter> -> <state> | <letter>'", lineno, indent + 1
-            )
-        left, rest = stripped.split("->", 1)
-        middle, out = rest.rsplit("|", 1)
+        # a missing '->' or '|' leaves the state part empty
+        left, _, rest = stripped.partition("->")
+        middle, _, out = rest.rpartition("|")
         letter, nxt, out = left.strip(), middle.strip(), out.strip()
         if not letter or not nxt or not out:
             raise ParseError(
@@ -139,8 +136,31 @@ def _parse_json(text: str) -> tuple[Automaton, dict[str, str]]:
     return Automaton.from_table(tuple(str(s) for s in data["alphabet"]), table), meta
 
 
+def _check_dsl_names(automaton: Automaton) -> None:
+    """Refuse the first name the DSL reader would not give back: it splits
+    lines at line breaks, cuts each at ``#``, refuses a space in a state
+    header, splits a transition at its first ``->`` and last ``|``, strips
+    the space around each name, and reads a line starting ``alphabet:`` or
+    ``state `` as a header."""
+    for state in automaton.states:
+        if state.splitlines() != [state] or state != state.strip() or " " in state or "#" in state:
+            raise ValidationError(f"state name {state!r} cannot be written in the DSL")
+    for letter in automaton.alphabet.symbols:
+        if (
+            any(bad in letter for bad in ("#", "|", "->"))
+            or letter == "state"
+            or letter.startswith("alphabet:")
+        ):
+            raise ValidationError(f"letter {letter!r} cannot be written in the DSL")
+
+
 def render_dsl(automaton: Automaton, name: str | None = None) -> str:
-    """Deterministic DSL text; ``parse_automaton`` gives the machine back."""
+    """Deterministic DSL text; ``parse_automaton`` gives the machine back.
+
+    Raises ``ValidationError`` for a machine whose state names or letters
+    the DSL cannot carry; JSON carries any name.
+    """
+    _check_dsl_names(automaton)
     lines = []
     if name:
         lines.append(f"# {name}")

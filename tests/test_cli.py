@@ -263,12 +263,14 @@ LIBRARY = {f"invauto.{name}" for name in ("core", "counting", "periodic", "parad
 @pytest.mark.parametrize("argv, code, unused", [
     (None, None, LIBRARY | {"invauto.cli"}),
     (["periods", "-k", "2", "-m", "3"], 0, {"invauto.paradox", "invauto.textio", "decimal"}),
+    (["ns", "--gen", "adding", "--state", "q", "--max-level", "3"], 0,
+     {"invauto.textio", "invauto.periodic", "invauto.paradox", "heapq"}),
     (["gen", "adding"], 0, {"invauto.counting", "invauto.periodic", "invauto.paradox"}),
     (["export-dot", "--gen", "adding"], 0,
      {"invauto.counting", "invauto.periodic", "invauto.paradox"}),
     (["t1-report", "--gen", "adding", "--state", "q", "-l", "2", "--item", "gen:adding:depth=x@q"],
      2, {"invauto.counting", "invauto.periodic", "invauto.paradox"}),
-], ids=["bare-import", "periods", "gen", "export-dot", "malformed-item"])
+], ids=["bare-import", "periods", "ns", "gen", "export-dot", "malformed-item"])
 def test_a_call_loads_only_the_modules_it_uses(argv, code, unused):
     got, err, loaded = _call_in_fresh_interpreter(argv)
     assert got == code, err
@@ -363,6 +365,23 @@ def test_malformed_input_gives_one_error_line(capsys, tmp_path, argv):
     assert code == 2
     assert sum(line.startswith("error:") for line in err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["invert", "--file", "{path}"],
+    ["minimize", "--file", "{path}"],
+    ["compose", "{path}", "gen:flip_all"],
+])
+def test_a_state_name_the_dsl_cannot_carry_is_exit_one(capsys, tmp_path, argv):
+    path = tmp_path / "spaced.json"
+    row = {"0": ["a b", "1"], "1": ["a b", "0"]}
+    path.write_text(json.dumps({"alphabet": ["0", "1"], "states": {"a b": row}}))
+    code, out, err = run(capsys, *(a.format(path=path) for a in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: state name '") and err.count("\n") == 1
+    assert "Traceback" not in err
+    # JSON carries any name
+    assert run(capsys, "minimize", "--file", str(path), "--json")[0] == 0
 
 
 def test_audit_spec_error_names_the_key(capsys, tmp_path):
@@ -583,7 +602,7 @@ def test_t2_report_json_carries_long_counts(capsys):
     assert (code, err) == (0, "")
     payload = json.loads(out)
     assert decimal_value(payload["period_count"]) == 2**20000
-    assert f"the {payload['period_count']} period classes" in payload["note"]
+    assert "the 2^20000 period classes" in payload["note"]
 
 
 def test_counts_print_every_digit_past_the_conversion_limit(capsys, tmp_path):
