@@ -422,11 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("validate", cmd_validate, "check an automaton description", [source, json_])
 
-    p = sub.add_parser("gen", help="print a builtin machine as DSL text")
+    p = add("gen", cmd_gen, "print a builtin machine as DSL text", [])
     p.add_argument("family")
     p.add_argument("--depth", type=int)
     p.add_argument("--length", type=int)
-    p.set_defaults(handler=cmd_gen)
 
     # commands printing a machine description have no JSON form
     add("export-dot", cmd_export_dot, "print the labeled state diagram", [source])
@@ -436,11 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("invert", cmd_invert, "print the inverse machine", [source])
 
-    p = sub.add_parser("compose", help="print the product machine (left acts first)")
+    p = add("compose", cmd_compose, "print the product machine (left acts first)", [])
     p.add_argument("left", help="path or gen:FAMILY[:depth=N]")
     p.add_argument("right", help="path or gen:FAMILY[:depth=N]")
     p.add_argument("--prune", metavar="A,B", help="keep only pairs reachable from (A,B)")
-    p.set_defaults(handler=cmd_compose)
 
     add("minimize", cmd_minimize, "print the behavioral quotient", [source, json_])
     add("ucs", cmd_ucs, "list unconditional cycles", [source, json_])
@@ -467,11 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", "--period-divisor", type=int, required=True)
     p.add_argument("--word", action="append", default=[], metavar="PREFIX:PERIOD")
 
-    p = sub.add_parser("periods", help="count primitive periods with length dividing m")
+    p = add("periods", cmd_periods, "count primitive periods with length dividing m", [])
     p.add_argument("-k", "--alphabet-size", type=int, required=True)
     p.add_argument("-m", "--period-divisor", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_periods)
 
     p = add("t1-report", cmd_t1_report, "activity-based doubling bound at one level")
     p.add_argument("-l", "--level", type=int, required=True)
@@ -489,10 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-max", type=int, default=64)
     p.add_argument("--item", action="append", metavar="SOURCE@STATE")
 
-    p = sub.add_parser("audit", help="replay a candidate doubling scheme from JSON")
+    p = add("audit", cmd_audit, "replay a candidate doubling scheme from JSON", [])
     p.add_argument("--input", required=True, metavar="PATH")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=cmd_audit)
 
     return parser
 
