@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import invauto
@@ -82,10 +83,7 @@ def _load_transformation(args: argparse.Namespace) -> invauto.Transformation:
 
 
 def _load_items(args: argparse.Namespace) -> list[invauto.Transformation]:
-    items = [_load_transformation(args)]
-    for item in args.item or []:
-        items.append(_transformation_from_item(item))
-    return items
+    return [_load_transformation(args), *map(_transformation_from_item, args.item or [])]
 
 
 def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> int:
@@ -104,39 +102,34 @@ def _ep_word(alphabet, text: str) -> invauto.EventuallyPeriodicWord:
     return invauto.EventuallyPeriodicWord(alphabet.word(prefix), alphabet.word(period))
 
 
-def _report_payload(report) -> dict:
+def _emit_report(args: argparse.Namespace, report) -> int:
+    """Print a doubling report; each exact number is converted once, for
+    the text lines and the JSON payload alike."""
     exact = invauto.core._exact_str
-    return {
+    items = [h.state for h in report.transformations]
+    per_item = [exact(c) for c in report.per_item]
+    aggregate, threshold = exact(report.aggregate), exact(report.threshold)
+    classes = None if report.period_count is None else exact(report.period_count)
+    lines = [f"level {report.level}, block factor {report.block_factor}, kind {report.kind}"]
+    lines += [f"  {state}: {count}" for state, count in zip(items, per_item)]
+    lines.append(f"aggregate {aggregate} vs threshold {threshold}")
+    if classes is not None:
+        lines.append(f"period divisor {report.period_divisor} ({classes} period classes)")
+    lines.append("satisfied" if report.satisfied else "NOT satisfied")
+    payload = {
         "kind": report.kind,
         "level": report.level,
         "block_factor": report.block_factor,
-        "items": [h.state for h in report.transformations],
-        "per_item": [exact(c) for c in report.per_item],
-        "aggregate": exact(report.aggregate),
-        "threshold": exact(report.threshold),
+        "items": items,
+        "per_item": per_item,
+        "aggregate": aggregate,
+        "threshold": threshold,
         "satisfied": report.satisfied,
         "period_divisor": report.period_divisor,
-        "period_count": None if report.period_count is None else exact(report.period_count),
+        "period_count": classes,
         "note": report.note,
     }
-
-
-def _report_lines(report) -> list[str]:
-    exact = invauto.core._exact_str
-    lines = [
-        f"level {report.level}, block factor {report.block_factor}, "
-        f"kind {report.kind}",
-    ]
-    for h, c in zip(report.transformations, report.per_item):
-        lines.append(f"  {h.state}: {exact(c)}")
-    lines.append(f"aggregate {exact(report.aggregate)} vs threshold {exact(report.threshold)}")
-    if report.period_count is not None:
-        lines.append(
-            f"period divisor {report.period_divisor} "
-            f"({exact(report.period_count)} period classes)"
-        )
-    lines.append("satisfied" if report.satisfied else "NOT satisfied")
-    return lines
+    return _emit(args, lines, payload)
 
 
 def cmd_validate(args) -> int:
@@ -204,7 +197,10 @@ def cmd_minimize(args) -> int:
         doc["classes"] = mapping
         print(json.dumps(doc, sort_keys=True))
         return 0
-    text = invauto.render_dsl(quotient)  # refuses before anything is printed
+    # refuse a name the DSL cannot carry before anything is printed
+    text = invauto.render_dsl(quotient)
+    for old in automaton.states:
+        invauto.textio._check_dsl_comment(f"{old} -> {mapping[old]}", f"state name {old!r}")
     for old in automaton.states:
         print(f"# {old} -> {mapping[old]}")
     sys.stdout.write(text)
@@ -252,19 +248,15 @@ def cmd_classify(args) -> int:
 def _cmd_member(args) -> int:
     g = _load_transformation(args)
     decision = getattr(invauto, args.call)(g)
+    witness = None if decision.witness is None else g.alphabet.text(decision.witness)
     if decision.member:
         lines = ["member: yes"]
     else:
-        witness = g.alphabet.text(decision.witness)
         lines = [
             f"member: no (witness {witness!r} reaches the escape-proof core)",
             f"core: {', '.join(decision.core)}",
         ]
-    payload = {
-        "member": decision.member,
-        "witness": None if decision.witness is None else g.alphabet.text(decision.witness),
-        "core": list(decision.core),
-    }
+    payload = {"member": decision.member, "witness": witness, "core": list(decision.core)}
     return _emit(args, lines, payload)
 
 
@@ -282,30 +274,15 @@ def cmd_lemma1(args) -> int:
             f"(input period {verdict.input_period}, cycle {verdict.cycle_length}, "
             f"observed {verdict.observed_period}, bound {verdict.bound})"
         ]
-    payload = {
-        "applicable": verdict.applicable,
-        "holds": verdict.holds,
-        "input_period": verdict.input_period,
-        "cycle_length": verdict.cycle_length,
-        "observed_period": verdict.observed_period,
-        "bound": verdict.bound,
-    }
-    return _emit(args, lines, payload)
+    return _emit(args, lines, asdict(verdict))
 
 
 def cmd_lemma2(args) -> int:
     g = _load_transformation(args)
     samples = [_ep_word(g.alphabet, w) for w in args.word]
     verdict = invauto.check_lemma2(g, args.level, args.cycle_bound, args.period_divisor, samples)
-    lines = [
-        f"checked {verdict.checked}, skipped {verdict.skipped}, failed {verdict.failed}"
-    ]
-    payload = {
-        "checked": verdict.checked,
-        "skipped": verdict.skipped,
-        "failed": verdict.failed,
-    }
-    return _emit(args, lines, payload)
+    payload = {tally: getattr(verdict, tally) for tally in ("checked", "skipped", "failed")}
+    return _emit(args, [", ".join(f"{tally} {n}" for tally, n in payload.items())], payload)
 
 
 def cmd_periods(args) -> int:
@@ -318,14 +295,13 @@ def cmd_periods(args) -> int:
 
 def cmd_t1_report(args) -> int:
     items = _load_items(args)
-    report = invauto.theorem1_report(items, args.level, args.block_factor)
-    return _emit(args, _report_lines(report), _report_payload(report))
+    return _emit_report(args, invauto.theorem1_report(items, args.level, args.block_factor))
 
 
 def cmd_t2_report(args) -> int:
     items = _load_items(args)
     report = invauto.theorem2_report(items, args.level, args.period_divisor, args.block_factor)
-    return _emit(args, _report_lines(report), _report_payload(report))
+    return _emit_report(args, report)
 
 
 def cmd_min_level(args) -> int:

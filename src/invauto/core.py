@@ -34,7 +34,19 @@ if TYPE_CHECKING:  # imported where used: fractions loads decimal
 
 Word = tuple[int, ...]
 
-BUILTIN_FAMILIES = ("adding", "flip_all", "flip_alternator", "remark_chain")
+# the builtin machines with a fixed table over {0,1}, by family name
+_FIXED_BUILTINS = {
+    "adding": {
+        "q": {"0": ("e", "1"), "1": ("q", "0")},
+        "e": {"0": ("e", "0"), "1": ("e", "1")},
+    },
+    "flip_all": {"r": {"0": ("r", "1"), "1": ("r", "0")}},
+    "flip_alternator": {
+        "a": {"0": ("b", "1"), "1": ("b", "0")},
+        "b": {"0": ("a", "0"), "1": ("a", "1")},
+    },
+}
+BUILTIN_FAMILIES = (*_FIXED_BUILTINS, "remark_chain")
 
 _SPLIT_BITS = 128  # below this many bits an int goes to Decimal directly
 
@@ -657,27 +669,8 @@ def generate_builtin(
                         must be exact for that many letters from q_1, which
                         the clamp at q_D can only honor up to the depth.
     """
-    if name == "adding":
-        return Automaton.from_table(
-            ("0", "1"),
-            {
-                "q": {"0": ("e", "1"), "1": ("q", "0")},
-                "e": {"0": ("e", "0"), "1": ("e", "1")},
-            },
-        )
-    if name == "flip_all":
-        return Automaton.from_table(
-            ("0", "1"),
-            {"r": {"0": ("r", "1"), "1": ("r", "0")}},
-        )
-    if name == "flip_alternator":
-        return Automaton.from_table(
-            ("0", "1"),
-            {
-                "a": {"0": ("b", "1"), "1": ("b", "0")},
-                "b": {"0": ("a", "0"), "1": ("a", "1")},
-            },
-        )
+    if name in _FIXED_BUILTINS:
+        return Automaton.from_table(("0", "1"), _FIXED_BUILTINS[name])
     if name == "remark_chain":
         if depth is None or depth < 1:
             raise ValidationError("remark_chain requires depth >= 1")

@@ -27,13 +27,14 @@ from .errors import ParseError, ValidationError
 
 
 def parse_automaton(text: str) -> Automaton:
-    """Parse either format, sniffing JSON by its leading brace."""
+    """Parse either format, sniffing JSON by its leading ``{`` or ``[``."""
     return parse_document(text)[0]
 
 
 def parse_document(text: str) -> tuple[Automaton, dict[str, str]]:
     """Like :func:`parse_automaton` but also returns metadata (name, ...)."""
-    if text.lstrip().startswith("{"):
+    # no DSL text starts with either: its first line must be ``alphabet:``
+    if text.lstrip().startswith(("{", "[")):
         return _parse_json(text)
     return _parse_dsl(text), {}
 
@@ -154,15 +155,25 @@ def _check_dsl_names(automaton: Automaton) -> None:
             raise ValidationError(f"letter {letter!r} cannot be written in the DSL")
 
 
+def _check_dsl_comment(text: str, what: str) -> None:
+    """Refuse ``text`` as a ``#`` comment unless the DSL reader, which splits
+    lines where ``str.splitlines`` does, reads it as the one line it is;
+    ``what`` names it in the error."""
+    if text.splitlines() != [text]:
+        raise ValidationError(f"{what} cannot be written in a DSL comment")
+
+
 def render_dsl(automaton: Automaton, name: str | None = None) -> str:
     """Deterministic DSL text; ``parse_automaton`` gives the machine back.
 
     Raises ``ValidationError`` for a machine whose state names or letters
-    the DSL cannot carry; JSON carries any name.
+    the DSL cannot carry, or a ``name`` its header comment cannot; JSON
+    carries any name.
     """
     _check_dsl_names(automaton)
     lines = []
     if name:
+        _check_dsl_comment(name, f"name {name!r}")
         lines.append(f"# {name}")
     lines.append("alphabet: " + " ".join(automaton.alphabet.symbols))
     for q, state in enumerate(automaton.states):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import invauto
 from invauto.cli import main
 from helpers import decimal_value, run_python
 
@@ -384,6 +385,32 @@ def test_a_state_name_the_dsl_cannot_carry_is_exit_one(capsys, tmp_path, argv):
     assert run(capsys, "minimize", "--file", str(path), "--json")[0] == 0
 
 
+@pytest.mark.parametrize("merged, refused", [
+    ("a\nstate x:", True),
+    ("a\u2028b", True),
+    ("a b", False),
+    ("a # b | c", False),
+])
+def test_minimize_prints_only_comments_that_read_back(capsys, tmp_path, merged, refused):
+    # ``merged`` acts like q, so its name appears only in a ``#`` comment
+    path = tmp_path / "merged.json"
+    row = {"0": ["q", "1"], "1": ["q", "0"]}
+    path.write_text(json.dumps({"alphabet": ["0", "1"], "states": {"q": row, merged: row}}))
+    code, out, err = run(capsys, "minimize", "--file", str(path))
+    if refused:
+        assert (code, out) == (1, "")
+        assert err == f"error: state name {merged!r} cannot be written in a DSL comment\n"
+    else:
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == ["# q -> q", f"# {merged} -> q"]
+        text = tmp_path / "minimal.maut"
+        text.write_text(out)
+        code, shown, _ = run(capsys, "validate", "--file", str(text))
+        assert (code, shown) == (0, "ok: 1 states over alphabet {0, 1}\n")
+    code, out, _ = run(capsys, "minimize", "--file", str(path), "--json")
+    assert code == 0 and json.loads(out)["classes"] == {"q": "q", merged: "q"}
+
+
 def test_audit_spec_error_names_the_key(capsys, tmp_path):
     path = tmp_path / "audit.json"
     path.write_text(json.dumps({"level": "2", "transformations": [], "parts": []}))
@@ -603,6 +630,22 @@ def test_t2_report_json_carries_long_counts(capsys):
     payload = json.loads(out)
     assert decimal_value(payload["period_count"]) == 2**20000
     assert "the 2^20000 period classes" in payload["note"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+def test_a_report_converts_its_long_count_once(capsys, extra):
+    # 2^20000 period classes: past the conversion limit, so only
+    # ``_decimal_str`` can write it, and it should do so once per call
+    convert = invauto.core._decimal_str
+    with mock.patch.object(invauto.core, "_decimal_str", side_effect=convert) as spy:
+        code, out, err = run(
+            capsys, "t2-report", "--gen", "flip_all", "--state", "r",
+            "-l", "4", "-m", "20000", *extra,
+        )
+    assert (code, err) == (0, "")
+    assert spy.call_count == 1
+    count = json.loads(out)["period_count"] if extra else out.split("(")[1].split()[0]
+    assert decimal_value(count) == 2**20000
 
 
 def test_counts_print_every_digit_past_the_conversion_limit(capsys, tmp_path):

@@ -33,16 +33,19 @@ INVOCATIONS = [
     "export-dot --file adding.maut",
     "apply --gen adding --state q 0110 111",
     "apply --file adding.maut --state q --json 011",
+    "apply --file letters.maut --state a 'x0 x1 x1' x1",
     "invert --gen flip_alternator",
     "compose gen:adding adding.maut --prune q,q",
     "minimize --gen remark_chain --depth 4",
     "minimize --file adding.json --json",
     "ucs --gen flip_alternator",
     "ucs --gen adding --json",
+    "ucs --file letters.maut",
     f"ns {REMARK} --max-level 6",
     f"nc {REMARK} --max-level 6 --json",
     "classify --gen remark_chain --depth 5 --state q_1",
     "classify --gen adding --state q --json",
+    "classify --file degree1.maut --state a",
     "member-g0 --gen flip_all --state r",
     "member-g0 --file adding.maut --state q --json",
     "member-g1 --gen flip_alternator --state a",
@@ -66,6 +69,8 @@ INVOCATIONS = [
     "gen remark_chain --depth 3 --length 9",
     "lemma2 --gen flip_alternator --state a -l 2 -c 1 -m 2",
     "lemma2 --gen flip_alternator --state a -l -1 -c 2 -m 2",
+    "lemma2 --gen adding --state q -l 1 -c 1 -m 2 --word 01",
+    "compose gen:adding gen:adding --prune qq",
     "t2-report --gen flip_alternator --state a -l 4 -m 3",
     "validate --file missing.maut",
     "member-g1 --gen remark_chain --depth 4 --state q_1",

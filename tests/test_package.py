@@ -1,4 +1,5 @@
-"""The package namespace: the public API, its homes, lazy submodule imports."""
+"""The package namespace: the public API, its homes, lazy submodule imports,
+and edge paths of public calls that no other test reaches."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import pickle
 import pytest
 
 import invauto
-from helpers import remark_chain, run_python
+from helpers import adding, remark_chain, run_python
 
 # every public name, in the order of ``invauto.__all__``, after its home module
 PUBLIC = [
@@ -101,3 +102,35 @@ def test_an_automaton_hashed_here_hashes_afresh_under_another_hash_seed(monkeypa
     result = run_python("-c", script, input=pickle.dumps((automaton, here)))
     assert result.returncode == 0, result.stderr.decode()
     assert result.stdout == b"True True found\n"
+
+
+_LETTERS = invauto.Alphabet(("x0", "x1"))
+_ADDS = adding().at("q")
+
+
+# each call gives its value, or raises the error given in its place
+@pytest.mark.parametrize("call, expected", [
+    (lambda: invauto.purely_periodic_period(invauto.EventuallyPeriodicWord((1,), (0,))),
+     None),
+    (lambda: invauto.Alphabet(("0", "0")),
+     invauto.ValidationError("alphabet symbols must be pairwise distinct")),
+    (lambda: invauto.Alphabet(("0", "a b")), invauto.ValidationError("bad alphabet symbol 'a b'")),
+    (lambda: _LETTERS.word("x1 x0\tx1"), (1, 0, 1)),
+    (lambda: _LETTERS.word("x1"), (1,)),
+    (lambda: _LETTERS.text((1, 0)), "x1 x0"),
+    (lambda: invauto.coin_audit(1, [[(0,), (1, 0)]], [_ADDS]),
+     invauto.ArgumentError("word (1, 0) does not have length 1")),
+    (lambda: invauto.parse_document(
+        invauto.render_json(adding(), name="adding", description="adds one"))[1],
+     {"name": "adding", "description": "adds one"}),
+    (lambda: invauto.primitive_root(()), ()),
+], ids=["not-purely-periodic", "duplicate-letter", "space-in-letter", "multi-letter-word",
+        "one-multi-letter", "multi-letter-text", "audit-word-length", "json-metadata",
+        "empty-root"])
+def test_public_edge_paths(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as info:
+            call()
+        assert str(info.value) == str(expected)
+    else:
+        assert call() == expected

@@ -76,6 +76,24 @@ def test_dsl_refuses_a_name_it_cannot_read_back(states, letters, refused):
     assert _reads_back(machine, iv.render_json(machine))
 
 
+@pytest.mark.parametrize("name, refused", [
+    ("x\nstate y:", True),
+    ("x\rstate y:", True),
+    ("adds one # to | a -> word", False),
+])
+def test_dsl_header_comment_reads_back_or_is_refused(name, refused):
+    machine = adding()
+    if refused:
+        with mock.patch.object(textio, "_check_dsl_comment"):
+            assert not _reads_back(machine, iv.render_dsl(machine, name=name))
+        with pytest.raises(iv.ValidationError) as info:
+            iv.render_dsl(machine, name=name)
+        assert str(info.value) == f"name {name!r} cannot be written in a DSL comment"
+    else:
+        text = iv.render_dsl(machine, name=name)
+        assert text.startswith(f"# {name}\n") and _reads_back(machine, text)
+
+
 def test_dsl_carries_separators_inside_state_names():
     machine = _machine(["a|b", "a->b", "a:b", "state", "alphabet:", "x\ty"], ["0", "1", ":", "-"])
     assert _reads_back(machine, iv.render_dsl(machine))
@@ -114,8 +132,8 @@ def _named_machines(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_named_machines())
-def test_dsl_refuses_exactly_the_machines_it_cannot_read_back(machine):
+@given(_named_machines(), _names)
+def test_dsl_refuses_exactly_the_machines_it_cannot_read_back(machine, name):
     with mock.patch.object(textio, "_check_dsl_names"):
         unchecked = iv.render_dsl(machine)
     if _reads_back(machine, unchecked):
@@ -123,6 +141,14 @@ def test_dsl_refuses_exactly_the_machines_it_cannot_read_back(machine):
     else:
         with pytest.raises(iv.ValidationError):
             iv.render_dsl(machine)
+    # a header name either reads back or is refused (a trailing line break,
+    # which would read back, is refused as well)
+    try:
+        text = iv.render_dsl(machine, name=name)
+    except iv.ValidationError:
+        return
+    assert _reads_back(machine, text)
+    assert not name or text.startswith(f"# {name}\n")
 
 
 def test_json_round_trip_on_corpus():
@@ -228,8 +254,9 @@ _ALPHABET = "alphabet: 0 1\n"
      "line 1, column 36: Expecting value", 1, 36),
     (iv.parse_document, '{\n  "alphabet": ["0", "1"],\n  "states":\n}',
      "line 4, column 1: Expecting value", 4, 1),
-    # parse_document sends only text starting with '{' to the JSON reader
     (textio._parse_json, "[1]", "top-level JSON value must be an object", None, None),
+    # no DSL text starts with '[', so it goes to the JSON reader as well
+    (iv.parse_automaton, " [1, 2]", "top-level JSON value must be an object", None, None),
     (iv.parse_document, '{"states": {}}', "missing top-level key 'alphabet'", None, None),
     (iv.parse_document, '{"alphabet": ["0", "1"]}', "missing top-level key 'states'", None, None),
     (iv.parse_document, '{"alphabet": "01", "states": {}}',
