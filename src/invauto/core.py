@@ -393,11 +393,11 @@ class Transformation:
         """Image of ``word``; same length, each letter emitted as it is read."""
         w = self.alphabet.check_word(word)
         self._check_length(len(w))
-        return self._image(w)
+        return self._run(w)[0]
 
-    def _image(self, w: Word) -> Word:
-        """:meth:`apply` for a word already checked against the alphabet and
-        the horizon."""
+    def _run(self, w: Word) -> tuple[Word, int]:
+        """Image of a word already checked against the alphabet and the
+        horizon, and the state the run ends in."""
         trans, out = self.automaton.transitions, self.automaton.outputs
         q = self._start
         result = []
@@ -405,7 +405,7 @@ class Transformation:
         for x in w:
             append(out[q][x])
             q = trans[q][x]
-        return tuple(result)
+        return tuple(result), q
 
     def apply_stream(self, letters: Iterable[int]) -> Iterator[int]:
         """Streaming form of :meth:`apply` for unbounded inputs."""
@@ -414,7 +414,7 @@ class Transformation:
         q = self._start
         for i, x in enumerate(letters):
             if not 0 <= x < k:
-                raise LetterOutOfRangeError(f"letter index {x} out of range")
+                self.alphabet.check_word((x,))  # raises, naming the letter
             self._check_length(i + 1)
             yield out[q][x]
             q = trans[q][x]

@@ -228,14 +228,16 @@ def coin_audit(
                     f"{assignments[w] + 1} and {i + 1}"
                 )
             assignments[w] = i
-    universe = list(itertools.product(range(alphabet.size), repeat=level))
-    if len(assignments) != len(universe):
-        missing = next(w for w in universe if w not in assignments)
+    # the assigned words are distinct and of length ``level``, so the parts
+    # are total exactly when there are k**level of them; only then list them
+    words = itertools.product(range(alphabet.size), repeat=level)
+    if len(assignments) != alphabet.size**level:
+        missing = next(w for w in words if w not in assignments)
         raise PartitionNotTotalError(
             f"word {alphabet.text(missing)!r} is not assigned to any block"
         )
-    counts: dict[Word, int] = {w: 0 for w in universe}
+    counts = dict.fromkeys(words, 0)
     for w, i in assignments.items():
-        counts[hs[i]._image(w)] += 1
-    deficit = tuple(w for w in universe if counts[w] < 2)
+        counts[hs[i]._run(w)[0]] += 1
+    deficit = tuple(w for w, n in counts.items() if n < 2)
     return CoinAudit(level, assignments, hs, counts, deficit)

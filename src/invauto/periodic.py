@@ -82,11 +82,7 @@ def apply_to_ep_word(g: Transformation, w: EventuallyPeriodicWord) -> Eventually
     alphabet.check_word(w.period)
     trans, out = automaton.transitions, automaton.outputs
     g._check_length(len(w.prefix))
-    q = g.start
-    head = []
-    for x in w.prefix:
-        head.append(out[q][x])
-        q = trans[q][x]
+    head, q = g._run(w.prefix)
 
     t = len(w.period)
     seen: dict[tuple[int, int], int] = {}
@@ -106,7 +102,7 @@ def apply_to_ep_word(g: Transformation, w: EventuallyPeriodicWord) -> Eventually
         tail.append(out[q][x])
         q = trans[q][x]
         i += 1
-    return EventuallyPeriodicWord(tuple(head) + tuple(tail[:first]), tuple(tail[first:]))
+    return EventuallyPeriodicWord(head + tuple(tail[:first]), tuple(tail[first:]))
 
 
 def purely_periodic_period(w: EventuallyPeriodicWord) -> int | None:
@@ -140,13 +136,14 @@ class Lemma1Verdict:
     bound: int | None
 
 
-def _cycle_reached(g: Transformation, w: EventuallyPeriodicWord, level: int) -> int | None:
-    """Length of the first unconditional cycle entered within ``level`` steps."""
-    lengths = uc_state_lengths(g.automaton)
-    for q in g.path(w.first(level)):
-        if q in lengths:
-            return lengths[q]
-    return None
+def _lemma_sample(g: Transformation, w: EventuallyPeriodicWord) -> tuple[int | None, int | None]:
+    """Both lemma checks' rule for ``w`` at its level: the length of the
+    unconditional cycle its prefix's run ends in (cycle states lead only to
+    cycle states) or None, and then the image's period past the level."""
+    c = uc_state_lengths(g.automaton).get(g.path(w.prefix)[-1])
+    if c is None:
+        return None, None
+    return c, purely_periodic_period(apply_to_ep_word(g, w).tail_from(w.level))
 
 
 def _check_period_divisor(g: Transformation, reachable: Sequence[int], divisor: int) -> None:
@@ -175,11 +172,9 @@ def check_lemma1(
             f"word is presented at level {w.level}, expected {level}"
         )
     t = len(w.period)
-    c = _cycle_reached(g, w, level)
+    c, observed = _lemma_sample(g, w)
     if c is None:
         return Lemma1Verdict(False, None, t, None, None, None)
-    image = apply_to_ep_word(g, w)
-    observed = purely_periodic_period(image.tail_from(level))
     bound = math.lcm(t, c)
     holds = observed is not None and bound % observed == 0
     return Lemma1Verdict(True, holds, t, c, observed, bound)
@@ -223,7 +218,7 @@ def check_lemma2(
             f"cycle bound {cycle_bound} is below the reachable maximum {longest}"
         )
     _check_period_divisor(g, reachable, period_divisor)
-    checked = skipped = failed = 0
+    checked = skipped = 0
     failures = []
     for w in samples:
         if w.level != level:
@@ -233,17 +228,14 @@ def check_lemma2(
                 f"sample period length {len(w.period)} does not divide into "
                 f"{period_divisor}"
             )
-        if _cycle_reached(g, w, level) is None:
+        c, observed = _lemma_sample(g, w)
+        if c is None:
             skipped += 1
-            continue
-        image = apply_to_ep_word(g, w)
-        observed = purely_periodic_period(image.tail_from(level))
-        if observed is None or period_divisor % observed != 0:
-            failed += 1
+        elif observed is None or period_divisor % observed != 0:
             failures.append(w)
         else:
             checked += 1
-    return Lemma2Verdict(checked, skipped, failed, tuple(failures))
+    return Lemma2Verdict(checked, skipped, len(failures), tuple(failures))
 
 
 def count_periods(alphabet_size: int, period_divisor: int) -> int:

@@ -182,6 +182,16 @@ def oracle_uc_lengths(automaton):
     return lengths
 
 
+def oracle_cycle_reached(g, w, level):
+    """Length of the first unconditional cycle entered within ``level`` steps
+    of w, by walking the whole state path; None if the path enters none."""
+    lengths = oracle_uc_lengths(g.automaton)
+    for q in g.path(w.first(level)):
+        if q in lengths:
+            return lengths[q]
+    return None
+
+
 def brute_counts(g, max_level):
     """Per-level (ns, nc) by enumerating the word tree, no dynamic programming."""
     automaton = g.automaton

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import resource
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -417,6 +418,21 @@ def test_audit_spec_error_names_the_key(capsys, tmp_path):
     code, _, err = run(capsys, "audit", "--input", str(path))
     assert code == 2
     assert "'level'" in err and "integer" in err
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_audit_refuses_a_partial_partition_without_listing_the_level(tmp_path):
+    # the 2**40 words of the level would not fit in the child's 1 GiB
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps({"level": 40, "transformations": ["gen:adding@q"], "parts": [[]]}))
+    result = run_python(
+        "-m", "invauto.cli", "audit", "--input", str(path), preexec_fn=_cap_address_space
+    )
+    assert (result.returncode, result.stdout) == (1, b"")
+    assert result.stderr.decode() == f"error: word {'0' * 40!r} is not assigned to any block\n"
 
 
 def test_binary_file_is_parse_error(capsys, tmp_path):

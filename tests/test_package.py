@@ -6,6 +6,7 @@ from __future__ import annotations
 import importlib
 import os
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -131,6 +132,64 @@ def test_public_edge_paths(call, expected):
     if isinstance(expected, Exception):
         with pytest.raises(type(expected)) as info:
             call()
+        assert str(info.value) == str(expected)
+    else:
+        assert call() == expected
+
+
+# each validation branch no other test reaches: the call, and the exact error
+# it raises (or, for the two plain properties, the value it gives)
+@pytest.mark.parametrize("call, expected", [
+    (lambda: invauto.MaterializationPolicy("remark", 0),
+     invauto.ValidationError("materialization depth must be >= 1")),
+    (lambda: invauto.Automaton(_LETTERS, (), (), ()),
+     invauto.ValidationError("automaton needs at least one state")),
+    (lambda: invauto.Automaton.from_table(("0", "1"), {"a": {
+        "0": ("a", "1"), "1": ("a", "0"), "2": ("a", "0")}}),
+     invauto.LetterOutOfRangeError("state 'a' has a row for unknown letter '2'")),
+    (lambda: list(_ADDS.apply_stream([0, 2])),
+     invauto.LetterOutOfRangeError("letter index 2 out of range for alphabet of size 2")),
+    (lambda: invauto.UnconditionalCycle(()),
+     invauto.ArgumentError("cycle states must be nonempty and pairwise distinct")),
+    (lambda: invauto.UnconditionalCycle(("a", "b", "a")),
+     invauto.ArgumentError("cycle states must be nonempty and pairwise distinct")),
+    (lambda: invauto.CountTable(_ADDS, "xs", (1,)),
+     invauto.ArgumentError("kind must be 'ns' or 'nc'")),
+    (lambda: invauto.CountTable(_ADDS, "ns", (2,)),
+     invauto.ArgumentError("level-0 count must be 0 or 1")),
+    (lambda: invauto.CountTable(_ADDS, "ns", (1, 1, 1)).max_level, 2),
+    (lambda: invauto.GrowthReport("linear"),
+     invauto.ArgumentError("bad growth category 'linear'")),
+    (lambda: invauto.GrowthReport("bounded", degree=1),
+     invauto.ArgumentError("degree is present exactly for polynomial growth")),
+    (lambda: invauto.GrowthReport("exponential"),
+     invauto.ArgumentError("rate is present exactly for exponential growth")),
+    (lambda: invauto.GrowthReport("polynomial", degree=0),
+     invauto.ArgumentError("polynomial degree must be >= 1")),
+    (lambda: invauto.GrowthReport("bounded", rate_bounds=(Fraction(1), Fraction(2))),
+     invauto.ArgumentError("rate bounds are present only for exponential growth")),
+    (lambda: invauto.GrowthReport("exponential", rate=1.5,
+                                  rate_bounds=(Fraction(2), Fraction(1))),
+     invauto.ArgumentError("rate bounds 2 > 1")),
+    (lambda: bool(invauto.MembershipDecision(False, (0,), ("q",))), False),
+    (lambda: bool(invauto.MembershipDecision(True, None, ())), True),
+    (lambda: invauto.ParadoxReport("t1", (_ADDS,), 1, 8, (5,), 5, Fraction(4), True),
+     invauto.ArgumentError("verdict disagrees with the exact comparison")),
+    (lambda: invauto.theorem1_report([], 1),
+     invauto.ArgumentError("need at least one transformation")),
+    (lambda: invauto.EventuallyPeriodicWord((0,), (1,))[-1],
+     IndexError("infinite words have no negative positions")),
+], ids=["policy-depth-0", "no-states", "row-for-unknown-letter", "stream-letter",
+        "empty-cycle", "repeated-cycle-state", "count-kind", "level-0-count", "max-level",
+        "growth-category", "growth-degree-present", "growth-rate-absent",
+        "growth-degree-0", "growth-bounds-not-exponential", "growth-bounds-reversed",
+        "decision-false", "decision-true", "paradox-verdict", "theorem1-no-items",
+        "negative-position"])
+def test_validation_branches(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(Exception) as info:
+            call()
+        assert type(info.value) is type(expected)
         assert str(info.value) == str(expected)
     else:
         assert call() == expected

@@ -202,6 +202,13 @@ def test_audit_partition_not_total():
         iv.coin_audit(1, [[(0,)], []], [e, e])
 
 
+def test_audit_names_the_first_unassigned_word():
+    words = [w for w in all_words(2, 3) if w not in ((1, 0, 1), (1, 1, 0))]
+    with pytest.raises(iv.PartitionNotTotalError) as info:
+        iv.coin_audit(3, [words], [adding().at("q")])
+    assert str(info.value) == "word '101' is not assigned to any block"
+
+
 def test_audit_checks_each_word_once(monkeypatch):
     calls = []
     check_word = iv.Alphabet.check_word

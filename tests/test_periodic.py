@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import invauto as iv
 from helpers import (
@@ -13,7 +16,10 @@ from helpers import (
     all_words,
     binary_corpus,
     flip_alternator,
+    oracle_cycle_reached,
     random_ep_word,
+    random_leaky,
+    random_mixed_degree,
     remark_chain,
     uv_core,
 )
@@ -151,6 +157,37 @@ def test_lemma1_randomized_and_applicability_matches_cycle_avoidance():
                 cases += 1
                 assert verdict.holds
     assert cases > 100
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([random_leaky, random_mixed_degree]),
+    st.integers(1, 8),
+    st.sampled_from([2, 3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_lemma_checks_match_the_first_cycle_walk(generate, n, k, seed):
+    """Both checks read the cycle off the state the prefix ends in; the walk
+    over the whole path for the first cycle state gives the same answer, from
+    every start, on machines with cycles of several lengths."""
+    rng = random.Random(seed)
+    machine = generate(rng, n, k)
+    for state in machine.states:
+        g = machine.at(state)
+        by_level = {}
+        for _ in range(12):
+            word = random_ep_word(rng, k, 5, 3)
+            by_level.setdefault(word.level, []).append(word)
+            c = oracle_cycle_reached(g, word, word.level)
+            verdict = iv.check_lemma1(g, word, word.level)
+            assert (verdict.applicable, verdict.cycle_length) == (c is not None, c)
+        for level, samples in by_level.items():
+            # every cycle is at most n_states long, so this divisor covers them all
+            divisor = math.lcm(*range(1, machine.n_states + 1), *(len(w.period) for w in samples))
+            verdict = iv.check_lemma2(g, level, machine.n_states, divisor, samples)
+            entered = sum(oracle_cycle_reached(g, w, level) is not None for w in samples)
+            assert verdict.checked + verdict.failed == entered
+            assert verdict.skipped == len(samples) - entered
 
 
 def test_lemma2_adding_examples():
