@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import invauto
@@ -274,7 +273,7 @@ def cmd_lemma1(args) -> int:
             f"(input period {verdict.input_period}, cycle {verdict.cycle_length}, "
             f"observed {verdict.observed_period}, bound {verdict.bound})"
         ]
-    return _emit(args, lines, asdict(verdict))
+    return _emit(args, lines, {name: getattr(verdict, name) for name in verdict._fields})
 
 
 def cmd_lemma2(args) -> int:

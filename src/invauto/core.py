@@ -10,7 +10,6 @@ audits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
@@ -112,16 +111,70 @@ def _exact_repr(value) -> str:
     return _exact_str(value)
 
 
-def _dataclass_repr(obj) -> str:
-    """The repr a dataclass generates, built with :func:`_exact_repr`, so a
-    record holding long counts prints them in full."""
-    shown = ", ".join(
-        f"{f.name}={_exact_repr(getattr(obj, f.name))}" for f in fields(obj) if f.repr
+def _record(cls):
+    """Make ``cls`` a frozen value record, as ``@dataclass(frozen=True)``
+    would, without importing :mod:`dataclasses` (and :mod:`inspect`).
+
+    The fields, also kept as ``_fields`` and ``__match_args__``, are the
+    class's annotations in order; a class attribute of the same name is a
+    field's default.  ``__init__`` calls ``__post_init__`` if there is one;
+    ``__eq__`` and ``__hash__`` read the field tuple, and the repr prints
+    every digit (:func:`_exact_repr`).  Setting or deleting an attribute
+    raises AttributeError, so the class's own code uses
+    ``object.__setattr__``.  A method the class defines itself is kept.
+    """
+    names = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in names)
+    body = "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
+    if hasattr(cls, "__post_init__"):
+        body += "    self.__post_init__()\n"
+    source = (
+        f"def __init__(self{params}):\n{body}"
+        f"def values(self):\n    return ({''.join(f'self.{n}, ' for n in names)})\n"
     )
-    return f"{type(obj).__qualname__}({shown})"
+    namespace = {"_defaults": defaults, "_set": object.__setattr__}
+    exec(source, namespace)  # a real signature, as dataclasses and namedtuple build it
+    values = namespace["values"]
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    labels = [f"{', ' if i else ''}{n}=" for i, n in enumerate(names)]
+
+    def __repr__(self):
+        # one join of all pieces, as the dataclass repr does, so a long
+        # table's text is not copied once per field and again for the whole
+        shown = [type(self).__qualname__, "("]
+        for label, value in zip(labels, values(self)):
+            shown += (label, _exact_repr(value))
+        shown.append(")")
+        return "".join(shown)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    methods = {
+        "__init__": namespace["__init__"], "__eq__": __eq__, "__hash__": __hash__,
+        "__repr__": __repr__, "__setattr__": __setattr__, "__delattr__": __delattr__,
+    }
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, method)
+    cls._fields = cls.__match_args__ = names
+    return cls
 
 
-@dataclass(frozen=True)
+@_record
 class Alphabet:
     """A finite set of at least two distinct printable letter tokens.
 
@@ -191,7 +244,7 @@ class Alphabet:
         return w
 
 
-@dataclass(frozen=True)
+@_record
 class MaterializationPolicy:
     """Record that an automaton is a finite stand-in for a parametric family.
 
@@ -214,7 +267,7 @@ class MaterializationPolicy:
         return self._lookup.get(state)
 
 
-@dataclass(frozen=True)
+@_record
 class Automaton:
     """A complete, invertible letter transducer.
 
@@ -255,8 +308,8 @@ class Automaton:
         object.__setattr__(self, "_index", index)
 
     def __hash__(self) -> int:
-        """The hash the dataclass would generate, computed once per object
-        (walking a long table is slow) and kept on it."""
+        """The hash of the field tuple, as every record has, computed once
+        per object (walking a long table is slow) and kept on it."""
         kept = getattr(self, "_hash", None)
         if kept is None:
             kept = hash((self.alphabet, self.states, self.transitions, self.outputs, self.policy))
@@ -360,7 +413,7 @@ class Automaton:
         return Transformation(self, state)
 
 
-@dataclass(frozen=True)
+@_record
 class Transformation:
     """An automaton started in a fixed state, acting on words."""
 

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from .core import (
     Automaton,
     Transformation,
     Word,
-    _dataclass_repr,
+    _record,
     greatest_closed_subset,
     trivial_states,
 )
@@ -41,7 +40,7 @@ _RATE_TOLERANCE_BITS = 40
 _VECTOR_BITS = 60
 
 
-@dataclass(frozen=True)
+@_record
 class UnconditionalCycle:
     """States whose transitions ignore the input letter, closed in a cycle."""
 
@@ -57,7 +56,7 @@ class UnconditionalCycle:
         return len(self.states)
 
 
-@dataclass(frozen=True)
+@_record
 class CountTable:
     """Counts indexed by level 0..max_level for one transformation."""
 
@@ -78,8 +77,6 @@ class CountTable:
                 raise ArgumentError(f"count {c} at level {level} exceeds {k}^{level}")
             bound *= k
 
-    __repr__ = _dataclass_repr
-
     @property
     def max_level(self) -> int:
         return len(self.counts) - 1
@@ -88,7 +85,7 @@ class CountTable:
         return self.counts[level]
 
 
-@dataclass(frozen=True)
+@_record
 class GrowthReport:
     """Growth class of the per-level activity counts.
 
@@ -120,7 +117,7 @@ class GrowthReport:
                 raise ArgumentError(f"rate bounds {lo} > {hi}")
 
 
-@dataclass(frozen=True)
+@_record
 class MembershipDecision:
     """Outcome of an exact smallness decision, with evidence.
 

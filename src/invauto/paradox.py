@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .core import Transformation, Word, _dataclass_repr, _exact_str
+from .core import Transformation, Word, _exact_str, _record
 from .counting import NC, NS, _iter_counts, iter_ns_counts, reachable_uc_lengths
 from .errors import (
     AlphabetMismatchError,
@@ -30,7 +29,7 @@ from .periodic import _check_period_divisor, count_periods
 MIN_BLOCK_FACTOR = 8
 
 
-@dataclass(frozen=True)
+@_record
 class ParadoxReport:
     """One exact comparison of imported coins against the doubling budget."""
 
@@ -50,8 +49,6 @@ class ParadoxReport:
         if self.satisfied != (self.aggregate <= self.threshold):
             raise ArgumentError("verdict disagrees with the exact comparison")
         _check_block_factor(self.block_factor)
-
-    __repr__ = _dataclass_repr
 
 
 def _common_alphabet(hs: Sequence[Transformation]):
@@ -170,7 +167,7 @@ def theorem2_report(
     return _report(NC, hs, level, block_factor, period_divisor)
 
 
-@dataclass(frozen=True)
+@_record
 class CoinAudit:
     """Replay of a candidate doubling scheme at one level.
 

@@ -9,10 +9,9 @@ period is read starting right after the prefix, so rotations are distinct.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import Transformation, Word
+from .core import Transformation, Word, _record
 from .counting import reachable_uc_lengths, uc_state_lengths
 from .errors import ArgumentError, CycleBoundTooSmallError, PeriodBoundInvalidError
 
@@ -27,7 +26,7 @@ def primitive_root(word: Sequence[int]) -> Word:
     return w
 
 
-@dataclass(frozen=True)
+@_record
 class EventuallyPeriodicWord:
     """prefix followed by period repeated forever; the period is primitive."""
 
@@ -119,7 +118,7 @@ def purely_periodic_period(w: EventuallyPeriodicWord) -> int | None:
     return t
 
 
-@dataclass(frozen=True)
+@_record
 class Lemma1Verdict:
     """Outcome of one period-divisibility check.
 
@@ -140,7 +139,9 @@ def _lemma_sample(g: Transformation, w: EventuallyPeriodicWord) -> tuple[int | N
     """Both lemma checks' rule for ``w`` at its level: the length of the
     unconditional cycle its prefix's run ends in (cycle states lead only to
     cycle states) or None, and then the image's period past the level."""
-    c = uc_state_lengths(g.automaton).get(g.path(w.prefix)[-1])
+    end = g.path(w.prefix)[-1]
+    g.alphabet.check_word(w.period)  # also when the run ends off every cycle
+    c = uc_state_lengths(g.automaton).get(end)
     if c is None:
         return None, None
     return c, purely_periodic_period(apply_to_ep_word(g, w).tail_from(w.level))
@@ -180,7 +181,7 @@ def check_lemma1(
     return Lemma1Verdict(True, holds, t, c, observed, bound)
 
 
-@dataclass(frozen=True)
+@_record
 class Lemma2Verdict:
     """Tallies for a batch closure check of images under one transformation."""
 

@@ -133,12 +133,22 @@ def decimal_value(text):
 
 
 def generated_repr(obj):
-    """The repr ``@dataclass`` generates for ``obj``: every field with
-    ``repr=True``, as ``name=repr(value)``."""
-    shown = ", ".join(
-        f"{f.name}={getattr(obj, f.name)!r}" for f in dataclasses.fields(obj) if f.repr
-    )
+    """The repr ``@dataclass`` generates for the record ``obj``: every field,
+    as ``name=repr(value)``."""
+    shown = ", ".join(f"{name}={getattr(obj, name)!r}" for name in obj._fields)
     return f"{type(obj).__qualname__}({shown})"
+
+
+def dataclass_twin(record_class):
+    """What ``@dataclass(frozen=True)`` makes of a record class: a frozen
+    dataclass with its name, the fields its annotations declare and the
+    defaults its class attributes hold, the reference for records' behaviour."""
+    spec = [
+        (name, object, dataclasses.field(default=record_class.__dict__[name]))
+        if name in record_class.__dict__ else (name, object)
+        for name in record_class.__annotations__
+    ]
+    return dataclasses.make_dataclass(record_class.__qualname__, spec, frozen=True)
 
 
 def oracle_trivial_states(automaton):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
 import itertools
 import pickle
 import random
@@ -21,6 +22,8 @@ from helpers import (
     add_one,
     all_words,
     binary_corpus,
+    dataclass_twin,
+    flip_all,
     flip_alternator,
     full_corpus,
     isomorphic_under,
@@ -554,7 +557,7 @@ def test_automaton_hash_is_the_dataclass_hash_and_walks_the_table_once():
     first = hash(machine)
     assert _CountedName.hashed == 50
     assert hash(machine) == first and _CountedName.hashed == 50
-    assert first == hash(tuple(getattr(machine, f.name) for f in dataclasses.fields(machine)))
+    assert first == hash(tuple(getattr(machine, name) for name in machine._fields))
 
 
 def test_kept_hash_stays_out_of_pickles_and_copies():
@@ -563,6 +566,91 @@ def test_kept_hash_stays_out_of_pickles_and_copies():
     for twin in (pickle.loads(pickle.dumps(machine)), copy.deepcopy(machine)):
         assert "_hash" not in vars(twin)
         assert twin == machine and hash(twin) == hash(machine)
+
+
+# ---------------------------------------------------------------- records
+
+def _record_samples():
+    """Two unequal values of each of the 13 records, by record name.  The
+    first value keeps its required fields valid on their own, so it can also
+    be built with every default left out."""
+    q, e, r = adding().at("q"), adding().at("e"), flip_all().at("r")
+    ep = iv.EventuallyPeriodicWord
+    return {
+        "Alphabet": (iv.Alphabet(("a", "b")), iv.Alphabet.of_size(3)),
+        "MaterializationPolicy": (
+            iv.MaterializationPolicy("remark_chain", 2, (("q_1", 2), ("q_2", 1))),
+            remark_chain(3).policy,
+        ),
+        "Automaton": (remark_chain(2), adding()),
+        "Transformation": (q, e),
+        "UnconditionalCycle": (iv.find_ucs(adding())[0], iv.UnconditionalCycle(("a", "b"))),
+        "CountTable": (iv.count_ns(q, 4), iv.count_nc(r, 3)),
+        "GrowthReport": (iv.GrowthReport("bounded"), iv.classify_growth(r)),
+        "MembershipDecision": (iv.decide_g0(q), iv.decide_g0(r)),
+        "EventuallyPeriodicWord": (ep((0, 1), (1, 0)), ep((), (1,))),
+        "Lemma1Verdict": (
+            iv.check_lemma1(q, ep((1,), (0,)), 1), iv.Lemma1Verdict(False, None, 2, None, None, None)
+        ),
+        "Lemma2Verdict": (iv.Lemma2Verdict(1, 0, 1, (ep((0,), (1,)),)), iv.Lemma2Verdict(2, 1, 0)),
+        "ParadoxReport": (iv.theorem1_report([q, q], 3), iv.theorem2_report([q], 3, 2)),
+        "CoinAudit": (
+            iv.coin_audit(1, [[(0,)], [(1,)]], [q, e]), iv.coin_audit(1, [[(0,), (1,)]], [r])
+        ),
+    }
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` gives, or the type and text of what it raises."""
+    try:
+        return call(*args)
+    except (AttributeError, TypeError) as exc:
+        return isinstance(exc, AttributeError), isinstance(exc, TypeError), str(exc)
+
+
+def _parameters(cls):
+    return [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
+
+
+@pytest.mark.parametrize("name", list(_record_samples()))
+def test_records_behave_as_their_frozen_dataclass_twins(name):
+    value, other = _record_samples()[name]
+    cls = type(value)
+    assert cls.__name__ == name and type(other) is cls
+    twin_cls = dataclass_twin(cls)
+    fields = cls._fields
+    assert fields == cls.__match_args__ == twin_cls.__match_args__
+    assert fields == tuple(f.name for f in dataclasses.fields(twin_cls))
+    assert _parameters(cls) == _parameters(twin_cls)
+    assert not dataclasses.is_dataclass(cls)
+    twins = {}
+    for record in (value, other):
+        values = tuple(getattr(record, f) for f in fields)
+        twin = twins[record is value] = twin_cls(*values)
+        assert repr(record) == repr(twin)
+        assert _outcome(hash, record) == _outcome(hash, twin)
+        # positional, keyword, copied and pickled records equal the record
+        for same in (
+            cls(*values), cls(**dict(zip(fields, values))),
+            copy.deepcopy(record), pickle.loads(pickle.dumps(record)),
+        ):
+            assert same == record and not same != record and repr(same) == repr(record)
+        # a twin or another class is never equal, whatever the values
+        for stranger in (twin, values, object()):
+            assert record != stranger and stranger != record
+            assert record.__eq__(stranger) is NotImplemented
+        assert twin.__eq__(record) is NotImplemented
+        # both raise AttributeError (FrozenInstanceError is one) with one text
+        for attr in (*fields, "_kept"):
+            assert _outcome(setattr, record, attr, None) == _outcome(setattr, twin, attr, None)
+            assert _outcome(delattr, record, attr) == _outcome(delattr, twin, attr)
+        assert _outcome(cls) == _outcome(twin_cls)
+        assert _outcome(cls, *values, None) == _outcome(twin_cls, *values, None)
+    assert value != other and twins[True] != twins[False]
+    # every default left out, on the value whose required fields stand alone
+    required = [f for f in fields if f not in cls.__dict__]
+    values = [getattr(value, f) for f in required]
+    assert repr(cls(*values)) == repr(twin_cls(*values))
 
 
 # ---------------------------------------------------------------- long decimals

@@ -131,6 +131,18 @@ def test_lemma1_not_applicable_when_no_cycle_reached():
     assert verdict.holds is None
 
 
+def test_lemma_checks_refuse_period_letters_off_every_cycle():
+    """The period's letters are checked also when the prefix's run ends on
+    no unconditional cycle, where no image is taken."""
+    q = adding().at("q")
+    with pytest.raises(iv.LetterOutOfRangeError) as raised:
+        iv.check_lemma1(q, EP((1,), (5,)), 1)
+    assert str(raised.value) == "letter index 5 out of range for alphabet of size 2"
+    with pytest.raises(iv.LetterOutOfRangeError) as raised:
+        iv.check_lemma2(q, 1, 1, 1, [EP((1,), (7,))])
+    assert str(raised.value) == "letter index 7 out of range for alphabet of size 2"
+
+
 def test_lemma1_level_must_match_presentation():
     with pytest.raises(ValueError):
         iv.check_lemma1(adding().at("q"), EP((0,), (1,)), 2)
