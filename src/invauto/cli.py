@@ -192,7 +192,7 @@ def cmd_minimize(args) -> int:
     automaton = _load_automaton(args)
     quotient, mapping = invauto.minimize(automaton)
     if args.json:
-        doc = json.loads(invauto.render_json(quotient))
+        doc = invauto.textio._json_doc(quotient)
         doc["classes"] = mapping
         print(json.dumps(doc, sort_keys=True))
         return 0

@@ -10,6 +10,7 @@ audits.
 
 from __future__ import annotations
 
+import sys
 from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
@@ -433,9 +434,9 @@ class Transformation:
         return self.automaton.alphabet
 
     def _check_length(self, level: int) -> None:
-        """The level rule: words of length ``level`` need 0 <= level <= horizon."""
-        if level < 0:
-            raise ArgumentError("level must be >= 0")
+        """The level rule: words of length ``level`` need 0 <= level <= horizon,
+        and level below sys.maxsize (:func:`_check_level`)."""
+        _check_level(level)
         if self._horizon is not None and level > self._horizon:
             raise NotMaterializableError(
                 f"level {level} exceeds the materialized horizon {self._horizon} "
@@ -496,6 +497,16 @@ class Transformation:
             self.automaton, other.automaton, prune_from=(self.state, other.state)
         )
         return Transformation(product, pair_name(self.state, other.state))
+
+
+def _check_level(level: int, what: str = "level") -> None:
+    """Refuse a level outside 0 <= level < sys.maxsize as a usage error: the
+    counts of levels 0..level are level + 1 items, which a sequence (and
+    ``itertools.islice``) can only hold or skip up to sys.maxsize of."""
+    if level < 0:
+        raise ArgumentError(f"{what} must be >= 0")
+    if level >= sys.maxsize:
+        raise ArgumentError(f"{what} must be below sys.maxsize, {sys.maxsize}")
 
 
 def inverse_name(name: str) -> str:
@@ -572,8 +583,15 @@ def compose(
     heads = [f"({s}," for s in a.states]
     tails = [f"{s})" for s in b.states]
     names, transitions, outputs = [], [], []
+    # a pair's output row is a's row fed through b's: one shared tuple per
+    # distinct (a-row, b-row), so the product holds no copies of them
     # pair (qa, qb) is numbered qa * nb + qb: a-major, as the full product lists it
     if prune_from is None:
+        # b's distinct output rows, numbered in order of first occurrence
+        b_rows: dict[tuple[int, ...], int] = {}
+        b_row_ids = [b_rows.setdefault(row, len(b_rows)) for row in b.outputs]
+        # per distinct a-row, its image of every distinct b-row, built on first use
+        fed: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         codes = range(a.n_states * nb)
         # one shared int per state index, so the table holds no copies of them
         ids = list(codes)
@@ -585,9 +603,15 @@ def compose(
             targets = [column[y](ids[t * nb:(t + 1) * nb]) for t, y in zip(ta, oa)]
             # an itemgetter of one index returns the item itself, not a 1-tuple
             transitions.extend(zip(*targets) if nb > 1 else [tuple(targets)])
-            outputs.extend(map(itemgetter(*oa), b.outputs))
+            table = fed.get(oa)
+            if table is None:
+                table = fed[oa] = list(map(itemgetter(*oa), b_rows))
+            outputs.extend(map(table.__getitem__, b_row_ids))
     else:
         start = a.state_index(prune_from[0]) * nb + b.state_index(prune_from[1])
+        # only the (a-row, b-row) pairs met are fed through, so the work stays
+        # with the pairs visited however many distinct rows the machines have
+        shared: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
         # breadth-first from the start pair, letters ascending
         codes = [start]
         slot = {start: 0}
@@ -604,7 +628,11 @@ def compose(
                 row.append(i)
             names.append(heads[qa] + tails[qb])
             transitions.append(tuple(row))
-            outputs.append(itemgetter(*oa)(b.outputs[qb]))
+            key = (oa, b.outputs[qb])
+            out = shared.get(key)
+            if out is None:
+                out = shared[key] = itemgetter(*oa)(key[1])
+            outputs.append(out)
 
     policy = None
     if a.policy is not None or b.policy is not None:

@@ -15,7 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .core import Transformation, Word, _exact_str, _record
+from .core import Transformation, Word, _check_level, _exact_str, _record
 from .counting import NC, NS, _iter_counts, iter_ns_counts, reachable_uc_lengths
 from .errors import (
     AlphabetMismatchError,
@@ -140,8 +140,7 @@ def find_minimal_level(
     hs = tuple(hs)
     k = _common_alphabet(hs).size
     _check_block_factor(block_factor)
-    if max_level < 0:
-        raise ArgumentError("max_level must be >= 0")
+    _check_level(max_level, "max_level")
     multiplicity = Counter(hs)  # first-occurrence order
     iters = [iter_ns_counts(h) for h in multiplicity]
     for level, counts in enumerate(itertools.islice(zip(*iters), max_level + 1)):
@@ -205,8 +204,7 @@ def coin_audit(
     alphabet = _common_alphabet(hs)
     if len(parts) != len(hs):
         raise ArgumentError("need exactly one word block per transformation")
-    if level < 0:
-        raise ArgumentError("level must be >= 0")
+    _check_level(level)
     # refuse before any word is read: each block a word is sent through must
     # reach the level, checked in block order
     parts = [list(part) for part in parts]

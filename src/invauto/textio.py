@@ -21,6 +21,8 @@ are stable.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .core import Automaton
 from .errors import ParseError, ValidationError
@@ -185,11 +187,14 @@ def render_dsl(automaton: Automaton, name: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json(
+def _json_doc(
     automaton: Automaton,
     name: str | None = None,
     description: str | None = None,
-) -> str:
+) -> dict:
+    """The JSON document of ``automaton``, as :func:`parse_document` reads
+    it back: the alphabet, each state's row keyed by letter, and the
+    metadata that is given."""
     states = {
         state: {
             letter: [
@@ -205,7 +210,42 @@ def render_json(
         doc["name"] = name
     if description is not None:
         doc["description"] = description
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return doc
+
+
+def render_json(
+    automaton: Automaton,
+    name: str | None = None,
+    description: str | None = None,
+) -> str:
+    """Exactly ``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline,
+    ``doc`` being the machine's document (:func:`_json_doc`), written here
+    key by key in sorted order: with an indent json falls back to its
+    pure-Python encoder.  Every string is escaped by the C function json
+    itself uses."""
+    symbols, states = automaton.alphabet.symbols, automaton.states
+    letter_text = list(map(encode_basestring_ascii, symbols))
+    state_text = list(map(encode_basestring_ascii, states))
+    letters = sorted(range(len(symbols)), key=symbols.__getitem__)
+    parts = ['{\n  "alphabet": [\n    ', ",\n    ".join(letter_text), "\n  ],\n"]
+    if description is not None:
+        parts += ('  "description": ', json.dumps(description), ",\n")
+    if name is not None:
+        parts += ('  "name": ', json.dumps(name), ",\n")
+    # a state's block is one %-template, filled for every state at C speed:
+    # its name, then next state and output for each letter in sorted order
+    # ('%' in a letter is doubled, so the template prints it as it is)
+    entry = "      %s: [\n        %%s,\n        %%s\n      ]"
+    rows = ",\n".join(entry % letter_text[x].replace("%", "%%") for x in letters)
+    template = "    %s: {\n" + rows + "\n    }"
+    fields = [state_text]
+    for x in letters:
+        fields.append(map(state_text.__getitem__, map(itemgetter(x), automaton.transitions)))
+        fields.append(map(letter_text.__getitem__, map(itemgetter(x), automaton.outputs)))
+    blocks = list(map(template.__mod__, zip(*fields)))
+    order = sorted(range(len(states)), key=states.__getitem__)
+    parts += ('  "states": {\n', ",\n".join(map(blocks.__getitem__, order)), "\n  }\n}\n")
+    return "".join(parts)
 
 
 def _quote(s: str) -> str:

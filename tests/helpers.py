@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -17,6 +18,7 @@ from collections import deque
 from pathlib import Path
 
 import invauto as iv
+from invauto import textio
 from invauto.core import pair_name
 from invauto.errors import (
     AlphabetMismatchError,
@@ -454,6 +456,12 @@ def oracle_compose(a, b, prune_from=None):
         policy = iv.MaterializationPolicy(f"{fam_a}*{fam_b}", min(depths), tuple(horizons))
 
     return iv.Automaton(a.alphabet, tuple(names), tuple(transitions), tuple(outputs), policy)
+
+
+def oracle_render_json(automaton, name=None, description=None):
+    """JSON text as render_json once wrote it: json's own dump of the
+    document, keys sorted and indented by 2, plus a newline."""
+    return json.dumps(textio._json_doc(automaton, name, description), sort_keys=True, indent=2) + "\n"
 
 
 def oracle_validate(alphabet, states, transitions, outputs):

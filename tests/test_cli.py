@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import resource
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -337,6 +338,10 @@ def test_t1_report_multiple_items(capsys):
     assert json.loads(out)["per_item"] == ["1", "1"]
 
 
+# a level past sys.maxsize, which no count table or islice can reach
+HUGE = "99999999999999999999"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -352,10 +357,23 @@ def test_t1_report_multiple_items(capsys):
         ["validate", "--file", "{alphabet_null}"],
         ["validate", "--file", "{alphabet_true}"],
         ["validate", "--file", "{alphabet_float}"],
+        ["ns", "--gen", "adding", "--state", "q", "--max-level", HUGE],
+        ["ns", "--gen", "adding", "--state", "q", "--max-level", str(sys.maxsize)],
+        ["nc", "--gen", "adding", "--state", "q", "--max-level", HUGE],
+        ["ns", "--gen", "remark_chain", "--depth", "3", "--state", "q_1", "--max-level", HUGE],
+        ["t1-report", "--gen", "adding", "--state", "q", "-l", HUGE],
+        ["t2-report", "--gen", "adding", "--state", "q", "-l", HUGE, "-m", "1"],
+        ["min-level", "--gen", "adding", "--state", "q", "--l-max", HUGE],
+        ["min-level", "--gen", "adding", "--state", "q", "--l-max", str(sys.maxsize)],
+        ["audit", "--input", "{huge_level}"],
+        ["audit", "--input", "{huge_level_words}"],
     ],
     ids=["negative-level", "periods-zero", "lemma2-zero", "audit-no-parts",
          "audit-not-json", "item-bad-depth", "alphabet-number", "alphabet-null",
-         "alphabet-true", "alphabet-float"],
+         "alphabet-true", "alphabet-float", "ns-huge-level", "ns-maxsize-level",
+         "nc-huge-level", "ns-huge-level-past-horizon", "t1-huge-level", "t2-huge-level",
+         "min-level-huge-l-max", "min-level-maxsize-l-max", "audit-huge-level",
+         "audit-huge-level-with-words"],
 )
 def test_malformed_input_gives_one_error_line(capsys, tmp_path, argv):
     texts = {
@@ -365,6 +383,10 @@ def test_malformed_input_gives_one_error_line(capsys, tmp_path, argv):
         "alphabet_null": '{"alphabet": null, "states": {}}',
         "alphabet_true": '{"alphabet": true, "states": {}}',
         "alphabet_float": '{"alphabet": 1.5, "states": {}}',
+        "huge_level": json.dumps({"level": int(HUGE), "transformations": ["gen:adding@q"],
+                                  "parts": [[]]}),
+        "huge_level_words": json.dumps({"level": int(HUGE), "transformations": ["gen:adding@q"],
+                                        "parts": [["0"]]}),
     }
     files = {name: tmp_path / f"{name}.json" for name in texts}
     for name, text in texts.items():

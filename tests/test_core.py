@@ -410,6 +410,17 @@ def test_compose_matches_oracle(pair):
     assert_composes_like_oracle(*pair)
 
 
+@settings(max_examples=60, deadline=None)
+@given(machine_pairs())
+def test_product_output_rows_are_shared(pair):
+    a, b = pair
+    most = len(set(a.outputs)) * len(set(b.outputs))
+    products = [iv.compose(a, b)]
+    products += [iv.compose(a, b, prune_from=p) for p in itertools.product(a.states, b.states)]
+    for product in products:
+        assert len({id(row) for row in product.outputs}) <= most
+
+
 @pytest.mark.parametrize("da,db", [(1, 1), (2, 5), (4, 3)])
 def test_compose_matches_oracle_with_policies(da, db):
     finite = random_automaton(random.Random(da * 10 + db), 3, 4)

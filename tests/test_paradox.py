@@ -86,6 +86,23 @@ def test_report_refuses_negative_level(report):
         report([adding().at("q")], -1)
 
 
+@pytest.mark.parametrize("call, what", [
+    (lambda g, level: iv.count_ns(g, level), "level"),
+    (lambda g, level: iv.count_nc(g, level), "level"),
+    (lambda g, level: iv.theorem1_report([g], level), "level"),
+    (lambda g, level: iv.theorem2_report([g], level, 1), "level"),
+    (lambda g, level: iv.find_minimal_level([g], 8, level), "max_level"),
+    (lambda g, level: iv.coin_audit(level, [[]], [g]), "level"),
+    (lambda g, level: iv.coin_audit(level, [[(0,)]], [g]), "level"),
+], ids=["ns", "nc", "t1", "t2", "min-level", "audit", "audit-with-words"])
+@pytest.mark.parametrize("g", [adding().at("q"), remark_chain(3).at("q_1")], ids=["adding", "chain"])
+@pytest.mark.parametrize("level", [sys.maxsize, 10**20])
+def test_a_level_from_sys_maxsize_up_is_a_usage_error(call, what, g, level):
+    # also past a depth-bounded table's horizon: the level itself is refused
+    with pytest.raises(iv.ArgumentError, match=f"^{what} must be below sys.maxsize, {sys.maxsize}$"):
+        call(g, level)
+
+
 def test_report_rejects_mixed_alphabets():
     with pytest.raises(iv.AlphabetMismatchError):
         iv.theorem1_report([adding().at("q"), remark_chain(3).at("q_1")], 2)

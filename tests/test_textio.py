@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 import invauto as iv
 from invauto import textio
-from helpers import adding, flip_alternator, full_corpus, named_table, uv_core
+from helpers import (
+    adding,
+    flip_alternator,
+    full_corpus,
+    named_table,
+    oracle_render_json,
+    uv_core,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -156,6 +163,39 @@ def test_json_round_trip_on_corpus():
         machine = g.automaton
         again = iv.parse_automaton(iv.render_json(machine))
         assert named_table(again) == named_table(machine)
+
+
+# text json escapes (quotes, backslashes, control characters, a lone
+# surrogate), non-ASCII text, and pieces that sort apart from table order
+_JSON_PIECES = ('"', "\\", "\x00", "\x1f", "\x7f", "\ud800", "\udfff", "\u00e9", "\u2028",
+                "\U0001f600", "%", "%s", "/", "10", "2", "Z", "a", " ")
+_json_text = st.one_of(st.lists(st.sampled_from(_JSON_PIECES), max_size=4).map("".join), st.text())
+
+
+@st.composite
+def _json_machines(draw):
+    """A machine over "10", "2" and up to two drawn letters, whose drawn
+    state names come in any order."""
+    extra = [x for x in draw(st.lists(_json_text, max_size=2)) if x and not any(map(str.isspace, x))]
+    letters = list(dict.fromkeys(["10", "2", *extra]))
+    states = draw(st.permutations(draw(st.lists(_json_text, min_size=1, max_size=5, unique=True))))
+    table = {
+        state: {
+            x: (draw(st.sampled_from(states)), y)
+            for x, y in zip(letters, draw(st.permutations(letters)))
+        }
+        for state in states
+    }
+    return iv.Automaton.from_table(draw(st.permutations(letters)), table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_machines(), st.none() | _json_text, st.none() | _json_text)
+def test_render_json_writes_the_bytes_of_json_dumps(machine, name, description):
+    assert iv.render_json(machine) == oracle_render_json(machine)
+    text = iv.render_json(machine, name=name, description=description)
+    assert text == oracle_render_json(machine, name, description)
+    assert text.isascii()
 
 
 def test_json_and_dsl_parses_agree():
