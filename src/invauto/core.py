@@ -191,11 +191,12 @@ class Alphabet:
             raise AlphabetTooSmallError(
                 f"alphabet needs at least 2 letters, got {len(self.symbols)}"
             )
+        # symbols first: one that is not a str may not even hash
+        for sym in self.symbols:
+            if not isinstance(sym, str) or not sym or any(ch.isspace() for ch in sym):
+                raise ValidationError(f"bad alphabet symbol {sym!r}")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValidationError("alphabet symbols must be pairwise distinct")
-        for sym in self.symbols:
-            if not sym or any(ch.isspace() for ch in sym):
-                raise ValidationError(f"bad alphabet symbol {sym!r}")
         object.__setattr__(self, "_lookup", {s: i for i, s in enumerate(self.symbols)})
 
     @classmethod
@@ -249,9 +250,10 @@ class Alphabet:
 class MaterializationPolicy:
     """Record that an automaton is a finite stand-in for a parametric family.
 
-    ``depth`` is how much of the family was materialized.  ``horizons`` maps
-    state names to the largest processing length for which the table is exact
-    when started there; states without an entry are exact at every length.
+    ``depth`` (an int >= 1) is how much of the family was materialized.
+    ``horizons`` maps state names to the largest processing length (an int
+    >= 0) for which the table is exact when started there; states without
+    an entry are exact at every length.
     """
 
     family: str
@@ -259,9 +261,16 @@ class MaterializationPolicy:
     horizons: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.depth, int):
+            raise ValidationError(f"materialization depth must be an int, got {self.depth!r}")
         if self.depth < 1:
             raise ValidationError("materialization depth must be >= 1")
         object.__setattr__(self, "horizons", tuple(self.horizons))
+        for state, horizon in self.horizons:
+            if not isinstance(horizon, int) or horizon < 0:
+                raise ValidationError(
+                    f"horizon of state {state!r} must be an int >= 0, got {horizon!r}"
+                )
         object.__setattr__(self, "_lookup", dict(self.horizons))
 
     def horizon(self, state: str) -> int | None:
@@ -273,7 +282,8 @@ class Automaton:
     """A complete, invertible letter transducer.
 
     ``transitions[q][x]`` is the successor state index and ``outputs[q][x]``
-    the emitted letter index when state ``q`` reads letter ``x``.
+    the emitted letter index when state ``q`` reads letter ``x``.  A
+    ``policy`` may give horizons (ints >= 0) only to states of this table.
     """
 
     alphabet: Alphabet
@@ -306,6 +316,10 @@ class Automaton:
         )
         if not valid:
             self._reject_first_bad_state()
+        policy = self.policy
+        if policy is not None and not policy._lookup.keys() <= index.keys():
+            unknown = next(s for s, _ in policy.horizons if s not in index)
+            raise UnknownStateError(f"policy names unknown state {unknown!r}")
         object.__setattr__(self, "_index", index)
 
     def __hash__(self) -> int:
@@ -327,8 +341,7 @@ class Automaton:
         """Raise for the first state whose rows are malformed, state by state."""
         n, k = len(self.states), self.alphabet.size
         identity = tuple(range(k))
-        for q, name in enumerate(self.states):
-            trow, orow = self.transitions[q], self.outputs[q]
+        for name, trow, orow in zip(self.states, self.transitions, self.outputs):
             if len(trow) > k or len(orow) > k:
                 raise ValidationError(f"state {name!r} has more rows than letters")
             if len(trow) < k or len(orow) < k:
@@ -538,17 +551,14 @@ def invert(automaton: Automaton) -> Automaton:
     Because each output row is a permutation the swapped rows are total, and
     the machine started at q^-1 undoes the original machine started at q.
     """
-    k = automaton.alphabet.size
-    transitions, outputs = [], []
-    for q in range(automaton.n_states):
-        trow = [0] * k
-        orow = [0] * k
-        for x in range(k):
-            y = automaton.outputs[q][x]
-            trow[y] = automaton.transitions[q][x]
-            orow[y] = x
-        transitions.append(tuple(trow))
-        outputs.append(tuple(orow))
+    letters = range(automaton.alphabet.size)
+    # one inverse per distinct output row, shared by every state with that
+    # row: the inverse's letter y is the letter that row maps to y
+    inverse = {row: tuple(sorted(letters, key=row.__getitem__)) for row in set(automaton.outputs)}
+    outputs = tuple(map(inverse.__getitem__, automaton.outputs))
+    transitions = tuple(
+        tuple(map(trow.__getitem__, irow)) for trow, irow in zip(automaton.transitions, outputs)
+    )
     policy = automaton.policy
     if policy is not None:
         policy = _derived_policy(
@@ -557,8 +567,8 @@ def invert(automaton: Automaton) -> Automaton:
     return Automaton(
         automaton.alphabet,
         tuple(inverse_name(s) for s in automaton.states),
-        tuple(transitions),
-        tuple(outputs),
+        transitions,
+        outputs,
         policy,
     )
 
@@ -660,7 +670,7 @@ def minimize(automaton: Automaton) -> tuple[Automaton, dict[str, str]]:
     while True:
         labels = {}
         refined = [
-            labels.setdefault((c, tuple(cls[t] for t in row)), len(labels))
+            labels.setdefault((c, *map(cls.__getitem__, row)), len(labels))
             for c, row in zip(cls, automaton.transitions)
         ]
         stable = len(labels) == len(set(cls))
@@ -674,7 +684,7 @@ def minimize(automaton: Automaton) -> tuple[Automaton, dict[str, str]]:
         members.setdefault(c, []).append(q)
     ordered = [qs[0] for qs in members.values()]
     names = tuple(automaton.states[q] for q in ordered)
-    transitions = tuple(tuple(cls[t] for t in automaton.transitions[q]) for q in ordered)
+    transitions = tuple(tuple(map(cls.__getitem__, automaton.transitions[q])) for q in ordered)
     outputs = tuple(automaton.outputs[q] for q in ordered)
 
     policy = automaton.policy
@@ -698,7 +708,7 @@ def trivial_states(automaton: Automaton) -> frozenset[int]:
     """
     identity = tuple(range(automaton.alphabet.size))
     return greatest_closed_subset(
-        automaton, {q for q in range(automaton.n_states) if automaton.outputs[q] == identity}
+        automaton, {q for q, row in enumerate(automaton.outputs) if row == identity}
     )
 
 
@@ -760,23 +770,19 @@ def generate_builtin(
                 f"depth {depth} cannot serve processing length {length}; "
                 f"materialize at least depth {length}"
             )
-        table: dict[str, dict[str, tuple[str, str]]] = {}
-        for i in range(1, depth + 1):
-            down = "e" if i == 1 else f"q_{i - 1}"
-            up = f"q_{i + 1}" if i < depth else f"q_{depth}"
-            table[f"q_{i}"] = {
-                "0": ("e", "1"),
-                "1": (down, "0"),
-                "2": (up, "2"),
-                "3": (up, "3"),
-            }
-        table["e"] = {x: ("e", x) for x in "0123"}
-        policy = MaterializationPolicy(
-            "remark_chain",
-            depth,
-            tuple((f"q_{i}", depth - i + 1) for i in range(1, depth + 1)),
-        )
-        return Automaton.from_table(("0", "1", "2", "3"), table, policy)
+        # q_i is index i - 1 and e is index depth; q_i steps down to q_{i-1}
+        # (q_1 to e) and up to q_{i+1}, clamped at q_depth
+        states = (*(f"q_{i}" for i in range(1, depth + 1)), "e")
+        downs = (depth, *range(depth - 1))
+        ups = (*range(1, depth), depth - 1)
+        transitions = [(depth, down, up, up) for down, up in zip(downs, ups)]
+        transitions.append((depth,) * 4)
+        outputs = ((1, 0, 2, 3),) * depth + ((0, 1, 2, 3),)
+        # q_i is exact for depth - i + 1 letters
+        horizons = tuple(zip(states, range(depth, 0, -1)))
+        policy = MaterializationPolicy("remark_chain", depth, horizons)
+        alphabet = Alphabet(("0", "1", "2", "3"))
+        return Automaton(alphabet, states, tuple(transitions), outputs, policy)
     raise UnknownFamilyError(
         f"unknown builtin family {name!r}; choose from {', '.join(BUILTIN_FAMILIES)}"
     )

@@ -177,13 +177,12 @@ def render_dsl(automaton: Automaton, name: str | None = None) -> str:
     if name:
         _check_dsl_comment(name, f"name {name!r}")
         lines.append(f"# {name}")
-    lines.append("alphabet: " + " ".join(automaton.alphabet.symbols))
-    for q, state in enumerate(automaton.states):
+    symbols, states = automaton.alphabet.symbols, automaton.states
+    lines.append("alphabet: " + " ".join(symbols))
+    for state, trow, orow in zip(states, automaton.transitions, automaton.outputs):
         lines.append(f"state {state}:")
-        for x, letter in enumerate(automaton.alphabet.symbols):
-            nxt = automaton.states[automaton.transitions[q][x]]
-            out = automaton.alphabet.symbols[automaton.outputs[q][x]]
-            lines.append(f"  {letter} -> {nxt} | {out}")
+        for letter, t, y in zip(symbols, trow, orow):
+            lines.append(f"  {letter} -> {states[t]} | {symbols[y]}")
     return "\n".join(lines) + "\n"
 
 
@@ -195,17 +194,12 @@ def _json_doc(
     """The JSON document of ``automaton``, as :func:`parse_document` reads
     it back: the alphabet, each state's row keyed by letter, and the
     metadata that is given."""
+    symbols, names = automaton.alphabet.symbols, automaton.states
     states = {
-        state: {
-            letter: [
-                automaton.states[automaton.transitions[q][x]],
-                automaton.alphabet.symbols[automaton.outputs[q][x]],
-            ]
-            for x, letter in enumerate(automaton.alphabet.symbols)
-        }
-        for q, state in enumerate(automaton.states)
+        state: {letter: [names[t], symbols[y]] for letter, t, y in zip(symbols, trow, orow)}
+        for state, trow, orow in zip(names, automaton.transitions, automaton.outputs)
     }
-    doc: dict = {"alphabet": list(automaton.alphabet.symbols), "states": states}
+    doc: dict = {"alphabet": list(symbols), "states": states}
     if name is not None:
         doc["name"] = name
     if description is not None:
@@ -258,15 +252,13 @@ def render_dot(automaton: Automaton, name: str = "automaton") -> str:
     States are emitted in table order and letters in alphabet order, so the
     output is byte-stable.
     """
+    symbols, states = automaton.alphabet.symbols, automaton.states
     lines = [f"digraph {_quote(name)} {{", "  rankdir=LR;"]
-    for state in automaton.states:
+    for state in states:
         lines.append(f"  {_quote(state)} [shape=circle];")
-    for q, state in enumerate(automaton.states):
-        for x, letter in enumerate(automaton.alphabet.symbols):
-            nxt = automaton.states[automaton.transitions[q][x]]
-            out = automaton.alphabet.symbols[automaton.outputs[q][x]]
-            lines.append(
-                f"  {_quote(state)} -> {_quote(nxt)} [label={_quote(f'{letter}|{out}')}];"
-            )
+    for state, trow, orow in zip(states, automaton.transitions, automaton.outputs):
+        source = f"  {_quote(state)} -> "
+        for letter, t, y in zip(symbols, trow, orow):
+            lines.append(f"{source}{_quote(states[t])} [label={_quote(f'{letter}|{symbols[y]}')}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -18,8 +18,7 @@ from collections import deque
 from pathlib import Path
 
 import invauto as iv
-from invauto import textio
-from invauto.core import pair_name
+from invauto.core import inverse_name, pair_name
 from invauto.errors import (
     AlphabetMismatchError,
     MissingTransitionError,
@@ -458,10 +457,103 @@ def oracle_compose(a, b, prune_from=None):
     return iv.Automaton(a.alphabet, tuple(names), tuple(transitions), tuple(outputs), policy)
 
 
+def oracle_invert(automaton):
+    """The inverse built letter by letter, as invert once did: the reference
+    for its state order, tables and policy."""
+    k = automaton.alphabet.size
+    transitions, outputs = [], []
+    for q in range(automaton.n_states):
+        trow = [0] * k
+        orow = [0] * k
+        for x in range(k):
+            y = automaton.outputs[q][x]
+            trow[y] = automaton.transitions[q][x]
+            orow[y] = x
+        transitions.append(tuple(trow))
+        outputs.append(tuple(orow))
+    policy = automaton.policy
+    if policy is not None:
+        horizons = tuple((inverse_name(s), h) for s, h in policy.horizons)
+        policy = iv.MaterializationPolicy(policy.family, policy.depth, horizons)
+    names = tuple(inverse_name(s) for s in automaton.states)
+    return iv.Automaton(automaton.alphabet, names, tuple(transitions), tuple(outputs), policy)
+
+
+def oracle_remark_chain(depth):
+    """The remark_chain machine of ``depth`` >= 1 built from its name table,
+    as generate_builtin once built it."""
+    table = {}
+    for i in range(1, depth + 1):
+        down = "e" if i == 1 else f"q_{i - 1}"
+        up = f"q_{i + 1}" if i < depth else f"q_{depth}"
+        table[f"q_{i}"] = {"0": ("e", "1"), "1": (down, "0"), "2": (up, "2"), "3": (up, "3")}
+    table["e"] = {x: ("e", x) for x in "0123"}
+    policy = iv.MaterializationPolicy(
+        "remark_chain", depth, tuple((f"q_{i}", depth - i + 1) for i in range(1, depth + 1))
+    )
+    return iv.Automaton.from_table(("0", "1", "2", "3"), table, policy)
+
+
+def oracle_render_dsl(automaton, name=None):
+    """DSL text written letter by letter, as render_dsl once wrote it, for a
+    machine and name the DSL can carry (this writes, it does not check)."""
+    lines = []
+    if name:
+        lines.append(f"# {name}")
+    lines.append("alphabet: " + " ".join(automaton.alphabet.symbols))
+    for q, state in enumerate(automaton.states):
+        lines.append(f"state {state}:")
+        for x, letter in enumerate(automaton.alphabet.symbols):
+            nxt = automaton.states[automaton.transitions[q][x]]
+            out = automaton.alphabet.symbols[automaton.outputs[q][x]]
+            lines.append(f"  {letter} -> {nxt} | {out}")
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_quote(s):
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def oracle_render_dot(automaton, name="automaton"):
+    """DOT text written letter by letter, as render_dot once wrote it."""
+    quote = _oracle_quote
+    lines = [f"digraph {quote(name)} {{", "  rankdir=LR;"]
+    for state in automaton.states:
+        lines.append(f"  {quote(state)} [shape=circle];")
+    for q, state in enumerate(automaton.states):
+        for x, letter in enumerate(automaton.alphabet.symbols):
+            nxt = automaton.states[automaton.transitions[q][x]]
+            out = automaton.alphabet.symbols[automaton.outputs[q][x]]
+            lines.append(f"  {quote(state)} -> {quote(nxt)} [label={quote(f'{letter}|{out}')}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_json_doc(automaton, name=None, description=None):
+    """The JSON document built letter by letter, as textio._json_doc once
+    built it."""
+    states = {
+        state: {
+            letter: [
+                automaton.states[automaton.transitions[q][x]],
+                automaton.alphabet.symbols[automaton.outputs[q][x]],
+            ]
+            for x, letter in enumerate(automaton.alphabet.symbols)
+        }
+        for q, state in enumerate(automaton.states)
+    }
+    doc = {"alphabet": list(automaton.alphabet.symbols), "states": states}
+    if name is not None:
+        doc["name"] = name
+    if description is not None:
+        doc["description"] = description
+    return doc
+
+
 def oracle_render_json(automaton, name=None, description=None):
     """JSON text as render_json once wrote it: json's own dump of the
     document, keys sorted and indented by 2, plus a newline."""
-    return json.dumps(textio._json_doc(automaton, name, description), sort_keys=True, indent=2) + "\n"
+    return json.dumps(oracle_json_doc(automaton, name, description), sort_keys=True, indent=2) + "\n"
 
 
 def oracle_validate(alphabet, states, transitions, outputs):
@@ -611,6 +703,25 @@ def random_mixed_degree(rng: random.Random, n_states: int, k: int) -> iv.Automat
     table["u1"] = {s: ("u0", swap[s]) for s in symbols}
     table["e"] = {s: ("e", s) for s in symbols}
     return iv.Automaton.from_table(symbols, table)
+
+
+# what the renderers must escape or keep apart: quotes and backslashes for
+# DOT and JSON, '%' for render_json's templates, '->' and '|' for the DSL
+_ODD_PIECES = ('"', "\\", "%", "%s", "->", "|", "q")
+# letters whose sorted order is not their index order
+_ODD_LETTERS = ("10", "2", "0", '%"\\')
+
+
+def random_odd_machine(rng: random.Random, n_states: int, k: int) -> iv.Automaton:
+    """A random, leaky or funnel machine (``k`` <= 4 letters) renamed: each
+    state name has two odd pieces around its number, and the letters are
+    "10", "2", ... (all three formats can still carry every name)."""
+    make = rng.choice([random_automaton, random_leaky, random_funnel])
+    base = make(rng, n_states, k)
+    names = tuple(
+        f"{rng.choice(_ODD_PIECES)}{i}{rng.choice(_ODD_PIECES)}" for i in range(base.n_states)
+    )
+    return iv.Automaton(iv.Alphabet(_ODD_LETTERS[:k]), names, base.transitions, base.outputs)
 
 
 def random_ep_word(rng: random.Random, k: int, max_prefix: int, max_period: int):

@@ -28,9 +28,12 @@ from helpers import (
     full_corpus,
     isomorphic_under,
     oracle_compose,
+    oracle_invert,
+    oracle_remark_chain,
     oracle_validate,
     random_automaton,
     random_leaky,
+    random_odd_machine,
     remark_chain,
     run_python,
     subtract_one,
@@ -419,6 +422,40 @@ def test_product_output_rows_are_shared(pair):
     products += [iv.compose(a, b, prune_from=p) for p in itertools.product(a.states, b.states)]
     for product in products:
         assert len({id(row) for row in product.outputs}) <= most
+
+
+_ODD_MACHINE_ARGS = (st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([2, 3, 4]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(*_ODD_MACHINE_ARGS)
+def test_invert_matches_oracle(seed, n, k):
+    machine = random_odd_machine(random.Random(seed), n, k)
+    assert_same_table(iv.invert(machine), oracle_invert(machine))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 7])
+def test_invert_matches_oracle_with_policy(depth):
+    chain = remark_chain(depth)
+    assert_same_table(iv.invert(chain), oracle_invert(chain))
+
+
+@settings(max_examples=100, deadline=None)
+@given(*_ODD_MACHINE_ARGS)
+def test_inverse_output_rows_are_shared(seed, n, k):
+    machine = random_odd_machine(random.Random(seed), n, k)
+    inverse = iv.invert(machine)
+    assert len({id(row) for row in inverse.outputs}) <= len(set(machine.outputs))
+
+
+def test_remark_chain_matches_its_name_table():
+    for depth in range(1, 51):
+        assert_same_table(remark_chain(depth), oracle_remark_chain(depth))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 50])
+def test_remark_chain_holds_two_output_rows(depth):
+    assert len({id(row) for row in remark_chain(depth).outputs}) == 2
 
 
 @pytest.mark.parametrize("da,db", [(1, 1), (2, 5), (4, 3)])

@@ -107,6 +107,7 @@ def test_an_automaton_hashed_here_hashes_afresh_under_another_hash_seed(monkeypa
 
 _LETTERS = invauto.Alphabet(("x0", "x1"))
 _ADDS = adding().at("q")
+_CHAIN = remark_chain(3)
 
 
 # each call gives its value, or raises the error given in its place
@@ -142,6 +143,17 @@ def test_public_edge_paths(call, expected):
 @pytest.mark.parametrize("call, expected", [
     (lambda: invauto.MaterializationPolicy("remark", 0),
      invauto.ValidationError("materialization depth must be >= 1")),
+    (lambda: invauto.MaterializationPolicy("remark", 2.0),
+     invauto.ValidationError("materialization depth must be an int, got 2.0")),
+    (lambda: invauto.MaterializationPolicy("remark", 2, (("q_1", -1),)),
+     invauto.ValidationError("horizon of state 'q_1' must be an int >= 0, got -1")),
+    (lambda: invauto.MaterializationPolicy("remark", 2, (("q_1", 1.5),)),
+     invauto.ValidationError("horizon of state 'q_1' must be an int >= 0, got 1.5")),
+    (lambda: invauto.Automaton(
+        _CHAIN.alphabet, _CHAIN.states, _CHAIN.transitions, _CHAIN.outputs,
+        invauto.MaterializationPolicy("remark_chain", 3, (("q1", 3), ("q2", 2), ("q3", 1)))),
+     invauto.UnknownStateError("policy names unknown state 'q1'")),
+    (lambda: invauto.Alphabet(("0", 1)), invauto.ValidationError("bad alphabet symbol 1")),
     (lambda: invauto.Automaton(_LETTERS, (), (), ()),
      invauto.ValidationError("automaton needs at least one state")),
     (lambda: invauto.Automaton.from_table(("0", "1"), {"a": {
@@ -179,7 +191,9 @@ def test_public_edge_paths(call, expected):
      invauto.ArgumentError("need at least one transformation")),
     (lambda: invauto.EventuallyPeriodicWord((0,), (1,))[-1],
      IndexError("infinite words have no negative positions")),
-], ids=["policy-depth-0", "no-states", "row-for-unknown-letter", "stream-letter",
+], ids=["policy-depth-0", "policy-depth-not-int", "policy-horizon-below-0",
+        "policy-horizon-not-int", "policy-names-unknown-state", "letter-not-str",
+        "no-states", "row-for-unknown-letter", "stream-letter",
         "empty-cycle", "repeated-cycle-state", "count-kind", "level-0-count", "max-level",
         "growth-category", "growth-degree-present", "growth-rate-absent",
         "growth-degree-0", "growth-bounds-not-exponential", "growth-bounds-reversed",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +17,11 @@ from helpers import (
     flip_alternator,
     full_corpus,
     named_table,
+    oracle_json_doc,
+    oracle_render_dot,
+    oracle_render_dsl,
     oracle_render_json,
+    random_odd_machine,
     uv_core,
 )
 
@@ -187,6 +192,21 @@ def _json_machines(draw):
         for state in states
     }
     return iv.Automaton.from_table(draw(st.permutations(letters)), table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([2, 3, 4]))
+def test_renderers_write_the_bytes_of_their_oracles(seed, n, k):
+    machine = random_odd_machine(random.Random(seed), n, k)
+    name = 'odd "%s" -> | \\ name'
+    dsl = iv.render_dsl(machine, name=name)
+    assert dsl == oracle_render_dsl(machine, name=name)
+    assert iv.render_dsl(machine) == oracle_render_dsl(machine)
+    assert iv.parse_automaton(dsl) == machine
+    assert iv.render_dot(machine) == oracle_render_dot(machine)
+    assert iv.render_dot(machine, name=name) == oracle_render_dot(machine, name=name)
+    assert textio._json_doc(machine, name, name) == oracle_json_doc(machine, name, name)
+    assert iv.render_json(machine) == oracle_render_json(machine)
 
 
 @settings(max_examples=200, deadline=None)
