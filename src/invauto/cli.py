@@ -175,15 +175,27 @@ def cmd_invert(args) -> int:
     return 0
 
 
+def _split_prune(text: str, left, right) -> tuple[str, str]:
+    """``--prune STATE_A,STATE_B``, split at the comma where the stripped left
+    part names a state of ``left`` and the right part one of ``right``: the
+    state names of a product hold commas themselves.  Two such commas are
+    refused; with none, the split is at the first comma, and compose names
+    the unknown state."""
+    splits = [(text[:i].strip(), text[i + 1:].strip()) for i, ch in enumerate(text) if ch == ","]
+    if not splits:
+        raise ArgumentError("--prune expects STATE_A,STATE_B")
+    left_names, right_names = set(left.states), set(right.states)
+    readings = [(a, b) for a, b in splits if a in left_names and b in right_names]
+    if len(readings) > 1:
+        shown = " or ".join(map(repr, readings))
+        raise ArgumentError(f"--prune {text!r} is ambiguous: it reads as {shown}")
+    return readings[0] if readings else splits[0]
+
+
 def cmd_compose(args) -> int:
     left = _automaton_from_source(args.left)
     right = _automaton_from_source(args.right)
-    prune = None
-    if args.prune:
-        a, sep, b = args.prune.partition(",")
-        if not sep:
-            raise ArgumentError("--prune expects STATE_A,STATE_B")
-        prune = (a.strip(), b.strip())
+    prune = _split_prune(args.prune, left, right) if args.prune else None
     sys.stdout.write(invauto.render_dsl(invauto.compose(left, right, prune_from=prune)))
     return 0
 

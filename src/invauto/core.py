@@ -11,7 +11,7 @@ audits.
 from __future__ import annotations
 
 import sys
-from itertools import chain
+from itertools import chain, count
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
@@ -277,6 +277,16 @@ class MaterializationPolicy:
         return self._lookup.get(state)
 
 
+def _sums_to_int(rows: Iterable[tuple[int, ...]]) -> bool:
+    """Whether the entries of ``rows`` sum to an int, in one C-level pass: a
+    float, Fraction or other number among them makes the sum one of those,
+    and a str raises TypeError.  A bool is an int, and passes."""
+    try:
+        return type(sum(chain.from_iterable(rows))) is int
+    except TypeError:
+        return False
+
+
 @_record
 class Automaton:
     """A complete, invertible letter transducer.
@@ -310,6 +320,7 @@ class Automaton:
         identity = list(range(k))
         valid = (
             set(map(len, trans)) == {k} == set(map(len, outs))
+            and _sums_to_int(chain(trans, outs))
             and min(chain.from_iterable(trans)) >= 0
             and max(chain.from_iterable(trans)) < n
             and all(sorted(row) == identity for row in set(outs))
@@ -350,6 +361,9 @@ class Automaton:
                     f"state {name!r} has no entry for letter "
                     f"{self.alphabet.symbols[missing]!r}"
                 )
+            for t in (*trow, *orow):
+                if not isinstance(t, int):
+                    raise ValidationError(f"state {name!r} has an entry that is not an int: {t!r}")
             for t in trow:
                 if not 0 <= t < n:
                     raise UnknownStateError(f"state {name!r} has a dangling transition target")
@@ -699,6 +713,53 @@ def minimize(automaton: Automaton) -> tuple[Automaton, dict[str, str]]:
     return quotient, mapping
 
 
+def _components(automaton: Automaton) -> tuple[list[list[int]], list[int]]:
+    """Strongly connected components of the whole transition graph, and
+    state index -> component number.
+
+    Tarjan's algorithm, iterative (so path length is not bounded by the
+    recursion limit), every state a root in index order; each component
+    comes after every component it has an edge into.  Computed once per
+    automaton object, on first use (never at construction), and kept on it
+    for trivial states, cores, unconditional cycles and growth classes.
+    """
+    if hasattr(automaton, "_components"):
+        return automaton._components
+    trans = automaton.transitions
+    order = [-1] * len(trans)  # visit number, -1 until visited
+    low = [0] * len(trans)
+    comp_of = [-1] * len(trans)  # a visited state with no component yet is on the stack
+    visits = count()
+    stack, work, components = [], [], []
+    for root in range(len(trans)):
+        if order[root] < 0:
+            order[root] = low[root] = next(visits)
+            stack.append(root)
+            work.append((root, iter(trans[root])))
+        while work:
+            q, targets = work[-1]
+            for t in targets:
+                if order[t] < 0:
+                    order[t] = low[t] = next(visits)
+                    stack.append(t)
+                    work.append((t, iter(trans[t])))
+                    break
+                if comp_of[t] < 0 and order[t] < low[q]:
+                    low[q] = order[t]
+            else:
+                work.pop()
+                if work and low[q] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[q]
+                if low[q] == order[q]:  # q and all above it on the stack
+                    component = []
+                    while not component or component[-1] != q:
+                        comp_of[stack[-1]] = len(components)
+                        component.append(stack.pop())
+                    components.append(component)
+    object.__setattr__(automaton, "_components", (components, comp_of))
+    return components, comp_of
+
+
 def trivial_states(automaton: Automaton) -> frozenset[int]:
     """Indices of states that act as the identity on every word.
 
@@ -715,17 +776,19 @@ def trivial_states(automaton: Automaton) -> frozenset[int]:
 def greatest_closed_subset(automaton: Automaton, candidates: set[int]) -> frozenset[int]:
     """Largest subset of ``candidates`` that every transition stays inside.
 
-    Iteratively prunes states with a transition leaving the set; once no
-    state escapes, no word can lead out of what is left.
+    One pass over the kept components (:func:`_components`) that hold a
+    candidate, with no predecessor lists: one is kept iff its states are all
+    candidates and each edge leaving it enters a kept component, met earlier.
     """
-    while True:
-        stable = {
-            q for q in candidates
-            if all(t in candidates for t in automaton.transitions[q])
-        }
-        if stable == candidates:
-            return frozenset(stable)
-        candidates = stable
+    components, comp_of = _components(automaton)
+    trans = automaton.transitions
+    kept = [False] * len(components)
+    for ci in sorted({comp_of[q] for q in candidates}):
+        kept[ci] = all(
+            q in candidates and all(kept[comp_of[t]] or comp_of[t] == ci for t in trans[q])
+            for q in components[ci]
+        )
+    return frozenset(q for q in candidates if kept[comp_of[q]])
 
 
 def is_trivial_state(automaton: Automaton, state: str) -> bool:

@@ -7,10 +7,10 @@ counts over the transition graph, computed by one frontier sweep per level
 with Python's arbitrary-precision integers: each level visits only the
 states that hold mass, along their precomputed alive successors, and each
 level's count is carried forward from the previous one (the most common
-out-degree times it, corrected at the states of another degree).  Each
-automaton object's unconditional cycles are searched for once, on first use,
-and kept on the object: ``find_ucs``, the NC dead set and the reachable
-cycle lengths all read that one result.
+out-degree times it, corrected at the states of another degree).  One
+component pass per automaton object, kept on it from first use, serves
+trivial states, cores, cycles and growth classes; ``find_ucs``, the NC dead
+set and the reachable cycle lengths all read the cycles kept from it.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .core import (
     Automaton,
     Transformation,
     Word,
+    _components,
     _record,
     greatest_closed_subset,
     trivial_states,
@@ -136,22 +137,17 @@ class MembershipDecision:
 
 def _search_ucs(automaton: Automaton) -> tuple[tuple[UnconditionalCycle, ...], dict[int, int]]:
     """The search behind :func:`find_ucs`: the cycles, and cycle state index ->
-    cycle length.  The states with input-independent successors form a partial
-    functional graph; its cycles are exactly the unconditional cycles."""
-    sigma = [row[0] if len(set(row)) == 1 else None for row in automaton.transitions]
-    walk_of = [None] * len(sigma)  # the start of the walk that first reached a state
+    cycle length.  An unconditional cycle is a kept component (``_components``)
+    in which every state's row has one distinct target, inside the component."""
+    components, comp_of = _components(automaton)
+    trans = automaton.transitions
     found = []
-    for q0 in range(len(sigma)):
-        walk = []
-        q = q0
-        while q is not None and walk_of[q] is None:
-            walk_of[q] = q0
-            walk.append(q)
-            q = sigma[q]
-        if q is not None and walk_of[q] == q0:  # the walk closed on itself
-            cycle = walk[walk.index(q):]
-            low = cycle.index(min(cycle))
-            found.append(cycle[low:] + cycle[:low])
+    for ci, comp in enumerate(components):
+        if all(len(set(trans[q])) == 1 and comp_of[trans[q][0]] == ci for q in comp):
+            cycle = [min(comp)]  # rotated to start at the lowest index
+            while len(cycle) < len(comp):
+                cycle.append(trans[cycle[-1]][0])
+            found.append(cycle)
     found.sort()  # by lowest index, which each cycle now starts with
     cycles = tuple(UnconditionalCycle(tuple(automaton.states[i] for i in c)) for c in found)
     return cycles, {q: len(c) for c in found for q in c}
@@ -161,9 +157,9 @@ def find_ucs(automaton: Automaton) -> tuple[UnconditionalCycle, ...]:
     """All maximal unconditional cycles, each starting at its lowest state
     index, ordered by that index.
 
-    A trivial sink state shows up as a cycle of length 1.  The table is
-    searched once per automaton object, on first use (never at
-    construction), and the result is kept on the object.
+    A trivial sink state shows up as a cycle of length 1.  The cycles are
+    read off the kept component pass once per automaton object, on first use
+    (never at construction), and the result is kept on the object.
     """
     kept = getattr(automaton, "_ucs", None)
     if kept is None:
@@ -371,47 +367,6 @@ def _rate_bounds(rows: list[list[int]]) -> tuple[Fraction, Fraction]:
     return Fraction(lo_n - lo_d, lo_d), Fraction(hi_n - hi_d, hi_d)
 
 
-def _strong_components(succ: dict[int, list[int]], root: int) -> list[list[int]]:
-    """Tarjan's strongly connected components of the graph reachable from
-    ``root``, in reverse topological order: each component comes after every
-    component it has an edge into.  Iterative, so path length is not bounded
-    by the recursion limit.
-    """
-    index = {root: 0}
-    low = {root: 0}
-    stack = [root]
-    on_stack = {root}
-    components = []
-    work = [(root, iter(succ[root]))]
-    while work:
-        q, targets = work[-1]
-        for t in targets:
-            if t not in index:
-                index[t] = low[t] = len(index)
-                stack.append(t)
-                on_stack.add(t)
-                work.append((t, iter(succ[t])))
-                break
-            if t in on_stack and index[t] < low[q]:
-                low[q] = index[t]
-        else:
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[q] < low[parent]:
-                    low[parent] = low[q]
-            if low[q] == index[q]:
-                component = []
-                while True:
-                    t = stack.pop()
-                    on_stack.discard(t)
-                    component.append(t)
-                    if t == q:
-                        break
-                components.append(component)
-    return components
-
-
 def classify_growth(g: Transformation) -> GrowthReport:
     """Growth class of NS(g, l) from the cycle structure of the active part.
 
@@ -428,21 +383,17 @@ def classify_growth(g: Transformation) -> GrowthReport:
     dead = trivial_states(automaton)
     if g.start in dead:
         return GrowthReport("bounded")
-    # trivial states lead only to trivial states, so every reachable
-    # nontrivial state is reached along nontrivial states alone
-    succ = {
-        q: [t for t in automaton.transitions[q] if t not in dead]
-        for q in _reach(g) if q not in dead
-    }
-    components = _strong_components(succ, g.start)
-    comp_of = {q: ci for ci, comp in enumerate(components) for q in comp}
+    # trivial states lead only to trivial states, so each component is
+    # wholly trivial or wholly not, and a trivial one meets no cycle below
+    components, comp_of = _components(automaton)
+    trans = automaton.transitions
     bounds = []
-    met: list[int] = []  # most cyclic components on a path from each component
-    for ci, comp in enumerate(components):
-        intra = 0
-        below = 0
+    met = [0] * len(components)  # most cyclic components on a path from each component
+    for ci in sorted({comp_of[q] for q in _reach(g) if q not in dead}):
+        comp = components[ci]
+        intra = below = 0
         for q in comp:
-            for t in succ[q]:
+            for t in trans[q]:
                 cj = comp_of[t]
                 if cj == ci:
                     intra += 1
@@ -451,16 +402,16 @@ def classify_growth(g: Transformation) -> GrowthReport:
         if intra > len(comp):
             local = {q: i for i, q in enumerate(comp)}
             bounds.append(_rate_bounds(
-                [[local[t] for t in succ[q] if t in local] for q in comp]
+                [[local[t] for t in trans[q] if t in local] for q in comp]
             ))
-        met.append((intra >= 1) + below)
+        met[ci] = (intra >= 1) + below
     if bounds:
         lo = max(b[0] for b in bounds)
         hi = max(b[1] for b in bounds)
         return GrowthReport("exponential", rate=float((lo + hi) / 2), rate_bounds=(lo, hi))
-    if met[-1] <= 1:  # the start's component is the last one found
+    if met[comp_of[g.start]] <= 1:
         return GrowthReport("bounded")
-    return GrowthReport("polynomial", degree=met[-1] - 1)
+    return GrowthReport("polynomial", degree=met[comp_of[g.start]] - 1)
 
 
 def _decide_small(g: Transformation, kind: str) -> MembershipDecision:

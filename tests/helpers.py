@@ -299,6 +299,21 @@ def oracle_core(automaton, dead):
     return {q for q in succ if not _reachable(succ, q) & dead}
 
 
+def oracle_closed_subset(automaton, candidates):
+    """Largest subset of ``candidates`` that every transition stays inside,
+    by the round loop ``greatest_closed_subset`` once ran: drop the states
+    with a transition leaving the set, round by round, until none escapes."""
+    candidates = set(candidates)
+    while True:
+        stable = {
+            q for q in candidates
+            if all(t in candidates for t in automaton.transitions[q])
+        }
+        if stable == candidates:
+            return frozenset(stable)
+        candidates = stable
+
+
 def oracle_first_word_into(g, targets):
     """The first word, by length and then lexicographically, whose run from
     g's start ends in the set ``targets``; None if no word does."""
@@ -590,6 +605,17 @@ def oracle_validate(alphabet, states, transitions, outputs):
 
 
 # ---------------------------------------------------------------- generators
+
+def identity_chain(n: int) -> iv.Automaton:
+    """States c0..c{n-1} over {0,1} with identity output rows, each stepping
+    to the next on every letter, into one state ``s`` that swaps the letters
+    and loops: no state is trivial, and the round loop of
+    :func:`oracle_closed_subset` needs a round per chain state."""
+    names = [f"c{i}" for i in range(n)] + ["s"]
+    transitions = tuple((i + 1, i + 1) for i in range(n)) + ((n, n),)
+    outputs = ((0, 1),) * n + ((1, 0),)
+    return iv.Automaton(iv.Alphabet(("0", "1")), tuple(names), transitions, outputs)
+
 
 def random_automaton(rng: random.Random, n_states: int, k: int) -> iv.Automaton:
     """Uniformly random complete machine with permutation output rows."""

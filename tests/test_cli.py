@@ -190,6 +190,54 @@ def test_compose_command_with_gen_sources(capsys, tmp_path):
     assert out.strip() == "01"
 
 
+def test_compose_prune_names_the_states_of_a_product(capsys, tmp_path):
+    """A product's state names hold commas; --prune splits at the comma
+    where each side names a state of its machine, as the library call is
+    given the pair."""
+    code, out, _ = run(capsys, "compose", "gen:adding", "gen:adding")
+    assert code == 0
+    path = tmp_path / "aa.maut"
+    path.write_text(out)
+    twice = invauto.parse_document(out)[0]
+    expected = invauto.render_dsl(
+        invauto.compose(twice, invauto.generate_builtin("adding"), prune_from=("(q,q)", "q"))
+    )
+    for prune in ("(q,q),q", " (q,q) , q "):
+        code, out, err = run(capsys, "compose", str(path), "gen:adding", "--prune", prune)
+        assert (code, out, err) == (0, expected, "")
+    assert out.count("state ") == 6
+
+
+def test_compose_prune_refuses_an_ambiguous_split(capsys, tmp_path):
+    left = tmp_path / "left.maut"
+    right = tmp_path / "right.maut"
+    left.write_text(
+        "alphabet: 0 1\nstate a:\n  0 -> a | 1\n  1 -> a | 0\n"
+        "state a,b:\n  0 -> a | 0\n  1 -> a | 1\n"
+    )
+    right.write_text(
+        "alphabet: 0 1\nstate b,c:\n  0 -> c | 1\n  1 -> c | 0\n"
+        "state c:\n  0 -> c | 0\n  1 -> c | 1\n"
+    )
+    code, out, err = run(capsys, "compose", str(left), str(right), "--prune", "a,b,c")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: --prune 'a,b,c' is ambiguous: it reads as ('a', 'b,c') or ('a,b', 'c')\n"
+    )
+    # one qualifying comma, not the first: the split is there
+    code, out, _ = run(capsys, "compose", str(left), str(right), "--prune", "a,b,b,c")
+    assert code == 0
+    assert out.splitlines()[1] == "state (a,b,b,c):"
+
+
+def test_compose_prune_with_an_unknown_name_keeps_its_message(capsys, tmp_path):
+    code, out, _ = run(capsys, "compose", "gen:adding", "gen:adding")
+    path = tmp_path / "aa.maut"
+    path.write_text(out)
+    code, out, err = run(capsys, "compose", str(path), "gen:adding", "--prune", "(x,q),q")
+    assert (code, out, err) == (1, "", "error: no state named '(x'\n")
+
+
 def test_minimize_command_reports_classes(capsys):
     code, out, _ = run(
         capsys, "minimize", "--file", str(DATA / "adding.maut"), "--json"

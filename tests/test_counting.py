@@ -23,10 +23,13 @@ from helpers import (
     flip_alternator,
     full_corpus,
     generated_repr,
+    identity_chain,
+    oracle_closed_subset,
     oracle_core,
     oracle_first_word_into,
     oracle_growth,
     oracle_reached,
+    oracle_sccs,
     oracle_survivor_words,
     oracle_trivial_states,
     oracle_uc_lengths,
@@ -367,9 +370,107 @@ def test_decide_false_forces_full_growth():
 def test_kept_cycles_survive_pickling():
     machine = flip_alternator()
     cycles = iv.find_ucs(machine)
+    components = iv.core._components(machine)
     for copied in (pickle.loads(pickle.dumps(machine)), copy.deepcopy(machine)):
         assert copied == machine
+        # the kept component pass comes along, and is read, not made again
+        assert vars(copied)["_components"] == components
         assert iv.find_ucs(copied) == cycles
+        assert iv.core._components(copied) is vars(copied)["_components"]
+
+
+# ---------------------------------------------------------------- component pass
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["random", "leaky", "funnel"]),
+    st.integers(1, 30),
+    st.sampled_from([2, 3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_component_pass_matches_oracles(kind, n, k, seed):
+    """The kept components partition the states as mutual reachability
+    does, every edge leads into the same or an earlier component, and the
+    closed subsets read off them are those of the round loop, for random
+    candidate sets of every density."""
+    rng = random.Random(seed)
+    generate = {"random": random_automaton, "leaky": random_leaky, "funnel": random_funnel}
+    machine = generate[kind](rng, n, k)
+    components, comp_of = iv.core._components(machine)
+    expected = oracle_sccs(dict(enumerate(machine.transitions)))
+    assert sorted(map(sorted, components)) == sorted(map(sorted, expected))
+    assert len(comp_of) == machine.n_states
+    assert all(comp_of[q] == ci for ci, comp in enumerate(components) for q in comp)
+    for q, row in enumerate(machine.transitions):
+        assert all(comp_of[t] <= comp_of[q] for t in row)
+    states = range(machine.n_states)
+    for density in (0.0, 0.5, 0.8, 0.95, 1.0):
+        candidates = {q for q in states if rng.random() < density}
+        got = iv.core.greatest_closed_subset(machine, candidates)
+        assert got == oracle_closed_subset(machine, candidates)
+    trivial = iv.trivial_states(machine)
+    assert trivial == frozenset(oracle_trivial_states(machine))
+    assert trivial == oracle_closed_subset(machine, {
+        q for q in states if machine.outputs[q] == tuple(range(k))
+    })
+
+
+def test_identity_chain_matches_oracles():
+    """The chain the round loop needs a round per state for, against the
+    oracles, from its first state and from the swapping state."""
+    for n in range(1, 61):
+        machine = identity_chain(n)
+        assert iv.trivial_states(machine) == frozenset(oracle_trivial_states(machine))
+        uc = set(oracle_uc_lengths(machine))
+        for state in ("c0", "s"):
+            g = machine.at(state)
+            for decide, dead in ((iv.decide_g0, oracle_trivial_states(machine)),
+                                 (iv.decide_g1, uc)):
+                core = oracle_core(machine, dead)
+                decision = decide(g)
+                assert decision.core == tuple(machine.states[q] for q in sorted(core))
+                assert decision.witness == oracle_first_word_into(g, core)
+            report = iv.classify_growth(g)
+            category, degree, rate = oracle_growth(g)
+            assert (report.category, report.degree) == (category, degree)
+            assert report.rate_bounds == (2, 2) and abs(rate - 2) < 1e-6
+
+
+def test_identity_chain_4000_known_answers():
+    machine = identity_chain(4000)
+    g = machine.at("c0")
+    assert iv.trivial_states(machine) == frozenset()
+    g0 = iv.decide_g0(g)
+    assert (g0.member, g0.witness, g0.core) == (False, (), machine.states)
+    assert len(g0.core) == 4001
+    assert iv.decide_g1(g).member
+    report = iv.classify_growth(g)
+    assert report.category == "exponential" and report.rate_bounds == (2, 2)
+
+
+def test_one_component_pass_per_machine(monkeypatch):
+    passes = []
+    components = iv.core._components
+
+    def counted(automaton):
+        if "_components" not in vars(automaton):
+            passes.append(automaton)
+        return components(automaton)
+
+    monkeypatch.setattr(iv.core, "_components", counted)
+    monkeypatch.setattr(iv.counting, "_components", counted)
+    machine = random_leaky(random.Random(7), 12, 2)
+    for state in machine.states:
+        g = machine.at(state)
+        iv.trivial_states(machine)
+        iv.find_ucs(machine)
+        iv.classify_growth(g)
+        iv.decide_g0(g)
+        iv.decide_g1(g)
+    assert passes == [machine]
+    # another machine, another pass
+    iv.decide_g0(adding().at("q"))
+    assert len(passes) == 2
 
 
 @settings(max_examples=200, deadline=None)

@@ -156,6 +156,16 @@ def test_public_edge_paths(call, expected):
     (lambda: invauto.Alphabet(("0", 1)), invauto.ValidationError("bad alphabet symbol 1")),
     (lambda: invauto.Automaton(_LETTERS, (), (), ()),
      invauto.ValidationError("automaton needs at least one state")),
+    (lambda: invauto.Automaton(_LETTERS, ("a",), ((0, 0),), ((1.0, 0.0),)),
+     invauto.ValidationError("state 'a' has an entry that is not an int: 1.0")),
+    (lambda: invauto.Automaton(_LETTERS, ("a", "b"), ((1, 1), (0.0, 0)), ((1, 0), (0, 1))),
+     invauto.ValidationError("state 'b' has an entry that is not an int: 0.0")),
+    (lambda: invauto.Automaton(_LETTERS, ("a",), (("0", 0),), ((1, 0),)),
+     invauto.ValidationError("state 'a' has an entry that is not an int: '0'")),
+    (lambda: invauto.Automaton(_LETTERS, ("a",), ((0, 0),), (("1", 0),)),
+     invauto.ValidationError("state 'a' has an entry that is not an int: '1'")),
+    (lambda: invauto.Automaton(_LETTERS, ("a",), ((0, 0),), ((1, Fraction(0)),)),
+     invauto.ValidationError("state 'a' has an entry that is not an int: Fraction(0, 1)")),
     (lambda: invauto.Automaton.from_table(("0", "1"), {"a": {
         "0": ("a", "1"), "1": ("a", "0"), "2": ("a", "0")}}),
      invauto.LetterOutOfRangeError("state 'a' has a row for unknown letter '2'")),
@@ -193,7 +203,8 @@ def test_public_edge_paths(call, expected):
      IndexError("infinite words have no negative positions")),
 ], ids=["policy-depth-0", "policy-depth-not-int", "policy-horizon-below-0",
         "policy-horizon-not-int", "policy-names-unknown-state", "letter-not-str",
-        "no-states", "row-for-unknown-letter", "stream-letter",
+        "no-states", "float-output", "float-target", "str-target", "str-output",
+        "fraction-output", "row-for-unknown-letter", "stream-letter",
         "empty-cycle", "repeated-cycle-state", "count-kind", "level-0-count", "max-level",
         "growth-category", "growth-degree-present", "growth-rate-absent",
         "growth-degree-0", "growth-bounds-not-exponential", "growth-bounds-reversed",
