@@ -5,12 +5,15 @@ leave the machine in a state still acting nontrivially, and ``count_nc`` the
 words whose state path never touches an unconditional cycle.  Both are path
 counts over the transition graph, computed by one frontier sweep per level
 with Python's arbitrary-precision integers: each level visits only the
-states that hold mass, along their precomputed alive successors, and each
-level's count is carried forward from the previous one (the most common
-out-degree times it, corrected at the states of another degree).  One
-component pass per automaton object, kept on it from first use, serves
-trivial states, cores, cycles and growth classes; ``find_ucs``, the NC dead
-set and the reachable cycle lengths all read the cycles kept from it.
+states that hold mass, along their precomputed alive successors; a target's
+first arrival takes its source's count as it is, and each source's count is
+released once pushed.  Each level's count is carried forward from the
+previous one (the most common out-degree times it, corrected at the states
+of another degree, summed over those states or over the frontier, whichever
+is shorter).  One component pass per automaton object, kept on it from
+first use, serves trivial states, cores, cycles and growth classes;
+``find_ucs``, the NC dead set and the reachable cycle lengths all read the
+cycles kept from it.
 """
 
 from __future__ import annotations
@@ -191,21 +194,31 @@ def _iter_survivor_counts(g: Transformation, dead: frozenset[int]) -> Iterator[i
     ``dead`` is closed under transitions for both kinds (trivial states only
     lead to trivial states; cycle states only cycle), so dropping mass on
     entry is exact: a path ends outside ``dead`` iff it never entered it.
-    Each level visits only the frontier, the states holding nonzero mass.
+    Each level visits only the frontier, the states holding nonzero mass,
+    and pushes each one's mass along its alive successors.  Every mass is a
+    positive int, so a zero entry means "not reached yet": a target's first
+    arrival takes its source's int as it is (ints are immutable, so sharing
+    it is unobservable), and only later arrivals add.  Each source entry is
+    set back to zero once pushed, so the vector drops its reference at once
+    and, all zeros again after the push, receives the level after next.
 
     The total is carried forward, not summed: each alive edge carries its
     source's mass, so with deg(q) the letters leading from q into alive
     states and d the most common deg among them, the next total is
-    d * total + sum((deg(q) - d) * mass(q)), where only the frontier states
-    whose deg differs from d add a term.
+    d * total + sum((deg(q) - d) * mass(q)).  The correction runs over the
+    alive states whose deg differs from d or over the frontier, whichever
+    list is shorter, before the level's mass is pushed.
     """
     automaton = g.automaton
     n = automaton.n_states
-    succ = [[t for t in row if t not in dead] for row in automaton.transitions]
+    succ = [tuple(t for t in row if t not in dead) for row in automaton.transitions]
     deg = [len(targets) for targets in succ]
-    tally = Counter(deg[q] for q in range(n) if q not in dead)
+    alive = [q for q in range(n) if q not in dead]
+    tally = Counter(deg[q] for q in alive)
     d = max(tally, key=tally.__getitem__, default=0)  # first seen on ties
+    off = [(q, deg[q] - d) for q in alive if deg[q] != d]
     vec = [0] * n
+    nxt = [0] * n
     frontier = []
     total = 0
     if g.start not in dead:
@@ -215,18 +228,25 @@ def _iter_survivor_counts(g: Transformation, dead: frozenset[int]) -> Iterator[i
     level = 0
     while True:
         yield total
-        total = d * total + sum([(deg[q] - d) * vec[q] for q in frontier if deg[q] != d])
+        if len(off) < len(frontier):
+            total = d * total + sum([m * c for q, m in off if (c := vec[q])])
+        else:
+            total = d * total + sum([(deg[q] - d) * vec[q] for q in frontier if deg[q] != d])
         level += 1
         g._check_length(level)
-        nxt = [0] * n
         reached = []
         for q in frontier:
             c = vec[q]
+            vec[q] = 0  # released as soon as it is pushed
             for t in succ[q]:
-                if not nxt[t]:
+                s = nxt[t]
+                if s:
+                    nxt[t] = s + c
+                else:  # first arrival: the source's int itself, no 0 + c copy
+                    nxt[t] = c
                     reached.append(t)
-                nxt[t] += c
-        vec, frontier = nxt, reached
+        # every pushed entry was released, so the old vector is all zeros
+        vec, nxt, frontier = nxt, vec, reached
 
 
 def iter_ns_counts(g: Transformation) -> Iterator[int]:

@@ -218,9 +218,11 @@ def coin_audit(
             if len(w) != level:
                 raise ArgumentError(f"word {w} does not have length {level}")
             if w in assignments:
+                j = assignments[w]
                 raise PartitionOverlapError(
-                    f"word {alphabet.text(w)!r} is assigned to blocks "
-                    f"{assignments[w] + 1} and {i + 1}"
+                    f"word {alphabet.text(w)!r} is listed twice in block {i + 1}"
+                    if j == i
+                    else f"word {alphabet.text(w)!r} is assigned to blocks {j + 1} and {i + 1}"
                 )
             assignments[w] = i
     # the assigned words are distinct and of length ``level``, so the parts

@@ -14,7 +14,7 @@ import os
 import random
 import subprocess
 import sys
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 
 import invauto as iv
@@ -227,7 +227,8 @@ def brute_counts(g, max_level):
     return ns, nc
 
 
-def _oracle_dead(automaton, kind):
+def oracle_dead(automaton, kind):
+    """The states a path counted by ``kind`` must avoid, from the oracles."""
     if kind == "ns":
         return oracle_trivial_states(automaton)
     return set(oracle_uc_lengths(automaton))
@@ -240,7 +241,7 @@ def dense_counts(g, kind, max_level):
     automaton = g.automaton
     n, k = automaton.n_states, automaton.alphabet.size
     trans = automaton.transitions
-    dead = _oracle_dead(automaton, kind)
+    dead = oracle_dead(automaton, kind)
     alive = [q for q in range(n) if q not in dead]
     vec = [0] * n
     if g.start not in dead:
@@ -262,12 +263,48 @@ def dense_counts(g, kind, max_level):
     return counts
 
 
+def oracle_survivor_counts(g, dead):
+    """Yields the per-level counts of words whose state path stays out of
+    ``dead`` by the frontier sweep the library used before first arrivals
+    took their source's count: each level's next vector starts from zeros
+    and every edge adds its source's mass to it, and the total is carried
+    forward with the correction summed over the frontier alone."""
+    automaton = g.automaton
+    n = automaton.n_states
+    succ = [[t for t in row if t not in dead] for row in automaton.transitions]
+    deg = [len(targets) for targets in succ]
+    tally = Counter(deg[q] for q in range(n) if q not in dead)
+    d = max(tally, key=tally.__getitem__, default=0)  # first seen on ties
+    vec = [0] * n
+    frontier = []
+    total = 0
+    if g.start not in dead:
+        vec[g.start] = 1
+        frontier.append(g.start)
+        total = 1
+    level = 0
+    while True:
+        yield total
+        total = d * total + sum([(deg[q] - d) * vec[q] for q in frontier if deg[q] != d])
+        level += 1
+        g._check_length(level)
+        nxt = [0] * n
+        reached = []
+        for q in frontier:
+            c = vec[q]
+            for t in succ[q]:
+                if not nxt[t]:
+                    reached.append(t)
+                nxt[t] += c
+        vec, frontier = nxt, reached
+
+
 def oracle_survivor_words(g, kind, level):
     """The words of length ``level`` counted by ``kind``, in lexicographic
     order: every word of that length, kept when its run never enters the
     oracle dead set."""
     trans = g.automaton.transitions
-    dead = _oracle_dead(g.automaton, kind)
+    dead = oracle_dead(g.automaton, kind)
     words = []
     for word in all_words(g.alphabet.size, level):
         q = g.start

@@ -26,10 +26,12 @@ from helpers import (
     identity_chain,
     oracle_closed_subset,
     oracle_core,
+    oracle_dead,
     oracle_first_word_into,
     oracle_growth,
     oracle_reached,
     oracle_sccs,
+    oracle_survivor_counts,
     oracle_survivor_words,
     oracle_trivial_states,
     oracle_uc_lengths,
@@ -128,6 +130,17 @@ def test_counts_match_enumeration_on_random_machines():
         assert list(iv.count_nc(g, 5).counts) == nc
 
 
+def _assert_sweep_matches_oracle(g, max_level):
+    """The survivor sweep against the sweep it replaced, level by level, for
+    the dead set of either kind (a start inside it included)."""
+    for kind in ("ns", "nc"):
+        dead = frozenset(oracle_dead(g.automaton, kind))
+        sweep = iv.counting._iter_survivor_counts(g, dead)
+        oracle = oracle_survivor_counts(g, dead)
+        for level in range(max_level + 1):
+            assert next(sweep) == next(oracle), (kind, g.state, level)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.sampled_from(["random", "leaky", "funnel", "constant"]),
@@ -148,6 +161,7 @@ def test_frontier_sweep_matches_dense_sweep(kind, n, k, seed):
         g = machine.at(state)
         assert list(iv.count_ns(g, 64).counts) == dense_counts(g, "ns", 64)
         assert list(iv.count_nc(g, 64).counts) == dense_counts(g, "nc", 64)
+        _assert_sweep_matches_oracle(g, 64)
 
 
 @settings(max_examples=150, deadline=None)
@@ -161,6 +175,7 @@ def test_carried_totals_match_dense_sweep_on_mixed_degrees(n, k, seed):
         g = machine.at(state)
         assert list(iv.count_ns(g, 64).counts) == dense_counts(g, "ns", 64)
         assert list(iv.count_nc(g, 64).counts) == dense_counts(g, "nc", 64)
+        _assert_sweep_matches_oracle(g, 64)
 
 
 @pytest.mark.parametrize("state", ["q_1", "q_150", "q_300"])
@@ -168,6 +183,10 @@ def test_carried_totals_match_dense_sweep_deep_on_the_chain(state):
     g = without_policy(remark_chain(300)).at(state)
     assert list(iv.count_ns(g, 300).counts) == dense_counts(g, "ns", 300)
     assert list(iv.count_nc(g, 300).counts) == dense_counts(g, "nc", 300)
+    # q_1 is the only alive state off the common degree 3, so once the
+    # frontier holds two states (level 2 from q_1) the correction runs over
+    # q_1 alone instead of the frontier
+    _assert_sweep_matches_oracle(g, 300)
 
 
 def test_carried_totals_match_dense_sweep_deep_at_constant_degree():

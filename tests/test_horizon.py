@@ -103,6 +103,25 @@ def test_apply_stream_yields_horizon_letters_then_raises():
         assert len(list(itertools.islice(unbounded, h + 1))) == h + 1
 
 
+@pytest.mark.parametrize(
+    "stream, table", [(iv.iter_ns_counts, iv.count_ns), (iv.iter_nc_counts, iv.count_nc)]
+)
+def test_count_stream_yields_horizon_counts_then_raises(stream, table):
+    for g, h in CASES:
+        counts = stream(g)
+        assert [next(counts) for _ in range(h + 1)] == list(table(g, h).counts)
+        with pytest.raises(iv.NotMaterializableError) as info:
+            next(counts)
+        assert f"level {h + 1} exceeds the materialized horizon {h} " in str(info.value)
+        unbounded = stream(_unbounded(g))
+        assert len(list(itertools.islice(unbounded, h + 2))) == h + 2
+    counts = iv.iter_ns_counts(remark_chain(3).at("q_1"))
+    assert list(itertools.islice(counts, 4)) == [1, 2, 6, 16]
+    with pytest.raises(iv.NotMaterializableError) as info:
+        next(counts)
+    assert str(info.value) == "level 4 exceeds the materialized horizon 3 of state 'q_1'"
+
+
 def test_apply_to_ep_word_is_exact_within_horizon():
     for g, h in CASES:
         for w in EP_WORDS:

@@ -213,6 +213,17 @@ def test_audit_partition_overlap():
         iv.coin_audit(1, [[(0,)], [(0,), (1,)]], [e, e])
 
 
+def test_audit_overlap_names_the_blocks():
+    e = iv.identity_automaton(2).at("e")
+    words = ["00", "01", "10", "11"]
+    with pytest.raises(iv.PartitionOverlapError) as info:
+        iv.coin_audit(2, [[e.alphabet.word(w) for w in words + ["00"]]], [e])
+    assert str(info.value) == "word '00' is listed twice in block 1"
+    with pytest.raises(iv.PartitionOverlapError) as info:
+        iv.coin_audit(2, [[e.alphabet.word(w) for w in words], [(1, 0)]], [e, e])
+    assert str(info.value) == "word '10' is assigned to blocks 1 and 2"
+
+
 def test_audit_partition_not_total():
     e = iv.identity_automaton(2).at("e")
     with pytest.raises(iv.PartitionNotTotalError):
