@@ -8,12 +8,11 @@ with Python's arbitrary-precision integers: each level visits only the
 states that hold mass, along their precomputed alive successors; a target's
 first arrival takes its source's count as it is, and each source's count is
 released once pushed.  Each level's count is carried forward from the
-previous one (the most common out-degree times it, corrected at the states
-of another degree, summed over those states or over the frontier, whichever
-is shorter).  One component pass per automaton object, kept on it from
-first use, serves trivial states, cores, cycles and growth classes;
-``find_ucs``, the NC dead set and the reachable cycle lengths all read the
-cycles kept from it.
+previous one (the most common out-degree times it, corrected at the
+frontier states of another degree).  One component pass per automaton
+object, kept on it from first use, serves trivial states, cores, cycles and
+growth classes; ``find_ucs``, the NC dead set and the reachable cycle
+lengths all read the cycles kept from it.
 """
 
 from __future__ import annotations
@@ -205,18 +204,16 @@ def _iter_survivor_counts(g: Transformation, dead: frozenset[int]) -> Iterator[i
     The total is carried forward, not summed: each alive edge carries its
     source's mass, so with deg(q) the letters leading from q into alive
     states and d the most common deg among them, the next total is
-    d * total + sum((deg(q) - d) * mass(q)).  The correction runs over the
-    alive states whose deg differs from d or over the frontier, whichever
-    list is shorter, before the level's mass is pushed.
+    d * total + sum((deg(q) - d) * mass(q)), where only the frontier states
+    whose deg differs from d add a term, summed before the level's mass is
+    pushed.
     """
     automaton = g.automaton
     n = automaton.n_states
     succ = [tuple(t for t in row if t not in dead) for row in automaton.transitions]
     deg = [len(targets) for targets in succ]
-    alive = [q for q in range(n) if q not in dead]
-    tally = Counter(deg[q] for q in alive)
+    tally = Counter(deg[q] for q in range(n) if q not in dead)
     d = max(tally, key=tally.__getitem__, default=0)  # first seen on ties
-    off = [(q, deg[q] - d) for q in alive if deg[q] != d]
     vec = [0] * n
     nxt = [0] * n
     frontier = []
@@ -228,10 +225,7 @@ def _iter_survivor_counts(g: Transformation, dead: frozenset[int]) -> Iterator[i
     level = 0
     while True:
         yield total
-        if len(off) < len(frontier):
-            total = d * total + sum([m * c for q, m in off if (c := vec[q])])
-        else:
-            total = d * total + sum([(deg[q] - d) * vec[q] for q in frontier if deg[q] != d])
+        total = d * total + sum([(deg[q] - d) * vec[q] for q in frontier if deg[q] != d])
         level += 1
         g._check_length(level)
         reached = []

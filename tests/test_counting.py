@@ -183,9 +183,6 @@ def test_carried_totals_match_dense_sweep_deep_on_the_chain(state):
     g = without_policy(remark_chain(300)).at(state)
     assert list(iv.count_ns(g, 300).counts) == dense_counts(g, "ns", 300)
     assert list(iv.count_nc(g, 300).counts) == dense_counts(g, "nc", 300)
-    # q_1 is the only alive state off the common degree 3, so once the
-    # frontier holds two states (level 2 from q_1) the correction runs over
-    # q_1 alone instead of the frontier
     _assert_sweep_matches_oracle(g, 300)
 
 
