@@ -277,6 +277,15 @@ class MaterializationPolicy:
         return self._lookup.get(state)
 
 
+def _name_index(states: tuple[str, ...]) -> dict[str, int]:
+    """State name -> index, which doubles as the check that names are
+    distinct (the one check :meth:`Automaton._derived` keeps)."""
+    index = dict(zip(states, range(len(states))))
+    if len(index) != len(states):
+        raise ValidationError("state names must be distinct")
+    return index
+
+
 def _sums_to_int(rows: Iterable[tuple[int, ...]]) -> bool:
     """Whether the entries of ``rows`` sum to an int, in one C-level pass: a
     float, Fraction or other number among them makes the sum one of those,
@@ -292,8 +301,16 @@ class Automaton:
     """A complete, invertible letter transducer.
 
     ``transitions[q][x]`` is the successor state index and ``outputs[q][x]``
-    the emitted letter index when state ``q`` reads letter ``x``.  A
-    ``policy`` may give horizons (ints >= 0) only to states of this table.
+    the emitted letter index when state ``q`` reads letter ``x``.  State
+    names are distinct strs.  A ``policy`` may give horizons (ints >= 0)
+    only to states of this table.
+
+    The constructor (and so :meth:`from_table`, the readers in
+    :mod:`invauto.textio`, :func:`identity_automaton` and
+    :func:`generate_builtin`) checks every table entry by entry.  The
+    machines :func:`compose`, :func:`invert` and :func:`minimize` derive
+    from checked ones are built by :meth:`_derived`, which checks only
+    their names.
     """
 
     alphabet: Alphabet
@@ -306,13 +323,15 @@ class Automaton:
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "transitions", tuple(map(tuple, self.transitions)))
         object.__setattr__(self, "outputs", tuple(map(tuple, self.outputs)))
+        if not set(map(type, self.states)) <= {str}:
+            # slow path only for a str subclass or to name the first non-str
+            for name in self.states:
+                if not isinstance(name, str):
+                    raise ValidationError(f"state name {name!r} is not a str")
         if not self.states:
             raise ValidationError("automaton needs at least one state")
         n, k = len(self.states), self.alphabet.size
-        # the name lookup doubles as the duplicate check
-        index = dict(zip(self.states, range(n)))
-        if len(index) != n:
-            raise ValidationError("state names must be distinct")
+        index = _name_index(self.states)
         trans, outs = self.transitions, self.outputs
         if len(trans) != n or len(outs) != n:
             raise MissingTransitionError("transition and output tables must cover every state")
@@ -332,6 +351,29 @@ class Automaton:
             unknown = next(s for s, _ in policy.horizons if s not in index)
             raise UnknownStateError(f"policy names unknown state {unknown!r}")
         object.__setattr__(self, "_index", index)
+
+    @classmethod
+    def _derived(
+        cls,
+        alphabet: Alphabet,
+        states: tuple[str, ...],
+        transitions: tuple[tuple[int, ...], ...],
+        outputs: tuple[tuple[int, ...], ...],
+        policy: MaterializationPolicy | None,
+    ) -> "Automaton":
+        """A machine whose table was computed from checked machines, built
+        without the entry checks of the constructor: the fields are set as
+        given, so they must already be tuples of tuples (str names, rows of
+        length k, int targets in range, output rows that permute the
+        alphabet, a policy naming only these states).  Only the names are
+        still checked, since they may collide: pairs ``('p,q', 'r')`` and
+        ``('p', 'q,r')`` of a product are both named ``(p,q,r)``."""
+        self = cls.__new__(cls)
+        fields = (alphabet, states, transitions, outputs, policy)
+        for name, value in zip(cls._fields, fields):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_index", _name_index(states))
+        return self
 
     def __hash__(self) -> int:
         """The hash of the field tuple, as every record has, computed once
@@ -564,6 +606,8 @@ def invert(automaton: Automaton) -> Automaton:
 
     Because each output row is a permutation the swapped rows are total, and
     the machine started at q^-1 undoes the original machine started at q.
+    The inverse is built from the checked input without the constructor's
+    entry checks (:meth:`Automaton._derived`); its names are still checked.
     """
     letters = range(automaton.alphabet.size)
     # one inverse per distinct output row, shared by every state with that
@@ -578,7 +622,7 @@ def invert(automaton: Automaton) -> Automaton:
         policy = _derived_policy(
             policy.family, policy.depth, ((inverse_name(s), (h,)) for s, h in policy.horizons)
         )
-    return Automaton(
+    return Automaton._derived(
         automaton.alphabet,
         tuple(inverse_name(s) for s in automaton.states),
         transitions,
@@ -596,6 +640,10 @@ def compose(
 
     State (q, s) acts as "a at q, then b at s".  With ``prune_from`` only the
     pairs reachable from that pair are kept (the rest cannot influence it).
+    The product is built from the two checked inputs without the
+    constructor's entry checks (:meth:`Automaton._derived`), but its names
+    are still checked: pairs ``('p,q', 'r')`` and ``('p', 'q,r')`` would
+    both be named ``(p,q,r)``, and that raises ValidationError.
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError(
@@ -668,7 +716,9 @@ def compose(
             for name, code in zip(names, codes)
         ))
 
-    return Automaton(a.alphabet, tuple(names), tuple(transitions), tuple(outputs), policy)
+    return Automaton._derived(
+        a.alphabet, tuple(names), tuple(transitions), tuple(outputs), policy
+    )
 
 
 def minimize(automaton: Automaton) -> tuple[Automaton, dict[str, str]]:
@@ -677,7 +727,9 @@ def minimize(automaton: Automaton) -> tuple[Automaton, dict[str, str]]:
     Partition refinement: states start in classes keyed by their output row
     and split while some class distinguishes a pair by successor classes.
     The quotient class is named after its lowest-index member.  Returns the
-    quotient and the mapping old state name -> class name.
+    quotient and the mapping old state name -> class name.  The quotient is
+    built from the checked input without the constructor's entry checks
+    (:meth:`Automaton._derived`); its names are still checked.
     """
     labels: dict[tuple, int] = {}
     cls = [labels.setdefault(row, len(labels)) for row in automaton.outputs]
@@ -708,7 +760,7 @@ def minimize(automaton: Automaton) -> tuple[Automaton, dict[str, str]]:
             for c, qs in members.items()
         ))
 
-    quotient = Automaton(automaton.alphabet, names, transitions, outputs, policy)
+    quotient = Automaton._derived(automaton.alphabet, names, transitions, outputs, policy)
     mapping = {name: names[c] for name, c in zip(automaton.states, cls)}
     return quotient, mapping
 

@@ -230,6 +230,22 @@ def test_compose_prune_refuses_an_ambiguous_split(capsys, tmp_path):
     assert out.splitlines()[1] == "state (a,b,b,c):"
 
 
+def test_compose_refuses_two_pairs_of_one_name(capsys, tmp_path):
+    # pairs ('p,q', 'r') and ('p', 'q,r') would both be named (p,q,r)
+    left = tmp_path / "left.maut"
+    right = tmp_path / "right.maut"
+    left.write_text(
+        "alphabet: 0 1\nstate p,q:\n  0 -> p | 1\n  1 -> p | 0\n"
+        "state p:\n  0 -> p | 0\n  1 -> p | 1\n"
+    )
+    right.write_text(
+        "alphabet: 0 1\nstate r:\n  0 -> q,r | 1\n  1 -> q,r | 0\n"
+        "state q,r:\n  0 -> q,r | 0\n  1 -> q,r | 1\n"
+    )
+    code, out, err = run(capsys, "compose", str(left), str(right))
+    assert (code, out, err) == (1, "", "error: state names must be distinct\n")
+
+
 def test_compose_prune_with_an_unknown_name_keeps_its_message(capsys, tmp_path):
     code, out, _ = run(capsys, "compose", "gen:adding", "gen:adding")
     path = tmp_path / "aa.maut"

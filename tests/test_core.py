@@ -32,6 +32,7 @@ from helpers import (
     oracle_remark_chain,
     oracle_validate,
     random_automaton,
+    random_funnel,
     random_leaky,
     random_odd_machine,
     remark_chain,
@@ -476,15 +477,81 @@ def _raised(build):
 
 def test_compose_errors_match_oracle():
     chain = remark_chain(3)
+    # pairs ('p,q', 'r') and ('p', 'q,r') are both named (p,q,r), and the
+    # first leads to the second
+    letters = iv.Alphabet(("0", "1"))
+    commas_a = iv.Automaton(letters, ("p,q", "p"), ((1, 1), (1, 1)), ((1, 0), (0, 1)))
+    commas_b = iv.Automaton(letters, ("r", "q,r"), ((1, 1), (1, 1)), ((1, 0), (0, 1)))
     cases = [
         (adding(), chain, None),
         (chain, chain, ("q_1", "ghost")),
         (chain, chain, ("ghost", "q_1")),
+        (commas_a, commas_b, None),
+        (commas_a, commas_b, ("p,q", "r")),
     ]
     for a, b, prune in cases:
         want = _raised(lambda: oracle_compose(a, b, prune_from=prune))
         assert want is not None
         assert _raised(lambda: iv.compose(a, b, prune_from=prune)) == want
+    assert want == (iv.ValidationError, "state names must be distinct")
+
+
+# ---------------------------------------------------------------- derived machines
+
+def assert_rebuilds_alike(machine):
+    """The checking constructor is the oracle for a machine that compose,
+    invert or minimize built without it: the rebuild from the same fields
+    must pass every check and give the same object state."""
+    rebuilt = iv.Automaton(*(getattr(machine, name) for name in machine._fields))
+    assert list(vars(machine)) == list(vars(rebuilt))
+    assert machine._index == rebuilt._index
+    assert machine == rebuilt
+    assert hash(machine) == hash(rebuilt)
+    loaded = pickle.loads(pickle.dumps(machine))
+    assert loaded == rebuilt and hash(loaded) == hash(rebuilt)
+    assert loaded._index == rebuilt._index
+
+
+def derived_from(a, b, prune_from):
+    """Every kind of machine derived from ``a`` and ``b``, over one alphabet."""
+    product = iv.compose(a, b)
+    yield product
+    yield iv.compose(a, b, prune_from=prune_from)
+    yield iv.invert(product)
+    yield iv.minimize(product)[0]
+    for machine in (a, b):
+        yield iv.invert(machine)
+        yield iv.minimize(machine)[0]
+
+
+@st.composite
+def derivable_pairs(draw):
+    """Two machines over one alphabet, and a pair of their states to prune from."""
+    k = draw(st.sampled_from([2, 3]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        makers = [random_odd_machine]
+    else:
+        makers = [random_automaton, random_leaky, random_funnel]
+    a, b = (draw(st.sampled_from(makers))(rng, draw(st.integers(1, 10)), k) for _ in range(2))
+    return a, b, (draw(st.sampled_from(a.states)), draw(st.sampled_from(b.states)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(derivable_pairs())
+def test_derived_machines_rebuild_alike(case):
+    for machine in derived_from(*case):
+        assert_rebuilds_alike(machine)
+
+
+@pytest.mark.parametrize("depth", range(1, 21))
+def test_derived_chain_machines_rebuild_alike(depth):
+    chain = remark_chain(depth)
+    other = remark_chain(21 - depth)
+    for machine in derived_from(chain, other, ("q_1", f"q_{21 - depth}")):
+        assert machine.policy is not None
+        assert_rebuilds_alike(machine)
+    assert_rebuilds_alike(iv.compose(chain, iv.invert(chain), prune_from=("q_1", "q_1^-1")))
 
 
 # in the order they are applied, so an earlier one never leaves a later one

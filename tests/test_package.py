@@ -166,6 +166,12 @@ def test_public_edge_paths(call, expected):
      invauto.ValidationError("state 'a' has an entry that is not an int: '1'")),
     (lambda: invauto.Automaton(_LETTERS, ("a",), ((0, 0),), ((1, Fraction(0)),)),
      invauto.ValidationError("state 'a' has an entry that is not an int: Fraction(0, 1)")),
+    (lambda: invauto.Automaton(_LETTERS, ("a", 1), ((0, 0), (1, 1)), ((1, 0), (0, 1))),
+     invauto.ValidationError("state name 1 is not a str")),
+    (lambda: invauto.Automaton(_LETTERS, (None,), ((0, 0),), ((1, 0),)),
+     invauto.ValidationError("state name None is not a str")),
+    (lambda: invauto.Automaton.from_table(("0", "1"), {1: {"0": (1, "1"), "1": (1, "0")}}),
+     invauto.ValidationError("state name 1 is not a str")),
     (lambda: invauto.Automaton.from_table(("0", "1"), {"a": {
         "0": ("a", "1"), "1": ("a", "0"), "2": ("a", "0")}}),
      invauto.LetterOutOfRangeError("state 'a' has a row for unknown letter '2'")),
@@ -204,7 +210,7 @@ def test_public_edge_paths(call, expected):
 ], ids=["policy-depth-0", "policy-depth-not-int", "policy-horizon-below-0",
         "policy-horizon-not-int", "policy-names-unknown-state", "letter-not-str",
         "no-states", "float-output", "float-target", "str-target", "str-output",
-        "fraction-output", "row-for-unknown-letter", "stream-letter",
+        "fraction-output", "int-name", "none-name", "int-table-key", "row-for-unknown-letter", "stream-letter",
         "empty-cycle", "repeated-cycle-state", "count-kind", "level-0-count", "max-level",
         "growth-category", "growth-degree-present", "growth-rate-absent",
         "growth-degree-0", "growth-bounds-not-exponential", "growth-bounds-reversed",
