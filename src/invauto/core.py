@@ -279,7 +279,7 @@ class MaterializationPolicy:
 
 def _name_index(states: tuple[str, ...]) -> dict[str, int]:
     """State name -> index, which doubles as the check that names are
-    distinct (the one check :meth:`Automaton._derived` keeps)."""
+    distinct."""
     index = dict(zip(states, range(len(states))))
     if len(index) != len(states):
         raise ValidationError("state names must be distinct")
@@ -307,10 +307,11 @@ class Automaton:
 
     The constructor (and so :meth:`from_table`, the readers in
     :mod:`invauto.textio`, :func:`identity_automaton` and
-    :func:`generate_builtin`) checks every table entry by entry.  The
-    machines :func:`compose`, :func:`invert` and :func:`minimize` derive
-    from checked ones are built by :meth:`_derived`, which checks only
-    their names.
+    :func:`generate_builtin`) checks every table entry by entry, and builds
+    the name index :meth:`state_index` reads as part of the check that names
+    are distinct.  The machines :func:`compose`, :func:`invert` and
+    :func:`minimize` derive from checked ones are built by :meth:`_derived`,
+    which skips the entry checks and leaves the index to the first lookup.
     """
 
     alphabet: Alphabet
@@ -360,19 +361,25 @@ class Automaton:
         transitions: tuple[tuple[int, ...], ...],
         outputs: tuple[tuple[int, ...], ...],
         policy: MaterializationPolicy | None,
+        names_distinct: bool = True,
     ) -> "Automaton":
         """A machine whose table was computed from checked machines, built
         without the entry checks of the constructor: the fields are set as
         given, so they must already be tuples of tuples (str names, rows of
         length k, int targets in range, output rows that permute the
-        alphabet, a policy naming only these states).  Only the names are
-        still checked, since they may collide: pairs ``('p,q', 'r')`` and
-        ``('p', 'q,r')`` of a product are both named ``(p,q,r)``."""
+        alphabet, a policy naming only these states).
+
+        ``names_distinct`` says the names are distinct by construction, and
+        then the name index is left to the first :meth:`state_index`.
+        Otherwise the index is built now, which checks the names: pairs
+        ``('p,q', 'r')`` and ``('p', 'q,r')`` of a product are both named
+        ``(p,q,r)``."""
         self = cls.__new__(cls)
         fields = (alphabet, states, transitions, outputs, policy)
         for name, value in zip(cls._fields, fields):
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "_index", _name_index(states))
+        if not names_distinct:
+            object.__setattr__(self, "_index", _name_index(states))
         return self
 
     def __hash__(self) -> int:
@@ -459,8 +466,16 @@ class Automaton:
         return len(self.states)
 
     def state_index(self, name: str) -> int:
+        """Index of the state named ``name``.  The name index is built by
+        the checking constructor, or here on a derived machine's first
+        lookup (:meth:`_derived`), and kept on the machine."""
         try:
-            return self._index[name]
+            index = self._index
+        except AttributeError:
+            index = _name_index(self.states)
+            object.__setattr__(self, "_index", index)
+        try:
+            return index[name]
         except KeyError:
             raise UnknownStateError(f"no state named {name!r}") from None
 
@@ -607,7 +622,8 @@ def invert(automaton: Automaton) -> Automaton:
     Because each output row is a permutation the swapped rows are total, and
     the machine started at q^-1 undoes the original machine started at q.
     The inverse is built from the checked input without the constructor's
-    entry checks (:meth:`Automaton._derived`); its names are still checked.
+    entry checks (:meth:`Automaton._derived`).  Its names are distinct,
+    since the input's are and q -> q^-1 is injective.
     """
     letters = range(automaton.alphabet.size)
     # one inverse per distinct output row, shared by every state with that
@@ -641,8 +657,10 @@ def compose(
     State (q, s) acts as "a at q, then b at s".  With ``prune_from`` only the
     pairs reachable from that pair are kept (the rest cannot influence it).
     The product is built from the two checked inputs without the
-    constructor's entry checks (:meth:`Automaton._derived`), but its names
-    are still checked: pairs ``('p,q', 'r')`` and ``('p', 'q,r')`` would
+    constructor's entry checks (:meth:`Automaton._derived`).  When no name
+    of ``a`` holds a comma, "(q,s)" gives q back as the text before its
+    first comma, so distinct pairs have distinct names.  Otherwise the
+    names are checked: pairs ``('p,q', 'r')`` and ``('p', 'q,r')`` would
     both be named ``(p,q,r)``, and that raises ValidationError.
     """
     if a.alphabet != b.alphabet:
@@ -717,7 +735,8 @@ def compose(
         ))
 
     return Automaton._derived(
-        a.alphabet, tuple(names), tuple(transitions), tuple(outputs), policy
+        a.alphabet, tuple(names), tuple(transitions), tuple(outputs), policy,
+        names_distinct=not any("," in name for name in a.states),
     )
 
 
@@ -729,7 +748,8 @@ def minimize(automaton: Automaton) -> tuple[Automaton, dict[str, str]]:
     The quotient class is named after its lowest-index member.  Returns the
     quotient and the mapping old state name -> class name.  The quotient is
     built from the checked input without the constructor's entry checks
-    (:meth:`Automaton._derived`); its names are still checked.
+    (:meth:`Automaton._derived`); its names are some of the input's, so
+    they are distinct.
     """
     labels: dict[tuple, int] = {}
     cls = [labels.setdefault(row, len(labels)) for row in automaton.outputs]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-from .core import Transformation, Word, _record
+from .core import Transformation, Word, _check_level, _record
 from .counting import reachable_uc_lengths, uc_state_lengths
 from .errors import ArgumentError, CycleBoundTooSmallError, PeriodBoundInvalidError
 
@@ -243,10 +243,13 @@ def count_periods(alphabet_size: int, period_divisor: int) -> int:
     """Number of primitive words whose length divides ``period_divisor``.
 
     Every word of length m is a power of exactly one primitive word, whose
-    length divides m, so the count is alphabet_size ** period_divisor.
+    length divides m, so the count is alphabet_size ** period_divisor.  A
+    divisor from sys.maxsize up is refused as a level is
+    (:func:`invauto.core._check_level`), before the power fills the memory.
     """
     if alphabet_size < 1:
         raise ArgumentError("alphabet size must be >= 1")
     if period_divisor < 1:
         raise ArgumentError("period divisor must be >= 1")
+    _check_level(period_divisor, "period divisor")
     return alphabet_size**period_divisor

@@ -641,6 +641,25 @@ def oracle_validate(alphabet, states, transitions, outputs):
             )
 
 
+# ---------------------------------------------------------------- audit oracle
+
+def oracle_coin_audit(level, parts, hs):
+    """The audit of a valid partition tallied word by word, as coin_audit
+    once did: every word's coin is run from the root through its block's
+    transformation.  The reference for its counts, deficit and dict orders."""
+    hs = tuple(hs)
+    alphabet = hs[0].alphabet
+    assignments = {}
+    for i, part in enumerate(parts):
+        for word in part:
+            assignments[alphabet.check_word(word)] = i
+    counts = dict.fromkeys(itertools.product(range(alphabet.size), repeat=level), 0)
+    for w, i in assignments.items():
+        counts[hs[i].apply(w)] += 1
+    deficit = tuple(w for w, n in counts.items() if n < 2)
+    return iv.CoinAudit(level, assignments, hs, counts, deficit)
+
+
 # ---------------------------------------------------------------- generators
 
 def identity_chain(n: int) -> iv.Automaton:

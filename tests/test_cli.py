@@ -527,6 +527,21 @@ def test_audit_refuses_a_partial_partition_without_listing_the_level(tmp_path):
     assert result.stderr.decode() == f"error: word {'0' * 40!r} is not assigned to any block\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["periods", "-k", "2", "-m", HUGE],
+    ["periods", "-k", "2", "-m", str(sys.maxsize)],
+    ["t2-report", "--gen", "adding", "--state", "q", "-l", "2", "-m", HUGE],
+], ids=["periods-huge", "periods-maxsize", "t2-report-huge"])
+def test_a_period_divisor_from_sys_maxsize_up_is_a_usage_error(argv):
+    # k**m is refused before it is computed; in the child's 1 GiB it would
+    # end in a MemoryError, and with no cap in the machine running out
+    result = run_python("-m", "invauto.cli", *argv, preexec_fn=_cap_address_space)
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr.decode() == (
+        f"error: period divisor must be below sys.maxsize, {sys.maxsize}\n"
+    )
+
+
 def test_binary_file_is_parse_error(capsys, tmp_path):
     path = tmp_path / "m.maut"
     path.write_bytes(b"\xff\xfe\x00alphabet")

@@ -501,8 +501,11 @@ def test_compose_errors_match_oracle():
 def assert_rebuilds_alike(machine):
     """The checking constructor is the oracle for a machine that compose,
     invert or minimize built without it: the rebuild from the same fields
-    must pass every check and give the same object state."""
+    must pass every check and give the same object state once the derived
+    machine's name index, which its first lookup builds, is there."""
     rebuilt = iv.Automaton(*(getattr(machine, name) for name in machine._fields))
+    assert "_index" not in vars(machine)
+    machine.state_index(machine.states[0])
     assert list(vars(machine)) == list(vars(rebuilt))
     assert machine._index == rebuilt._index
     assert machine == rebuilt
@@ -552,6 +555,76 @@ def test_derived_chain_machines_rebuild_alike(depth):
         assert machine.policy is not None
         assert_rebuilds_alike(machine)
     assert_rebuilds_alike(iv.compose(chain, iv.invert(chain), prune_from=("q_1", "q_1^-1")))
+
+
+@st.composite
+def tangled_pairs(draw):
+    """Two small machines over {0,1} whose names are made of the
+    characters a product's pair names are made of, so names with a comma in
+    them can collide in the product; and a pair to prune from, maybe
+    unknown."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    # pairs ('p,q', 'p') and ('p', 'q,p') are both named (p,q,p)
+    clash = draw(st.booleans())
+    machines = []
+    for seeded in (["p,q", "p"], ["p", "q,p"]):
+        names = draw(st.lists(
+            st.text(alphabet="pq,()", min_size=1, max_size=4), min_size=1, max_size=4, unique=True
+        ))
+        if clash:
+            names = seeded + [name for name in names if name not in seeded]
+        table = random_automaton(rng, len(names), 2)
+        machines.append(iv.Automaton(table.alphabet, names, table.transitions, table.outputs))
+    a, b = machines
+    prune = draw(st.one_of(
+        st.none(),
+        st.tuples(st.sampled_from(a.states), st.sampled_from(b.states)),
+        st.just((a.states[0], "ghost")),
+    ))
+    return a, b, prune
+
+
+@settings(max_examples=150, deadline=None)
+@given(tangled_pairs())
+def test_product_names_match_oracle_and_index_on_first_lookup(case):
+    a, b, prune = case
+    want = _raised(lambda: oracle_compose(a, b, prune_from=prune))
+    got = _raised(lambda: iv.compose(a, b, prune_from=prune))
+    assert got == want
+    if want is None:
+        product = iv.compose(a, b, prune_from=prune)
+        assert product == oracle_compose(a, b, prune_from=prune)
+        # only a left name with a comma makes the product check its names at once
+        assert ("_index" in vars(product)) == any("," in name for name in a.states)
+        for position, name in enumerate(product.states):
+            assert product.state_index(name) == position
+        assert product._index == {name: i for i, name in enumerate(product.states)}
+
+
+def test_a_derived_machine_pickled_before_any_lookup_loads_and_looks_up():
+    a = adding()
+    product = iv.compose(a, a)
+    machines = [product, iv.compose(a, a, prune_from=("q", "q")), iv.invert(a), iv.minimize(product)[0]]
+    for machine in machines:
+        assert "_index" not in vars(machine)
+        loaded = pickle.loads(pickle.dumps(machine))
+        assert "_index" not in vars(loaded)
+        assert loaded == machine and hash(loaded) == hash(machine)
+        for position, name in enumerate(loaded.states):
+            assert loaded.state_index(name) == position
+        assert loaded._index == {name: i for i, name in enumerate(loaded.states)}
+
+
+def test_an_unknown_name_on_a_derived_machine_raises_as_on_a_checked_one():
+    derived = iv.compose(adding(), adding())
+    loaded = pickle.loads(pickle.dumps(derived))
+    checked = iv.Automaton(*(getattr(derived, name) for name in derived._fields))
+    for machine in (derived, loaded, checked):
+        with pytest.raises(iv.UnknownStateError) as info:
+            machine.state_index("ghost")
+        assert str(info.value) == "no state named 'ghost'"
+        with pytest.raises(iv.UnknownStateError, match="^no state named 'ghost'$"):
+            machine.at("ghost")
 
 
 # in the order they are applied, so an earlier one never leaves a later one

@@ -8,8 +8,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import invauto as iv
+from invauto import paradox
 from helpers import (
     adding,
     all_words,
@@ -18,8 +21,11 @@ from helpers import (
     flip_all,
     flip_alternator,
     generated_repr,
+    oracle_coin_audit,
     poly_chain,
+    random_automaton,
     random_funnel,
+    random_leaky,
     remark_chain,
     uv_core,
 )
@@ -302,6 +308,84 @@ def test_random_audits_never_double():
         assert audit.total_coins == 2**level
         assert audit.deficit
         assert not audit.doubling
+
+
+@st.composite
+def audit_cases(draw):
+    """A valid audit: one to five blocks whose transformations repeat, as
+    the same object or as an equal one, some blocks empty, and blocks on
+    both sides of the size from which the word tree pays: levels 0-6, and
+    the first levels where it does, 9-11 over two letters and 7 over
+    three."""
+    k = draw(st.sampled_from([2, 3]))
+    level = draw(st.integers(0, 6) | (st.integers(9, 11) if k == 2 else st.just(7)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    makers = st.sampled_from([random_automaton, random_leaky, random_funnel])
+    machines = [draw(makers)(rng, draw(st.integers(1, 8)), k) for _ in range(draw(st.integers(1, 2)))]
+    pool = [m.at(rng.choice(m.states)) for m in machines for _ in range(2)]
+    hs = [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        hs.append(hs[0].automaton.at(hs[0].state))
+    weights = [draw(st.sampled_from([0, 1, 3, 12])) for _ in hs]
+    if not any(weights):
+        weights[0] = 1
+    parts: list[list] = [[] for _ in hs]
+    for word in all_words(k, level):
+        parts[rng.choices(range(len(hs)), weights)[0]].append(word)
+    return level, parts, hs
+
+
+@settings(max_examples=150, deadline=None)
+@given(audit_cases())
+def test_audit_matches_the_word_by_word_oracle(case):
+    level, parts, hs = case
+    audit = iv.coin_audit(level, parts, hs)
+    want = oracle_coin_audit(level, parts, hs)
+    assert audit == want
+    assert repr(audit) == repr(want)  # the dicts' orders too
+
+
+def test_audit_maps_large_blocks_over_the_tree_and_runs_small_ones(monkeypatch):
+    level = 12  # 4096 words: the tree pays from 2N / (13 - 8) = 1639 words
+    words = list(all_words(2, level))
+    alternator = flip_alternator()
+    q, a, b = adding().at("q"), alternator.at("a"), alternator.at("b")
+    hs = [q, a, b, q]  # q's two blocks hold 1639 words together, a's one 1638
+    parts = [words[:1000], words[1000:2638], words[2638:3457], words[3457:]]
+    want = oracle_coin_audit(level, parts, hs)
+    trees, runs = [], []
+    image_ranks, run = paradox._image_ranks, iv.Transformation._run
+
+    def spied_image_ranks(automaton, starts, depth):
+        trees.append((automaton, starts))
+        return image_ranks(automaton, starts, depth)
+
+    def spied_run(self, word):
+        runs.append(word)
+        return run(self, word)
+
+    monkeypatch.setattr(paradox, "_image_ranks", spied_image_ranks)
+    monkeypatch.setattr(iv.Transformation, "_run", spied_run)
+    audit = iv.coin_audit(level, parts, hs)
+    assert trees == [(q.automaton, [0])]
+    assert sorted(runs) == words[1000:3457]
+    assert audit == want and repr(audit) == repr(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.sampled_from([2, 3]), level=st.integers(0, 6), n=st.integers(1, 12),
+    count=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+)
+def test_image_ranks_match_the_images_word_by_word(k, level, n, count, seed):
+    # the machine's size and the number of starts set where words are split
+    rng = random.Random(seed)
+    machine = random_automaton(rng, n, k)
+    starts = [rng.randrange(n) for _ in range(count)]
+    words = list(all_words(k, level))
+    rank = {w: i for i, w in enumerate(words)}
+    want = [[rank[machine.at(machine.states[s]).apply(w)] for w in words] for s in starts]
+    assert list(paradox._image_ranks(machine, starts, level)) == want
 
 
 def test_funnel_compositions_stay_small():
