@@ -491,6 +491,9 @@ def main(argv: list[str] | None = None) -> int:
     except (AutomatonError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 def run() -> None:

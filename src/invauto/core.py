@@ -277,13 +277,29 @@ class MaterializationPolicy:
         return self._lookup.get(state)
 
 
-def _name_index(states: tuple[str, ...]) -> dict[str, int]:
+def _kept(obj, name: str, make):
+    """``make(obj)``, made on the first call for ``obj`` and kept as its
+    attribute ``name`` (through ``object.__setattr__``: a record refuses
+    assignment); copies and pickles carry it.  Not through ``obj.__dict__``:
+    on CPython 3.11, reading that slows every later attribute load on obj."""
+    if not hasattr(obj, name):
+        object.__setattr__(obj, name, make(obj))
+    return getattr(obj, name)
+
+
+def _name_index(automaton: "Automaton") -> dict[str, int]:
     """State name -> index, which doubles as the check that names are
     distinct."""
+    states = automaton.states
     index = dict(zip(states, range(len(states))))
     if len(index) != len(states):
         raise ValidationError("state names must be distinct")
     return index
+
+
+def _field_hash(a: "Automaton") -> int:
+    """The hash every record has, of the field tuple."""
+    return hash((a.alphabet, a.states, a.transitions, a.outputs, a.policy))
 
 
 def _sums_to_int(rows: Iterable[tuple[int, ...]]) -> bool:
@@ -332,7 +348,7 @@ class Automaton:
         if not self.states:
             raise ValidationError("automaton needs at least one state")
         n, k = len(self.states), self.alphabet.size
-        index = _name_index(self.states)
+        index = _kept(self, "_index", _name_index)
         trans, outs = self.transitions, self.outputs
         if len(trans) != n or len(outs) != n:
             raise MissingTransitionError("transition and output tables must cover every state")
@@ -351,7 +367,6 @@ class Automaton:
         if policy is not None and not policy._lookup.keys() <= index.keys():
             unknown = next(s for s, _ in policy.horizons if s not in index)
             raise UnknownStateError(f"policy names unknown state {unknown!r}")
-        object.__setattr__(self, "_index", index)
 
     @classmethod
     def _derived(
@@ -361,35 +376,24 @@ class Automaton:
         transitions: tuple[tuple[int, ...], ...],
         outputs: tuple[tuple[int, ...], ...],
         policy: MaterializationPolicy | None,
-        names_distinct: bool = True,
     ) -> "Automaton":
         """A machine whose table was computed from checked machines, built
         without the entry checks of the constructor: the fields are set as
         given, so they must already be tuples of tuples (str names, rows of
         length k, int targets in range, output rows that permute the
-        alphabet, a policy naming only these states).
-
-        ``names_distinct`` says the names are distinct by construction, and
-        then the name index is left to the first :meth:`state_index`.
-        Otherwise the index is built now, which checks the names: pairs
-        ``('p,q', 'r')`` and ``('p', 'q,r')`` of a product are both named
-        ``(p,q,r)``."""
+        alphabet, a policy naming only these states).  The names must be
+        distinct too; the name index is left to the first
+        :meth:`state_index`, which checks them then."""
         self = cls.__new__(cls)
         fields = (alphabet, states, transitions, outputs, policy)
         for name, value in zip(cls._fields, fields):
             object.__setattr__(self, name, value)
-        if not names_distinct:
-            object.__setattr__(self, "_index", _name_index(states))
         return self
 
     def __hash__(self) -> int:
         """The hash of the field tuple, as every record has, computed once
         per object (walking a long table is slow) and kept on it."""
-        kept = getattr(self, "_hash", None)
-        if kept is None:
-            kept = hash((self.alphabet, self.states, self.transitions, self.outputs, self.policy))
-            object.__setattr__(self, "_hash", kept)
-        return kept
+        return _kept(self, "_hash", _field_hash)
 
     def __getstate__(self) -> dict:
         # str hashes change with PYTHONHASHSEED, so the kept hash stays here
@@ -466,16 +470,11 @@ class Automaton:
         return len(self.states)
 
     def state_index(self, name: str) -> int:
-        """Index of the state named ``name``.  The name index is built by
-        the checking constructor, or here on a derived machine's first
-        lookup (:meth:`_derived`), and kept on the machine."""
+        """Index of the state named ``name``.  The name index is kept on the
+        machine (:func:`_kept`): the checking constructor makes it, and a
+        derived machine (:meth:`_derived`) makes it on its first lookup."""
         try:
-            index = self._index
-        except AttributeError:
-            index = _name_index(self.states)
-            object.__setattr__(self, "_index", index)
-        try:
-            return index[name]
+            return _kept(self, "_index", _name_index)[name]
         except KeyError:
             raise UnknownStateError(f"no state named {name!r}") from None
 
@@ -734,10 +733,12 @@ def compose(
             for name, code in zip(names, codes)
         ))
 
-    return Automaton._derived(
-        a.alphabet, tuple(names), tuple(transitions), tuple(outputs), policy,
-        names_distinct=not any("," in name for name in a.states),
+    product = Automaton._derived(
+        a.alphabet, tuple(names), tuple(transitions), tuple(outputs), policy
     )
+    if any("," in name for name in a.states):
+        _kept(product, "_index", _name_index)  # checks the names
+    return product
 
 
 def minimize(automaton: Automaton) -> tuple[Automaton, dict[str, str]]:
@@ -787,16 +788,16 @@ def minimize(automaton: Automaton) -> tuple[Automaton, dict[str, str]]:
 
 def _components(automaton: Automaton) -> tuple[list[list[int]], list[int]]:
     """Strongly connected components of the whole transition graph, and
-    state index -> component number.
+    state index -> component number (:func:`_tarjan`), made on first use
+    (never at construction) and kept on the machine (:func:`_kept`) for
+    trivial states, cores, unconditional cycles and growth classes."""
+    return _kept(automaton, "_components", _tarjan)
 
-    Tarjan's algorithm, iterative (so path length is not bounded by the
+
+def _tarjan(automaton: Automaton) -> tuple[list[list[int]], list[int]]:
+    """Tarjan's algorithm, iterative (so path length is not bounded by the
     recursion limit), every state a root in index order; each component
-    comes after every component it has an edge into.  Computed once per
-    automaton object, on first use (never at construction), and kept on it
-    for trivial states, cores, unconditional cycles and growth classes.
-    """
-    if hasattr(automaton, "_components"):
-        return automaton._components
+    comes after every component it has an edge into."""
     trans = automaton.transitions
     order = [-1] * len(trans)  # visit number, -1 until visited
     low = [0] * len(trans)
@@ -828,7 +829,6 @@ def _components(automaton: Automaton) -> tuple[list[list[int]], list[int]]:
                         comp_of[stack[-1]] = len(components)
                         component.append(stack.pop())
                     components.append(component)
-    object.__setattr__(automaton, "_components", (components, comp_of))
     return components, comp_of
 
 

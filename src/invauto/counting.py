@@ -26,6 +26,7 @@ from .core import (
     Transformation,
     Word,
     _components,
+    _kept,
     _record,
     greatest_closed_subset,
     trivial_states,
@@ -160,23 +161,21 @@ def find_ucs(automaton: Automaton) -> tuple[UnconditionalCycle, ...]:
     index, ordered by that index.
 
     A trivial sink state shows up as a cycle of length 1.  The cycles are
-    read off the kept component pass once per automaton object, on first use
-    (never at construction), and the result is kept on the object.
+    read off the kept component pass (:func:`_search_ucs`) once per
+    automaton object, on first use (never at construction), and the result
+    is kept on the object (:func:`~invauto.core._kept`).
     """
-    kept = getattr(automaton, "_ucs", None)
-    if kept is None:
-        kept = _search_ucs(automaton)
-        object.__setattr__(automaton, "_ucs", kept)
-    return kept[0]
+    return _kept(automaton, "_ucs", _search_ucs)[0]
 
 
 def uc_state_lengths(automaton: Automaton) -> dict[int, int]:
     """State index -> length of the unconditional cycle it belongs to, from
     the search :func:`find_ucs` keeps (shared: read it, do not change it)."""
-    # a first search goes through the public name, so wrappers on it see it
-    if not hasattr(automaton, "_ucs"):
+    try:
+        return automaton._ucs[1]
+    except AttributeError:  # a first search goes through the public name, so wrappers see it
         find_ucs(automaton)
-    return automaton._ucs[1]
+        return automaton._ucs[1]
 
 
 def _dead(automaton: Automaton, kind: str) -> frozenset[int]:

@@ -309,9 +309,6 @@ def _image_ranks(automaton: Automaton, starts: list[int], level: int) -> Iterato
     while d < level and automaton.n_states * k ** (2 * d) < len(starts) * k**level:
         d += 1
     prefixes = [_walk(automaton, [start], level - d) for start in starts]
-    if d == 0:
-        yield from (ranks for ranks, _ in prefixes)
-        return
     reached = list(dict.fromkeys(chain.from_iterable(states for _, states in prefixes)))
     suffixes, _ = _walk(automaton, reached, d)
     width = k**d

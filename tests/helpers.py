@@ -660,6 +660,17 @@ def oracle_coin_audit(level, parts, hs):
     return iv.CoinAudit(level, assignments, hs, counts, deficit)
 
 
+def oracle_block_imports(h, level, tail_length, tails):
+    """The words outside the block {uv : |u| = level, v in tails} that h
+    maps into it, found by applying h to every word of length
+    level + tail_length, with no survivor sweep."""
+    tails = set(map(tuple, tails))
+    return sum(
+        w[level:] not in tails and h.apply(w)[level:] in tails
+        for w in all_words(h.alphabet.size, level + tail_length)
+    )
+
+
 # ---------------------------------------------------------------- generators
 
 def identity_chain(n: int) -> iv.Automaton:

@@ -512,8 +512,8 @@ def test_audit_spec_error_names_the_key(capsys, tmp_path):
     assert "'level'" in err and "integer" in err
 
 
-def _cap_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+def _cap_address_space(limit=1 << 30):
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 def test_audit_refuses_a_partial_partition_without_listing_the_level(tmp_path):
@@ -540,6 +540,20 @@ def test_a_period_divisor_from_sys_maxsize_up_is_a_usage_error(argv):
     assert result.stderr.decode() == (
         f"error: period divisor must be below sys.maxsize, {sys.maxsize}\n"
     )
+
+
+@pytest.mark.parametrize("argv", [
+    ["periods", "-k", "2", "-m", "100000000000"],
+    ["t2-report", "--gen", "adding", "--state", "q", "-l", "2", "-m", "100000000000"],
+], ids=["periods", "t2-report"])
+def test_out_of_memory_is_one_error_line(argv):
+    # 2**(10**11) needs 12.5 GB; the power squares its way up to the cap, so
+    # a cap of 256 MiB meets the MemoryError in about a second, not five
+    result = run_python(
+        "-m", "invauto.cli", *argv, preexec_fn=lambda: _cap_address_space(1 << 28)
+    )
+    assert (result.returncode, result.stdout) == (1, b"")
+    assert result.stderr.decode() == "error: out of memory\n"
 
 
 def test_binary_file_is_parse_error(capsys, tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -487,6 +488,34 @@ def test_one_component_pass_per_machine(monkeypatch):
     # another machine, another pass
     iv.decide_g0(adding().at("q"))
     assert len(passes) == 2
+
+
+def test_one_cycle_search_per_machine(monkeypatch):
+    searches = []
+    search = iv.counting._search_ucs
+
+    def counted(automaton):
+        searches.append(automaton)
+        return search(automaton)
+
+    monkeypatch.setattr(iv.counting, "_search_ucs", counted)
+    machine = random_leaky(random.Random(7), 12, 2)
+    divisor = math.lcm(*(c.length for c in iv.find_ucs(machine)))
+    sample = iv.EventuallyPeriodicWord((0,) * 4, (1,))
+    for state in machine.states:
+        g = machine.at(state)
+        iv.find_ucs(machine)
+        iv.count_nc(g, 4)
+        list(itertools.islice(iv.iter_nc_counts(g), 5))
+        iv.decide_g1(g)
+        iv.reachable_uc_lengths(g, 4)
+        iv.check_lemma1(g, sample, 4)
+        iv.check_lemma2(g, 4, divisor, divisor, [sample])
+        iv.theorem2_report([g], 4, divisor)
+    assert searches == [machine]
+    # another machine, another search
+    iv.count_nc(adding().at("q"), 4)
+    assert len(searches) == 2
 
 
 @settings(max_examples=200, deadline=None)

@@ -21,6 +21,7 @@ from helpers import (
     flip_all,
     flip_alternator,
     generated_repr,
+    oracle_block_imports,
     oracle_coin_audit,
     poly_chain,
     random_automaton,
@@ -154,6 +155,34 @@ def test_minimal_level_exists_for_small_members():
         assert iv.find_minimal_level([g], 8, 64) is not None
     together = iv.find_minimal_level(passing, 8, 64)
     assert together is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["random", "leaky", "funnel"]),
+    st.integers(1, 8),
+    st.integers(0, 4),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_imports_into_a_block_are_at_most_s_times_ns(kind, n, level, consecutive, seed):
+    """The report's sentence, counted word by word: a word uv with |u| = level
+    maps to h(u) h|_u(v), and a trivial section h|_u keeps the tail v, so only
+    the NS(h, level) prefixes u with a nontrivial section bring words into the
+    block {uv : v in V} from outside it, at most s = |V| each.  V is s = 8 of
+    the 4-letter tails, consecutive in lexicographic order or any."""
+    rng = random.Random(seed)
+    generate = {"random": random_automaton, "leaky": random_leaky, "funnel": random_funnel}
+    machine = generate[kind](rng, n, 2)
+    every_tail, s = list(all_words(2, 4)), 8
+    if consecutive:
+        first = rng.randrange(len(every_tail) - s + 1)
+        tails = every_tail[first:first + s]
+    else:
+        tails = rng.sample(every_tail, s)
+    for state in machine.states:
+        g = machine.at(state)
+        assert oracle_block_imports(g, level, 4, tails) <= s * iv.count_ns(g, level)[level]
 
 
 # ---------------------------------------------------------------- theorem 2
