@@ -373,9 +373,7 @@ def cmd_audit(args) -> int:
     payload = {
         "level": audit.level,
         "total_coins": str(audit.total_coins),
-        "coin_counts": {
-            alphabet.text(w): str(c) for w, c in sorted(audit.coin_counts.items())
-        },
+        "coin_counts": {alphabet.text(w): str(c) for w, c in audit.coin_counts.items()},
         "deficit": [alphabet.text(w) for w in audit.deficit],
         "doubling": audit.doubling,
     }

@@ -201,10 +201,9 @@ def coin_audit(
 
     ``parts[i]`` lists the words whose coin travels through ``hs[i]``; the
     parts must partition all words of the given length exactly.  Every word
-    is checked once, block by block, before any coin moves.  Then a
-    transformation whose blocks hold a large share of the words maps the
-    whole word tree once, and each word of a smaller block is run on its
-    own (:func:`_tally`).
+    is checked once, block by block, before any coin moves.  Then each
+    distinct transformation with at least one word maps the whole word
+    tree once (:func:`_tally`).
     """
     hs = tuple(hs)
     alphabet = _common_alphabet(hs)
@@ -239,57 +238,38 @@ def coin_audit(
         raise PartitionNotTotalError(
             f"word {alphabet.text(missing)!r} is not assigned to any block"
         )
-    counts = _tally(alphabet.size, level, words, assignments, hs, parts)
+    counts = _tally(level, words, assignments, hs)
     deficit = tuple(w for w, n in counts.items() if n < 2)
     return CoinAudit(level, assignments, hs, counts, deficit)
 
 
 def _tally(
-    k: int,
     level: int,
     words: Iterable[Word],
     assignments: dict[Word, int],
     hs: tuple[Transformation, ...],
-    parts: list[list[Word]],
 ) -> dict[Word, int]:
     """Coins per word after each word's coin moved through its block's
     transformation, keyed by ``words`` (all words of the level, in
     lexicographic order); ``assignments`` gives each word's block.
 
-    A transformation whose blocks hold enough of the N = k**level words is
-    mapped over the whole word tree once (:func:`_image_ranks`, shared by
-    the transformations of one machine), which costs about the same at any
-    block size.  Each word of a smaller block is run from the root,
-    ``level`` steps apiece.  The tree pays from about 2N / (log2 N - 7)
-    words: N/2 at N = 2**11, N/3.5 at 2**14, N/4.5 at 2**16, and never
-    below 2**9 words.
+    Each distinct transformation with at least one word maps the whole
+    word tree once (:func:`_image_ranks`, shared by the transformations of
+    one machine), about k**level steps of C-level list work; a
+    transformation whose blocks are all empty is not mapped.
     """
-    size: Counter[Transformation] = Counter()
-    for h, part in zip(hs, parts):
-        size[h] += len(part)
-    total = k**level
-    dense = [h for h, n in size.items() if n * (total.bit_length() - 8) >= 2 * total]
-    if dense:
-        words = list(words)
-        owner = list(map(assignments.__getitem__, words))  # block of each word, by rank
-        machines: dict[Automaton, list[Transformation]] = {}
-        for h in dense:
-            machines.setdefault(h.automaton, []).append(h)
-        tally: Counter[int] = Counter()  # image rank -> coins
-        for automaton, group in machines.items():
-            images = _image_ranks(automaton, [h.start for h in group], level)
-            for h, ranks in zip(group, images):
-                ids = {i for i, g in enumerate(hs) if g == h}
-                tally.update(compress(ranks, map(ids.__contains__, owner)))
-        counts = dict(zip(words, map(tally.get, range(len(words)), repeat(0))))
-    else:
-        counts = dict.fromkeys(words, 0)
-    sparse = {i for i, h in enumerate(hs) if h not in dense}
-    if sparse:
-        for w, i in assignments.items():
-            if i in sparse:
-                counts[hs[i]._run(w)[0]] += 1
-    return counts
+    words = list(words)
+    owner = list(map(assignments.__getitem__, words))  # block of each word, by rank
+    machines: dict[Automaton, list[Transformation]] = {}
+    for h in dict.fromkeys(hs[i] for i in sorted(set(owner))):
+        machines.setdefault(h.automaton, []).append(h)
+    tally: Counter[int] = Counter()  # image rank -> coins
+    for automaton, group in machines.items():
+        images = _image_ranks(automaton, [h.start for h in group], level)
+        for h, ranks in zip(group, images):
+            ids = {i for i, g in enumerate(hs) if g == h}
+            tally.update(compress(ranks, map(ids.__contains__, owner)))
+    return dict(zip(words, map(tally.get, range(len(words)), repeat(0))))
 
 
 def _image_ranks(automaton: Automaton, starts: list[int], level: int) -> Iterator[list[int]]:

@@ -185,6 +185,47 @@ def test_imports_into_a_block_are_at_most_s_times_ns(kind, n, level, consecutive
         assert oracle_block_imports(g, level, 4, tails) <= s * iv.count_ns(g, level)[level]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["random", "leaky", "funnel"]),
+    st.integers(1, 8),
+    st.integers(0, 3),
+    st.booleans(),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_block_keeps_the_deficit_the_report_promises(kind, n, level, consecutive, pieces, seed):
+    """The report's sentence, counted on an audit: in any scheme on the words
+    of length level + 4, the block {uv : v in V} of B = s * 2**level words
+    (V is s = 8 of the 4-letter tails) receives at most B + A coins, its own
+    B and at most A = aggregate from words outside it.  Each word with two
+    coins takes two of them, so the block's deficit D has 2D >= B - A, and
+    8D >= 3B when the report is satisfied (A <= B / 4)."""
+    rng = random.Random(seed)
+    generate = {"random": random_automaton, "leaky": random_leaky, "funnel": random_funnel}
+    machine = generate[kind](rng, n, 2)
+    every_tail, s = list(all_words(2, 4)), 8
+    if consecutive:
+        first = rng.randrange(len(every_tail) - s + 1)
+        tails = every_tail[first:first + s]
+    else:
+        tails = rng.sample(every_tail, s)
+    hs = [machine.at(rng.choice(machine.states)) for _ in range(pieces)]
+    parts: list[list] = [[] for _ in hs]
+    for word in all_words(2, level + 4):
+        parts[rng.randrange(pieces)].append(word)
+    audit = iv.coin_audit(level + 4, parts, hs)
+    report = iv.theorem1_report(hs, level, block_factor=s)
+    block = [u + v for u in all_words(2, level) for v in tails]
+    big_b, big_a = s * 2**level, report.aggregate
+    assert len(block) == big_b
+    assert sum(audit.coin_counts[w] for w in block) <= big_b + big_a
+    deficit = sum(audit.coin_counts[w] < 2 for w in block)
+    assert 2 * deficit >= big_b - big_a
+    if report.satisfied:
+        assert 8 * deficit >= 3 * big_b
+
+
 # ---------------------------------------------------------------- theorem 2
 
 def test_t2_flip_alternator_zero_imports():
@@ -341,18 +382,18 @@ def test_random_audits_never_double():
 
 @st.composite
 def audit_cases(draw):
-    """A valid audit: one to five blocks whose transformations repeat, as
-    the same object or as an equal one, some blocks empty, and blocks on
-    both sides of the size from which the word tree pays: levels 0-6, and
-    the first levels where it does, 9-11 over two letters and 7 over
-    three."""
+    """A valid audit: one to sixteen blocks over one to three machines, whose
+    transformations repeat, as the same object or as an equal one, some
+    blocks empty; levels 0-6, and 9-11 over two letters and 7 over three,
+    where the word tree splits into prefixes and suffixes of several
+    letters each."""
     k = draw(st.sampled_from([2, 3]))
     level = draw(st.integers(0, 6) | (st.integers(9, 11) if k == 2 else st.just(7)))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     makers = st.sampled_from([random_automaton, random_leaky, random_funnel])
-    machines = [draw(makers)(rng, draw(st.integers(1, 8)), k) for _ in range(draw(st.integers(1, 2)))]
+    machines = [draw(makers)(rng, draw(st.integers(1, 8)), k) for _ in range(draw(st.integers(1, 3)))]
     pool = [m.at(rng.choice(m.states)) for m in machines for _ in range(2)]
-    hs = [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(1, 4)))]
+    hs = [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(1, 15)))]
     if draw(st.booleans()):
         hs.append(hs[0].automaton.at(hs[0].state))
     weights = [draw(st.sampled_from([0, 1, 3, 12])) for _ in hs]
@@ -374,14 +415,19 @@ def test_audit_matches_the_word_by_word_oracle(case):
     assert repr(audit) == repr(want)  # the dicts' orders too
 
 
-def test_audit_maps_large_blocks_over_the_tree_and_runs_small_ones(monkeypatch):
-    level = 12  # 4096 words: the tree pays from 2N / (13 - 8) = 1639 words
+def test_audit_maps_each_transformation_with_words_over_the_tree_once(monkeypatch):
+    level = 12
     words = list(all_words(2, level))
     alternator = flip_alternator()
     q, a, b = adding().at("q"), alternator.at("a"), alternator.at("b")
-    hs = [q, a, b, q]  # q's two blocks hold 1639 words together, a's one 1638
-    parts = [words[:1000], words[1000:2638], words[2638:3457], words[3457:]]
-    want = oracle_coin_audit(level, parts, hs)
+    cases = [  # blocks, their words, and the (machine, starts) mapped
+        # q's two blocks share one pass, and a and b share their machine's
+        ([q, a, b, q], [words[:1000], words[1000:2638], words[2638:3457], words[3457:]],
+         [(q.automaton, [0]), (alternator, [0, 1])]),
+        # a transformation whose only block is empty is not mapped, nor is its machine
+        ([q, a], [words, []], [(q.automaton, [0])]),
+    ]
+    wants = [oracle_coin_audit(level, parts, hs) for hs, parts, _ in cases]
     trees, runs = [], []
     image_ranks, run = paradox._image_ranks, iv.Transformation._run
 
@@ -395,10 +441,12 @@ def test_audit_maps_large_blocks_over_the_tree_and_runs_small_ones(monkeypatch):
 
     monkeypatch.setattr(paradox, "_image_ranks", spied_image_ranks)
     monkeypatch.setattr(iv.Transformation, "_run", spied_run)
-    audit = iv.coin_audit(level, parts, hs)
-    assert trees == [(q.automaton, [0])]
-    assert sorted(runs) == words[1000:3457]
-    assert audit == want and repr(audit) == repr(want)
+    for (hs, parts, mapped), want in zip(cases, wants):
+        trees.clear()
+        audit = iv.coin_audit(level, parts, hs)
+        assert trees == mapped
+        assert runs == []
+        assert audit == want and repr(audit) == repr(want)
 
 
 @settings(max_examples=100, deadline=None)
