@@ -10,6 +10,12 @@ Exit status: 0 on success (a false verdict is still a success), 1 on domain
 errors, 2 on usage or parse errors (an argument a library call rejects is a
 usage error).
 
+A CLI process (``python -m invauto.cli`` or the ``invauto`` script, both
+:func:`run`) ends right after stdout and stderr are flushed, without
+interpreter teardown, so ``atexit`` hooks that a ``sitecustomize`` or
+``.pth`` file registers do not run in it (coverage's subprocess measurement
+is one).  In-process callers use :func:`main`, which returns.
+
 A call pays only for the library modules its subcommand uses: the library
 is reached through the ``invauto`` namespace, which imports each submodule
 on first use.
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -495,7 +502,29 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    """Entry point of ``python -m invauto.cli`` and the ``invauto`` script:
+    :func:`main`, then the process ends with its exit code once stdout and
+    stderr are flushed, without interpreter teardown (``os._exit``).  A
+    ``SystemExit`` from argument parsing exits the usual way.
+
+    A stdout that cannot be flushed (a reader gone) is an OS error, one
+    ``error:`` line and exit 1, unless :func:`main` has already reported
+    one; a failure to write to stderr itself is ignored."""
+    code = main()
+    note = ""
+    try:
+        if sys.stdout is not None:  # None: fd 1 was closed at start
+            sys.stdout.flush()
+    except OSError as exc:
+        if not code:  # a nonzero code is an error main has reported
+            code, note = 1, f"error: {exc}\n"
+    try:
+        if sys.stderr is not None:
+            sys.stderr.write(note)
+            sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -855,12 +855,16 @@ def isomorphic_under(a, b, rename):
 
 # ---------------------------------------------------------------- subprocesses
 
-def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+def run_python(
+    *args: str, env: dict[str, str] | None = None, **kwargs
+) -> subprocess.CompletedProcess:
     """``python -W error ARGS`` in a fresh interpreter that finds this
-    checkout's ``src`` first; ``kwargs`` go to ``subprocess.run``."""
+    checkout's ``src`` first, with ``env`` over this process's environment;
+    stdout and stderr are captured unless ``kwargs`` (which go to
+    ``subprocess.run``) give them."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    return subprocess.run(
-        [sys.executable, "-W", "error", *args], env=env, capture_output=True, timeout=60, **kwargs
-    )
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(path))
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-W", "error", *args], env=env, timeout=60, **kwargs)

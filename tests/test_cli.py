@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
+import os
 import resource
 import sys
 import tempfile
@@ -554,6 +556,56 @@ def test_out_of_memory_is_one_error_line(argv):
     )
     assert (result.returncode, result.stdout) == (1, b"")
     assert result.stderr.decode() == "error: out of memory\n"
+
+
+# ------------------------------------------------- the process entry point
+
+# stdout block-buffered, as a caller without PYTHONUNBUFFERED gets it: an
+# empty value turns the variable off
+BUFFERED = {"PYTHONUNBUFFERED": ""}
+CHAIN = ["gen", "remark_chain", "--depth", "20000"]
+
+
+def test_a_large_output_arrives_whole_through_a_pipe(capsys):
+    # 1.66 MB, about 25 times a 64 KiB pipe buffer, so most of it is written
+    # while main runs and the rest by the flush before the process ends
+    assert main(CHAIN) == 0
+    want = capsys.readouterr().out
+    assert len(want) > 25 * 65536
+    result = run_python("-m", "invauto.cli", *CHAIN, env=BUFFERED, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == want
+
+
+@pytest.mark.parametrize("argv", [["periods", "-k", "2", "-m", "3"], CHAIN],
+                         ids=["at-the-flush", "while-main-runs"])
+def test_a_reader_gone_is_one_error_line(argv):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = run_python("-m", "invauto.cli", *argv, env=BUFFERED, stdout=write, text=True)
+    finally:
+        os.close(write)
+    assert result.returncode == 1
+    assert result.stderr == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+
+
+def test_a_closed_stdout_is_a_silent_success():
+    result = run_python(
+        "-m", "invauto.cli", "periods", "-k", "2", "-m", "3",
+        env=BUFFERED, preexec_fn=lambda: os.close(1),
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
+
+
+def test_help_exits_through_argparse(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    want = capsys.readouterr().out
+    assert want.startswith("usage: invauto")
+    result = run_python("-m", "invauto.cli", "--help", env=BUFFERED, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, want, "")
 
 
 def test_binary_file_is_parse_error(capsys, tmp_path):

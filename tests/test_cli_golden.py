@@ -89,13 +89,16 @@ INVOCATIONS = [
 ]
 
 
-# replayed in a fresh interpreter as well: one of each import footprint
+# replayed in a fresh interpreter as well: one of each import footprint,
+# and one of each exit code
 ENTRY_POINT = [
     "gen remark_chain --depth 3",
     "classify --gen adding --state q --json",
     "periods -k 3 -m 4 --json",
     "t2-report --gen flip_alternator --state a -l 4 -m 2 --item gen:adding@q",
     "audit --input audit_adding.json",
+    "validate --file missing.maut",
+    "ns --gen adding --state q --max-level -1",
 ]
 
 
