@@ -10,11 +10,16 @@ Exit status: 0 on success (a false verdict is still a success), 1 on domain
 errors, 2 on usage or parse errors (an argument a library call rejects is a
 usage error).
 
+Each ``cmd_*`` handler returns its stdout text and writes nothing;
+:func:`main` is the one writer of stdout, and only after the handler has
+succeeded, so a failed call leaves stdout empty.  Every ``error:`` line goes
+through :func:`_error`, to stderr only.
+
 A CLI process (``python -m invauto.cli`` or the ``invauto`` script, both
-:func:`run`) ends right after stdout and stderr are flushed, without
-interpreter teardown, so ``atexit`` hooks that a ``sitecustomize`` or
-``.pth`` file registers do not run in it (coverage's subprocess measurement
-is one).  In-process callers use :func:`main`, which returns.
+:func:`run`) ends right after :func:`main` returns and stderr is flushed,
+without interpreter teardown, so ``atexit`` hooks that a ``sitecustomize``
+or ``.pth`` file registers do not run in it (coverage's subprocess
+measurement is one).  In-process callers use :func:`main`, which returns.
 
 A call pays only for the library modules its subcommand uses: the library
 is reached through the ``invauto`` namespace, which imports each submodule
@@ -83,7 +88,7 @@ def _load_automaton(args: argparse.Namespace):
 
 def _load_transformation(args: argparse.Namespace) -> invauto.Transformation:
     automaton = _load_automaton(args)
-    if not getattr(args, "state", None):
+    if not args.state:
         raise ArgumentError("--state is required for this command")
     return invauto.Transformation(automaton, args.state)
 
@@ -92,13 +97,11 @@ def _load_items(args: argparse.Namespace) -> list[invauto.Transformation]:
     return [_load_transformation(args), *map(_transformation_from_item, args.item or [])]
 
 
-def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> int:
+def _emit(args: argparse.Namespace, lines: list[str], payload: dict) -> str:
+    """The text lines, or with ``--json`` the payload as one JSON line."""
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-    return 0
+        return json.dumps(payload, sort_keys=True) + "\n"
+    return "".join(f"{line}\n" for line in lines)
 
 
 def _ep_word(alphabet, text: str) -> invauto.EventuallyPeriodicWord:
@@ -108,8 +111,8 @@ def _ep_word(alphabet, text: str) -> invauto.EventuallyPeriodicWord:
     return invauto.EventuallyPeriodicWord(alphabet.word(prefix), alphabet.word(period))
 
 
-def _emit_report(args: argparse.Namespace, report) -> int:
-    """Print a doubling report; each exact number is converted once, for
+def _emit_report(args: argparse.Namespace, report) -> str:
+    """A doubling report's text; each exact number is converted once, for
     the text lines and the JSON payload alike."""
     exact = invauto.core._exact_str
     items = [h.state for h in report.transformations]
@@ -138,7 +141,7 @@ def _emit_report(args: argparse.Namespace, report) -> int:
     return _emit(args, lines, payload)
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> str:
     automaton = _load_automaton(args)
     return _emit(
         args,
@@ -154,32 +157,29 @@ def cmd_validate(args) -> int:
     )
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> str:
     automaton = invauto.generate_builtin(args.family, depth=args.depth, length=args.length)
-    sys.stdout.write(invauto.render_dsl(automaton, name=args.family))
-    return 0
+    return invauto.render_dsl(automaton, name=args.family)
 
 
-def cmd_export_dot(args) -> int:
+def cmd_export_dot(args) -> str:
     automaton = _load_automaton(args)
     name = args.gen or Path(args.file).stem
-    sys.stdout.write(invauto.render_dot(automaton, name=name))
-    return 0
+    return invauto.render_dot(automaton, name=name)
 
 
-def cmd_apply(args) -> int:
+def cmd_apply(args) -> str:
     g = _load_transformation(args)
     words = args.word
-    if not words:
-        words = [line.strip() for line in sys.stdin if line.strip()]
+    if not words:  # a stdin that is None (fd 0 closed at start) holds no words
+        words = [line.strip() for line in sys.stdin or () if line.strip()]
     outputs = [g.apply_text(w) for w in words]
     return _emit(args, outputs, {"outputs": outputs})
 
 
-def cmd_invert(args) -> int:
+def cmd_invert(args) -> str:
     automaton = _load_automaton(args)
-    sys.stdout.write(invauto.render_dsl(invauto.invert(automaton)))
-    return 0
+    return invauto.render_dsl(invauto.invert(automaton))
 
 
 def _split_prune(text: str, left, right) -> tuple[str, str]:
@@ -199,33 +199,26 @@ def _split_prune(text: str, left, right) -> tuple[str, str]:
     return readings[0] if readings else splits[0]
 
 
-def cmd_compose(args) -> int:
+def cmd_compose(args) -> str:
     left = _automaton_from_source(args.left)
     right = _automaton_from_source(args.right)
     prune = _split_prune(args.prune, left, right) if args.prune else None
-    sys.stdout.write(invauto.render_dsl(invauto.compose(left, right, prune_from=prune)))
-    return 0
+    return invauto.render_dsl(invauto.compose(left, right, prune_from=prune))
 
 
-def cmd_minimize(args) -> int:
+def cmd_minimize(args) -> str:
     automaton = _load_automaton(args)
     quotient, mapping = invauto.minimize(automaton)
     if args.json:
-        doc = invauto.textio._json_doc(quotient)
-        doc["classes"] = mapping
-        print(json.dumps(doc, sort_keys=True))
-        return 0
-    # refuse a name the DSL cannot carry before anything is printed
+        return _emit(args, [], {**invauto.textio._json_doc(quotient), "classes": mapping})
+    # refuse a name the DSL cannot carry, in the machine or in a comment
     text = invauto.render_dsl(quotient)
     for old in automaton.states:
         invauto.textio._check_dsl_comment(f"{old} -> {mapping[old]}", f"state name {old!r}")
-    for old in automaton.states:
-        print(f"# {old} -> {mapping[old]}")
-    sys.stdout.write(text)
-    return 0
+    return "".join(f"# {old} -> {mapping[old]}\n" for old in automaton.states) + text
 
 
-def cmd_ucs(args) -> int:
+def cmd_ucs(args) -> str:
     automaton = _load_automaton(args)
     cycles = invauto.find_ucs(automaton)
     lines = [
@@ -235,7 +228,7 @@ def cmd_ucs(args) -> int:
     return _emit(args, lines, payload)
 
 
-def _cmd_counts(args) -> int:
+def _cmd_counts(args) -> str:
     g = _load_transformation(args)
     table = getattr(invauto, args.call)(g, args.max_level)
     counts = [invauto.core._exact_str(c) for c in table.counts]
@@ -244,7 +237,7 @@ def _cmd_counts(args) -> int:
     return _emit(args, lines, payload)
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> str:
     g = _load_transformation(args)
     report = invauto.classify_growth(g)
     if report.category == "polynomial":
@@ -263,7 +256,7 @@ def cmd_classify(args) -> int:
     return _emit(args, [line], payload)
 
 
-def _cmd_member(args) -> int:
+def _cmd_member(args) -> str:
     g = _load_transformation(args)
     decision = getattr(invauto, args.call)(g)
     witness = None if decision.witness is None else g.alphabet.text(decision.witness)
@@ -278,7 +271,7 @@ def _cmd_member(args) -> int:
     return _emit(args, lines, payload)
 
 
-def cmd_lemma1(args) -> int:
+def cmd_lemma1(args) -> str:
     g = _load_transformation(args)
     word = invauto.EventuallyPeriodicWord(
         g.alphabet.word(args.prefix), g.alphabet.word(args.period)
@@ -295,7 +288,7 @@ def cmd_lemma1(args) -> int:
     return _emit(args, lines, {name: getattr(verdict, name) for name in verdict._fields})
 
 
-def cmd_lemma2(args) -> int:
+def cmd_lemma2(args) -> str:
     g = _load_transformation(args)
     samples = [_ep_word(g.alphabet, w) for w in args.word]
     verdict = invauto.check_lemma2(g, args.level, args.cycle_bound, args.period_divisor, samples)
@@ -303,7 +296,7 @@ def cmd_lemma2(args) -> int:
     return _emit(args, [", ".join(f"{tally} {n}" for tally, n in payload.items())], payload)
 
 
-def cmd_periods(args) -> int:
+def cmd_periods(args) -> str:
     n = invauto.core._exact_str(invauto.count_periods(args.alphabet_size, args.period_divisor))
     return _emit(args, [n], {"count": n})
 
@@ -311,18 +304,18 @@ def cmd_periods(args) -> int:
 # the report commands load their items before they look up the library call,
 # so a malformed item exits before ``paradox`` is imported
 
-def cmd_t1_report(args) -> int:
+def cmd_t1_report(args) -> str:
     items = _load_items(args)
     return _emit_report(args, invauto.theorem1_report(items, args.level, args.block_factor))
 
 
-def cmd_t2_report(args) -> int:
+def cmd_t2_report(args) -> str:
     items = _load_items(args)
     report = invauto.theorem2_report(items, args.level, args.period_divisor, args.block_factor)
     return _emit_report(args, report)
 
 
-def cmd_min_level(args) -> int:
+def cmd_min_level(args) -> str:
     items = _load_items(args)
     level = invauto.find_minimal_level(items, args.block_factor, args.l_max)
     if level is None:
@@ -359,7 +352,7 @@ def _audit_spec(path: str) -> dict:
     return spec
 
 
-def cmd_audit(args) -> int:
+def cmd_audit(args) -> str:
     spec = _audit_spec(args.input)
     hs = [_transformation_from_item(item) for item in spec["transformations"]]
     if not hs:
@@ -485,42 +478,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _error(message, code: int) -> int:
+    """Write one ``error:`` line to stderr and return ``code``.  A stderr
+    that is None (fd 2 closed at start) is skipped, and a failure to write
+    it is ignored: the exit code still tells the error."""
     try:
-        return args.handler(args)
+        if sys.stderr is not None:
+            sys.stderr.write(f"error: {message}\n")
+    except OSError:
+        pass
+    return code
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one CLI call and return its exit code; a stdout that cannot take
+    the text (its reader gone, an encoding that lacks a character) is exit 1."""
+    args = build_parser().parse_args(argv)
+    try:
+        text = args.handler(args)
+        if sys.stdout is not None:  # None: fd 1 was closed at start
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        return 0
     except (ParseError, ArgumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (AutomatonError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc, 2)
+    except (AutomatonError, OSError, UnicodeEncodeError) as exc:
+        return _error(exc, 1)
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return 1
+        return _error("out of memory", 1)
 
 
 def run() -> None:
     """Entry point of ``python -m invauto.cli`` and the ``invauto`` script:
-    :func:`main`, then the process ends with its exit code once stdout and
-    stderr are flushed, without interpreter teardown (``os._exit``).  A
-    ``SystemExit`` from argument parsing exits the usual way.
-
-    A stdout that cannot be flushed (a reader gone) is an OS error, one
-    ``error:`` line and exit 1, unless :func:`main` has already reported
-    one; a failure to write to stderr itself is ignored."""
+    :func:`main`, which has written and flushed stdout, then stderr is
+    flushed and the process ends with the exit code, without interpreter
+    teardown (``os._exit``).  A ``SystemExit`` from argument parsing exits
+    the usual way."""
     code = main()
-    note = ""
-    try:
-        if sys.stdout is not None:  # None: fd 1 was closed at start
-            sys.stdout.flush()
-    except OSError as exc:
-        if not code:  # a nonzero code is an error main has reported
-            code, note = 1, f"error: {exc}\n"
     try:
         if sys.stderr is not None:
-            sys.stderr.write(note)
             sys.stderr.flush()
     except OSError:
         pass

@@ -567,8 +567,8 @@ CHAIN = ["gen", "remark_chain", "--depth", "20000"]
 
 
 def test_a_large_output_arrives_whole_through_a_pipe(capsys):
-    # 1.66 MB, about 25 times a 64 KiB pipe buffer, so most of it is written
-    # while main runs and the rest by the flush before the process ends
+    # 1.66 MB, about 25 times a 64 KiB pipe buffer, written by main in one
+    # call and flushed before the process ends
     assert main(CHAIN) == 0
     want = capsys.readouterr().out
     assert len(want) > 25 * 65536
@@ -590,12 +590,51 @@ def test_a_reader_gone_is_one_error_line(argv):
     assert result.stderr == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
 
 
-def test_a_closed_stdout_is_a_silent_success():
+@pytest.mark.parametrize("argv", [
+    "periods -k 2 -m 3", "gen adding", "export-dot --gen adding", "invert --gen adding",
+    "compose gen:adding gen:adding", "minimize --gen adding",
+])
+def test_a_closed_stdout_is_a_silent_success(argv):
     result = run_python(
-        "-m", "invauto.cli", "periods", "-k", "2", "-m", "3",
-        env=BUFFERED, preexec_fn=lambda: os.close(1),
+        "-m", "invauto.cli", *argv.split(), env=BUFFERED, preexec_fn=lambda: os.close(1)
     )
     assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
+
+
+def test_a_closed_stderr_takes_no_error_line_to_stdout():
+    result = run_python(
+        "-m", "invauto.cli", "ns", "--gen", "adding", "--state", "zz", "--max-level", "1",
+        env=BUFFERED, preexec_fn=lambda: os.close(2),
+    )
+    assert (result.returncode, result.stdout) == (1, b"")
+
+
+@pytest.mark.parametrize("json_, want", [([], ""), (["--json"], '{"outputs": []}\n')],
+                         ids=["text", "json"])
+def test_apply_with_a_closed_stdin_has_no_words(json_, want):
+    result = run_python(
+        "-m", "invauto.cli", "apply", "--gen", "adding", "--state", "q", *json_,
+        env=BUFFERED, preexec_fn=lambda: os.close(0), text=True,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, want, "")
+
+
+def test_output_the_stdout_encoding_cannot_carry_is_one_error_line(tmp_path):
+    path = tmp_path / "e.maut"
+    path.write_text("alphabet: 0 1\nstate é:\n  0 -> é | 1\n  1 -> é | 0\n", encoding="utf-8")
+
+    def call(*argv):
+        return run_python("-m", "invauto.cli", *argv, "--file", str(path),
+                          env={**BUFFERED, "PYTHONIOENCODING": "ascii"}, text=True)
+
+    for command in ("ucs", "minimize", "invert"):
+        result = call(command)
+        assert (result.returncode, result.stdout) == (1, ""), command
+        assert result.stderr.startswith("error: 'ascii' codec can't encode character '\\xe9'")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+    result = call("validate", "--json")  # JSON escapes the name
+    assert (result.returncode, result.stderr) == (0, "")
+    assert json.loads(result.stdout)["states"] == ["é"]
 
 
 def test_help_exits_through_argparse(capsys):
@@ -689,6 +728,7 @@ def _check_contract(argv):
     assert "Traceback" not in err, (argv, err)
     if code:
         assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+        assert out == "", (argv, out)
     elif "--json" in argv:
         json.loads(out)
 
