@@ -12,8 +12,9 @@ usage error).
 
 Each ``cmd_*`` handler returns its stdout text and writes nothing;
 :func:`main` is the one writer of stdout, and only after the handler has
-succeeded, so a failed call leaves stdout empty.  Every ``error:`` line goes
-through :func:`_error`, to stderr only.
+succeeded, so a failed call leaves stdout empty.  Every ``error:`` line,
+argparse's usage errors included (:class:`_Parser`), goes to stderr only,
+through :func:`_to_stderr`.
 
 A CLI process (``python -m invauto.cli`` or the ``invauto`` script, both
 :func:`run`) ends right after :func:`main` returns and stderr is flushed,
@@ -380,8 +381,20 @@ def cmd_audit(args) -> str:
     return _emit(args, lines, payload)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose usage errors reach stderr only, through
+    :func:`_to_stderr`.  argparse's own ``error`` prints the usage with
+    ``print_usage(sys.stderr)``, which falls back to stdout when stderr is
+    None (fd 2 closed at start); on Python 3.10 the error line then fails
+    with exit 1.  The subparsers are built from this class too."""
+
+    def error(self, message):
+        _to_stderr(f"{self.format_usage()}{self.prog}: error: {message}\n")
+        sys.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="invauto",
         description="invertible letter-to-letter automata: algebra, counting, audits",
     )
@@ -478,15 +491,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error(message, code: int) -> int:
-    """Write one ``error:`` line to stderr and return ``code``.  A stderr
-    that is None (fd 2 closed at start) is skipped, and a failure to write
-    it is ignored: the exit code still tells the error."""
+def _to_stderr(text: str) -> None:
+    """Write ``text`` to stderr.  A stderr that is None (fd 2 closed at
+    start) is skipped, and a failure to write it is ignored: the exit code
+    still tells the error."""
     try:
         if sys.stderr is not None:
-            sys.stderr.write(f"error: {message}\n")
+            sys.stderr.write(text)
     except OSError:
         pass
+
+
+def _error(message, code: int) -> int:
+    """Write one ``error:`` line to stderr and return ``code``."""
+    _to_stderr(f"error: {message}\n")
     return code
 
 

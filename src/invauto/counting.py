@@ -17,7 +17,6 @@ lengths all read the cycles kept from it.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from typing import TYPE_CHECKING, Iterator
 
@@ -259,16 +258,25 @@ def _iter_counts(g: Transformation, kind: str) -> Iterator[int]:
 
 def _count(g: Transformation, max_level: int, kind: str) -> CountTable:
     g._check_length(max_level)
-    return CountTable(g, kind, tuple(itertools.islice(_iter_counts(g, kind), max_level + 1)))
+    # allocated before the sweep, so a table too large to hold fails at once
+    counts = [0] * (max_level + 1)
+    for level, count in zip(range(max_level + 1), _iter_counts(g, kind)):
+        counts[level] = count
+    return CountTable(g, kind, counts)
 
 
 def count_ns(g: Transformation, max_level: int) -> CountTable:
-    """Words of each length l <= max_level ending in a nontrivial state."""
+    """Words of each length l <= max_level ending in a nontrivial state.
+
+    The table of max_level + 1 counts is allocated before the sweep starts,
+    so a max_level whose table cannot be held raises ``MemoryError`` at
+    once, not after the sweep has filled the memory."""
     return _count(g, max_level, NS)
 
 
 def count_nc(g: Transformation, max_level: int) -> CountTable:
-    """Words of each length l <= max_level avoiding all unconditional cycles."""
+    """Words of each length l <= max_level avoiding all unconditional cycles;
+    a table that cannot be held fails at once, as in :func:`count_ns`."""
     return _count(g, max_level, NC)
 
 

@@ -12,8 +12,10 @@ import itertools
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
+import sysconfig
 from collections import Counter, deque
 from pathlib import Path
 
@@ -855,16 +857,56 @@ def isomorphic_under(a, b, rename):
 
 # ---------------------------------------------------------------- subprocesses
 
-def run_python(
-    *args: str, env: dict[str, str] | None = None, **kwargs
-) -> subprocess.CompletedProcess:
-    """``python -W error ARGS`` in a fresh interpreter that finds this
-    checkout's ``src`` first, with ``env`` over this process's environment;
-    stdout and stderr are captured unless ``kwargs`` (which go to
-    ``subprocess.run``) give them."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+# a level past sys.maxsize, which no count table or islice can reach
+HUGE = "99999999999999999999"
+
+# the directory the tests imported ``invauto`` from: this checkout's ``src``
+# in-tree, ``site-packages`` when they run against an installed package
+PACKAGE_ROOT = Path(iv.__file__).resolve().parent.parent
+IN_TREE = PACKAGE_ROOT == Path(__file__).resolve().parent.parent / "src"
+# the command every CLI process test starts
+CLI = (
+    [sys.executable, "-W", "error", "-m", "invauto.cli"]
+    if IN_TREE
+    else [str(Path(sysconfig.get_path("scripts")) / "invauto")]
+)
+
+
+def _cap_address_space(limit=1 << 30):
+    """Cap the address space of the process it runs in (a ``preexec_fn``):
+    an allocation past ``limit`` bytes is then a ``MemoryError``, not the
+    machine running out of memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def _run(command: list[str], env: dict[str, str] | None, kwargs) -> subprocess.CompletedProcess:
+    path = [str(PACKAGE_ROOT)] + [
+        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p
+    ]
     env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(path))
     kwargs.setdefault("stdout", subprocess.PIPE)
     kwargs.setdefault("stderr", subprocess.PIPE)
-    return subprocess.run([sys.executable, "-W", "error", *args], env=env, timeout=60, **kwargs)
+    kwargs.setdefault("timeout", 60)
+    return subprocess.run(command, env=env, **kwargs)
+
+
+def run_python(
+    *args: str, env: dict[str, str] | None = None, **kwargs
+) -> subprocess.CompletedProcess:
+    """``python -W error ARGS`` in a fresh interpreter that imports the
+    ``invauto`` this process imported: its directory (``PACKAGE_ROOT``) goes
+    first on ``PYTHONPATH``, with ``env`` over this process's environment.
+    Stdout and stderr are captured and the call times out after 60 s unless
+    ``kwargs`` (which go to ``subprocess.run``) say otherwise."""
+    return _run([sys.executable, "-W", "error", *args], env, kwargs)
+
+
+def run_cli(
+    *argv: str, env: dict[str, str] | None = None, **kwargs
+) -> subprocess.CompletedProcess:
+    """The CLI on ``argv`` in a fresh process, in :func:`run_python`'s
+    environment and with its defaults.  In-tree the command is ``python -W
+    error -m invauto.cli``; against an installed package it is the
+    ``invauto`` console script next to this interpreter; a missing script
+    fails the call."""
+    return _run([*CLI, *argv], env, kwargs)

@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import contextlib
-import errno
 import io
 import json
-import os
-import resource
 import sys
 import tempfile
 from pathlib import Path
@@ -19,7 +16,7 @@ from hypothesis import strategies as st
 
 import invauto
 from invauto.cli import main
-from helpers import decimal_value, run_python
+from helpers import HUGE, decimal_value
 
 DATA = Path(__file__).parent / "data"
 
@@ -293,67 +290,6 @@ def test_classify_command(capsys):
     }
 
 
-def _call_in_fresh_interpreter(argv: list[str] | None) -> tuple[int | None, str, set[str]]:
-    """``main(argv)``'s exit code, what it wrote to stderr, and the modules a
-    fresh interpreter holds afterwards; when ``argv`` is None, a bare
-    ``import invauto`` in place of the call, with code None."""
-    if argv is None:
-        call = "code = None; import invauto"
-    else:
-        call = f"from invauto.cli import main; code = main({argv!r})"
-    script = (
-        "import contextlib, io, sys\n"
-        "err = io.StringIO()\n"
-        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
-        f"    {call}\n"
-        "modules = sorted(sys.modules)\n"
-        "import json\n"
-        "print(json.dumps([code, err.getvalue(), modules]))\n"
-    )
-    result = run_python("-c", script, text=True)
-    assert (result.returncode, result.stderr) == (0, ""), result.stderr
-    code, stderr, modules = json.loads(result.stdout)
-    return code, stderr, set(modules)
-
-
-def test_classify_imports_neither_numpy_nor_networkx():
-    code, err, loaded = _call_in_fresh_interpreter(
-        ["classify", "--gen", "flip_all", "--state", "r", "--json"]
-    )
-    assert (code, err) == (0, "")
-    assert not {"numpy", "networkx", "invauto.paradox", "invauto.periodic"} & loaded
-
-
-LIBRARY = {f"invauto.{name}" for name in ("core", "counting", "periodic", "paradox", "textio")}
-
-
-# a call that failed early would load fewer modules, so each case pins its
-# exit code too: only the malformed item is refused (2, with a message).  No
-# call loads dataclasses or the inspect module it imports.
-UNUSED_BY_ALL = {"dataclasses", "inspect"}
-
-
-@pytest.mark.parametrize("argv, code, unused", [
-    (None, None, LIBRARY | {"invauto.cli"}),
-    (["periods", "-k", "2", "-m", "3"], 0, {"invauto.paradox", "invauto.textio", "decimal"}),
-    (["ns", "--gen", "adding", "--state", "q", "--max-level", "3"], 0,
-     {"invauto.textio", "invauto.periodic", "invauto.paradox", "heapq"}),
-    (["gen", "adding"], 0, {"invauto.counting", "invauto.periodic", "invauto.paradox"}),
-    (["export-dot", "--gen", "adding"], 0,
-     {"invauto.counting", "invauto.periodic", "invauto.paradox"}),
-    (["t1-report", "--gen", "adding", "--state", "q", "-l", "2", "--item", "gen:adding:depth=x@q"],
-     2, {"invauto.counting", "invauto.periodic", "invauto.paradox"}),
-    (["lemma1", "--gen", "adding", "--state", "q", "--prefix", "01", "--period", "1", "--json"],
-     0, {"invauto.paradox", "invauto.textio"}),
-], ids=["bare-import", "periods", "ns", "gen", "export-dot", "malformed-item", "lemma1-json"])
-def test_a_call_loads_only_the_modules_it_uses(argv, code, unused):
-    got, err, loaded = _call_in_fresh_interpreter(argv)
-    assert got == code, err
-    assert (err.startswith("error: ") if code == 2 else err == ""), err
-    assert "invauto" in loaded
-    assert not (unused | UNUSED_BY_ALL) & loaded
-
-
 def test_lemma2_command(capsys):
     code, out, _ = run(
         capsys,
@@ -402,10 +338,6 @@ def test_t1_report_multiple_items(capsys):
     )
     assert code == 0
     assert json.loads(out)["per_item"] == ["1", "1"]
-
-
-# a level past sys.maxsize, which no count table or islice can reach
-HUGE = "99999999999999999999"
 
 
 @pytest.mark.parametrize(
@@ -512,139 +444,6 @@ def test_audit_spec_error_names_the_key(capsys, tmp_path):
     code, _, err = run(capsys, "audit", "--input", str(path))
     assert code == 2
     assert "'level'" in err and "integer" in err
-
-
-def _cap_address_space(limit=1 << 30):
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-
-def test_audit_refuses_a_partial_partition_without_listing_the_level(tmp_path):
-    # the 2**40 words of the level would not fit in the child's 1 GiB
-    path = tmp_path / "audit.json"
-    path.write_text(json.dumps({"level": 40, "transformations": ["gen:adding@q"], "parts": [[]]}))
-    result = run_python(
-        "-m", "invauto.cli", "audit", "--input", str(path), preexec_fn=_cap_address_space
-    )
-    assert (result.returncode, result.stdout) == (1, b"")
-    assert result.stderr.decode() == f"error: word {'0' * 40!r} is not assigned to any block\n"
-
-
-@pytest.mark.parametrize("argv", [
-    ["periods", "-k", "2", "-m", HUGE],
-    ["periods", "-k", "2", "-m", str(sys.maxsize)],
-    ["t2-report", "--gen", "adding", "--state", "q", "-l", "2", "-m", HUGE],
-], ids=["periods-huge", "periods-maxsize", "t2-report-huge"])
-def test_a_period_divisor_from_sys_maxsize_up_is_a_usage_error(argv):
-    # k**m is refused before it is computed; in the child's 1 GiB it would
-    # end in a MemoryError, and with no cap in the machine running out
-    result = run_python("-m", "invauto.cli", *argv, preexec_fn=_cap_address_space)
-    assert (result.returncode, result.stdout) == (2, b"")
-    assert result.stderr.decode() == (
-        f"error: period divisor must be below sys.maxsize, {sys.maxsize}\n"
-    )
-
-
-@pytest.mark.parametrize("argv", [
-    ["periods", "-k", "2", "-m", "100000000000"],
-    ["t2-report", "--gen", "adding", "--state", "q", "-l", "2", "-m", "100000000000"],
-], ids=["periods", "t2-report"])
-def test_out_of_memory_is_one_error_line(argv):
-    # 2**(10**11) needs 12.5 GB; the power squares its way up to the cap, so
-    # a cap of 256 MiB meets the MemoryError in about a second, not five
-    result = run_python(
-        "-m", "invauto.cli", *argv, preexec_fn=lambda: _cap_address_space(1 << 28)
-    )
-    assert (result.returncode, result.stdout) == (1, b"")
-    assert result.stderr.decode() == "error: out of memory\n"
-
-
-# ------------------------------------------------- the process entry point
-
-# stdout block-buffered, as a caller without PYTHONUNBUFFERED gets it: an
-# empty value turns the variable off
-BUFFERED = {"PYTHONUNBUFFERED": ""}
-CHAIN = ["gen", "remark_chain", "--depth", "20000"]
-
-
-def test_a_large_output_arrives_whole_through_a_pipe(capsys):
-    # 1.66 MB, about 25 times a 64 KiB pipe buffer, written by main in one
-    # call and flushed before the process ends
-    assert main(CHAIN) == 0
-    want = capsys.readouterr().out
-    assert len(want) > 25 * 65536
-    result = run_python("-m", "invauto.cli", *CHAIN, env=BUFFERED, text=True)
-    assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout == want
-
-
-@pytest.mark.parametrize("argv", [["periods", "-k", "2", "-m", "3"], CHAIN],
-                         ids=["at-the-flush", "while-main-runs"])
-def test_a_reader_gone_is_one_error_line(argv):
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        result = run_python("-m", "invauto.cli", *argv, env=BUFFERED, stdout=write, text=True)
-    finally:
-        os.close(write)
-    assert result.returncode == 1
-    assert result.stderr == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
-
-
-@pytest.mark.parametrize("argv", [
-    "periods -k 2 -m 3", "gen adding", "export-dot --gen adding", "invert --gen adding",
-    "compose gen:adding gen:adding", "minimize --gen adding",
-])
-def test_a_closed_stdout_is_a_silent_success(argv):
-    result = run_python(
-        "-m", "invauto.cli", *argv.split(), env=BUFFERED, preexec_fn=lambda: os.close(1)
-    )
-    assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
-
-
-def test_a_closed_stderr_takes_no_error_line_to_stdout():
-    result = run_python(
-        "-m", "invauto.cli", "ns", "--gen", "adding", "--state", "zz", "--max-level", "1",
-        env=BUFFERED, preexec_fn=lambda: os.close(2),
-    )
-    assert (result.returncode, result.stdout) == (1, b"")
-
-
-@pytest.mark.parametrize("json_, want", [([], ""), (["--json"], '{"outputs": []}\n')],
-                         ids=["text", "json"])
-def test_apply_with_a_closed_stdin_has_no_words(json_, want):
-    result = run_python(
-        "-m", "invauto.cli", "apply", "--gen", "adding", "--state", "q", *json_,
-        env=BUFFERED, preexec_fn=lambda: os.close(0), text=True,
-    )
-    assert (result.returncode, result.stdout, result.stderr) == (0, want, "")
-
-
-def test_output_the_stdout_encoding_cannot_carry_is_one_error_line(tmp_path):
-    path = tmp_path / "e.maut"
-    path.write_text("alphabet: 0 1\nstate é:\n  0 -> é | 1\n  1 -> é | 0\n", encoding="utf-8")
-
-    def call(*argv):
-        return run_python("-m", "invauto.cli", *argv, "--file", str(path),
-                          env={**BUFFERED, "PYTHONIOENCODING": "ascii"}, text=True)
-
-    for command in ("ucs", "minimize", "invert"):
-        result = call(command)
-        assert (result.returncode, result.stdout) == (1, ""), command
-        assert result.stderr.startswith("error: 'ascii' codec can't encode character '\\xe9'")
-        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
-    result = call("validate", "--json")  # JSON escapes the name
-    assert (result.returncode, result.stderr) == (0, "")
-    assert json.loads(result.stdout)["states"] == ["é"]
-
-
-def test_help_exits_through_argparse(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["--help"])
-    assert info.value.code == 0
-    want = capsys.readouterr().out
-    assert want.startswith("usage: invauto")
-    result = run_python("-m", "invauto.cli", "--help", env=BUFFERED, text=True)
-    assert (result.returncode, result.stdout, result.stderr) == (0, want, "")
 
 
 def test_binary_file_is_parse_error(capsys, tmp_path):

@@ -3,9 +3,10 @@
 ``data/cli_golden.txt`` records the exit code, stdout and stderr of every
 invocation in ``INVOCATIONS``, run through ``main`` with ``tests/data`` as
 the working directory.  A refactor that changes any byte of it fails here.
-Those in ``ENTRY_POINT`` are replayed through ``python -m invauto.cli`` as
-well, the entry point a user runs.  Regenerate the file (only when an output
-change is intended) with::
+Those in ``ENTRY_POINT``, one of each exit code, are replayed as well in a
+CLI process (``helpers.run_cli``): ``python -m invauto.cli`` in-tree, the
+installed ``invauto`` console script against an installed package.
+Regenerate the file (only when an output change is intended) with::
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -20,7 +21,7 @@ import shlex
 from pathlib import Path
 
 from invauto.cli import main
-from helpers import run_python
+from helpers import run_cli
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "cli_golden.txt"
@@ -138,7 +139,7 @@ def test_entry_point_output_matches_golden_file():
     records = re.split(r"^(?=\$ )", GOLDEN.read_text(encoding="utf-8"), flags=re.M)
     expected = {record[2:record.index("\n")]: record for record in records if record}
     for command in ENTRY_POINT:
-        result = run_python("-m", "invauto.cli", *shlex.split(command), cwd=DATA, text=True)
+        result = run_cli(*shlex.split(command), cwd=DATA, text=True)
         record = _record(command, result.returncode, result.stdout, result.stderr)
         assert record == expected[command]
 
