@@ -383,14 +383,21 @@ def cmd_audit(args) -> str:
 
 class _Parser(argparse.ArgumentParser):
     """An ``ArgumentParser`` whose usage errors reach stderr only, through
-    :func:`_to_stderr`.  argparse's own ``error`` prints the usage with
-    ``print_usage(sys.stderr)``, which falls back to stdout when stderr is
-    None (fd 2 closed at start); on Python 3.10 the error line then fails
-    with exit 1.  The subparsers are built from this class too."""
+    :func:`_to_stderr`, and whose help reaches stdout only.  argparse's own
+    ``error`` prints the usage with ``print_usage(sys.stderr)``, which falls
+    back to stdout when stderr is None (fd 2 closed at start); on Python
+    3.10 the error line then fails with exit 1.  Its ``print_help`` falls
+    back to stderr when stdout is None.  The subparsers are built from this
+    class too."""
 
     def error(self, message):
         _to_stderr(f"{self.format_usage()}{self.prog}: error: {message}\n")
         sys.exit(2)
+
+    def print_help(self, file=None):
+        file = file or sys.stdout
+        if file is not None:  # None: fd 1 was closed at start
+            super().print_help(file)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sys
 from itertools import chain, count
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -198,6 +198,8 @@ class Alphabet:
         if len(set(self.symbols)) != len(self.symbols):
             raise ValidationError("alphabet symbols must be pairwise distinct")
         object.__setattr__(self, "_lookup", {s: i for i, s in enumerate(self.symbols)})
+        # the letters that fit in a byte, which check_word deletes in one pass
+        object.__setattr__(self, "_bytes", bytes(range(min(len(self.symbols), 256))))
 
     @classmethod
     def of_size(cls, k: int) -> "Alphabet":
@@ -234,15 +236,30 @@ class Alphabet:
         return " ".join(toks)
 
     def check_word(self, word: Sequence[int]) -> Word:
+        """``word`` as a tuple, once every letter is an integer index below
+        the alphabet size.  Accepted when deleting the alphabet's letters
+        from its bytes leaves none; a letter that is not an integer, or not
+        below 256, or a byte left over sends it through the loop that names
+        the first bad letter.  A letter with ``__index__`` (a bool) passes
+        and is kept as it is."""
         w = tuple(word)
+        try:
+            if not bytes(w).translate(None, self._bytes):
+                return w
+        except (TypeError, ValueError):
+            pass
         k = len(self.symbols)
-        if w and not (0 <= min(w) and max(w) < k):
-            # slow path only to name the first bad letter
-            for x in w:
-                if not 0 <= x < k:
-                    raise LetterOutOfRangeError(
-                        f"letter index {x} out of range for alphabet of size {k}"
-                    )
+        for x in w:
+            try:
+                ok = 0 <= index(x) < k
+            except TypeError:
+                raise LetterOutOfRangeError(
+                    f"letter {x!r} is not an integer index for alphabet of size {k}"
+                ) from None
+            if not ok:
+                raise LetterOutOfRangeError(
+                    f"letter index {x} out of range for alphabet of size {k}"
+                )
         return w
 
 
@@ -550,10 +567,14 @@ class Transformation:
         k = self.alphabet.size
         q = self._start
         for i, x in enumerate(letters):
-            if not 0 <= x < k:
+            try:
+                if not 0 <= x < k:
+                    self.alphabet.check_word((x,))  # raises, naming the letter
+                self._check_length(i + 1)
+                yield out[q][x]
+            except TypeError:  # 0.5 or None fails to compare or to index
                 self.alphabet.check_word((x,))  # raises, naming the letter
-            self._check_length(i + 1)
-            yield out[q][x]
+                raise
             q = trans[q][x]
 
     def apply_text(self, text: str) -> str:

@@ -17,7 +17,16 @@ from itertools import chain, compress, repeat
 from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .core import Automaton, Transformation, Word, _check_level, _exact_str, _record
+from .core import (
+    Alphabet,
+    Automaton,
+    Transformation,
+    Word,
+    _check_level,
+    _exact_str,
+    _record,
+    _sums_to_int,
+)
 from .counting import NC, NS, _iter_counts, iter_ns_counts, reachable_uc_lengths
 from .errors import (
     AlphabetMismatchError,
@@ -200,10 +209,12 @@ def coin_audit(
     """Move one coin per word according to a partition and tally the result.
 
     ``parts[i]`` lists the words whose coin travels through ``hs[i]``; the
-    parts must partition all words of the given length exactly.  Every word
-    is checked once, block by block, before any coin moves.  Then each
-    distinct transformation with at least one word maps the whole word
-    tree once (:func:`_tally`).
+    parts must partition all words of the given length exactly.  A valid
+    partition is accepted by one comparison: k**level words listed, as many
+    distinct, all letters ints, and every word of the level among them.
+    Anything else is read word by word (:func:`_check_partition`), which
+    names the first bad word.  Then each distinct transformation with at
+    least one word maps the whole word tree once (:func:`_tally`).
     """
     hs = tuple(hs)
     alphabet = _common_alphabet(hs)
@@ -216,6 +227,54 @@ def coin_audit(
     for h, part in zip(hs, parts):
         if part:
             h._check_length(level)
+    k = alphabet.size
+    owner = None  # the block of each word of the level, by the word's rank
+    assignments = _listed(parts, k, level)
+    if assignments is not None:
+        try:  # every word of the level is a key; the same pass reads its block
+            owner = list(map(assignments.__getitem__, itertools.product(range(k), repeat=level)))
+        except KeyError:
+            pass
+    if owner is None:
+        assignments = _check_partition(alphabet, level, parts)
+        owner = list(map(assignments.__getitem__, itertools.product(range(k), repeat=level)))
+    tally = _tally(level, owner, hs)
+    counts = dict(zip(
+        itertools.product(range(k), repeat=level),
+        map(tally.get, range(len(owner)), repeat(0)),
+    ))
+    deficit = tuple(compress(counts, map((2).__gt__, counts.values())))
+    return CoinAudit(level, assignments, hs, counts, deficit)
+
+
+def _listed(parts: list[list], k: int, level: int) -> dict[Word, int] | None:
+    """The word -> block map of ``parts``, built block by block at C level,
+    when its counts fit a partition of the level's words: k**level words
+    listed, as many distinct, every letter an int.  None when they do not,
+    or when a word is not a hashable sequence."""
+    assignments: dict[Word, int] = {}
+    try:
+        for i, part in enumerate(parts):
+            assignments.update(zip(map(tuple, part), repeat(i)))
+    except TypeError:
+        return None
+    listed = sum(map(len, parts))
+    # k**level > listed once level passes listed's bit length; not computed then
+    if (
+        listed == len(assignments)
+        and level <= listed.bit_length()
+        and listed == k**level
+        and _sums_to_int(assignments)
+    ):
+        return assignments
+    return None
+
+
+def _check_partition(alphabet: Alphabet, level: int, parts: list[list]) -> dict[Word, int]:
+    """Each block's words checked one by one, in block and list order: the
+    first word that is malformed, of another length or listed before
+    raises, and then the first word of the level that no block lists.  A
+    valid partition's word -> block map is returned."""
     assignments: dict[Word, int] = {}
     for i, part in enumerate(parts):
         for word in part:
@@ -232,34 +291,27 @@ def coin_audit(
             assignments[w] = i
     # the assigned words are distinct and of length ``level``, so the parts
     # are total exactly when there are k**level of them; only then list them
-    words = itertools.product(range(alphabet.size), repeat=level)
     if len(assignments) != alphabet.size**level:
-        missing = next(w for w in words if w not in assignments)
+        missing = next(
+            w for w in itertools.product(range(alphabet.size), repeat=level)
+            if w not in assignments
+        )
         raise PartitionNotTotalError(
             f"word {alphabet.text(missing)!r} is not assigned to any block"
         )
-    counts = _tally(level, words, assignments, hs)
-    deficit = tuple(w for w, n in counts.items() if n < 2)
-    return CoinAudit(level, assignments, hs, counts, deficit)
+    return assignments
 
 
-def _tally(
-    level: int,
-    words: Iterable[Word],
-    assignments: dict[Word, int],
-    hs: tuple[Transformation, ...],
-) -> dict[Word, int]:
-    """Coins per word after each word's coin moved through its block's
-    transformation, keyed by ``words`` (all words of the level, in
-    lexicographic order); ``assignments`` gives each word's block.
+def _tally(level: int, owner: list[int], hs: tuple[Transformation, ...]) -> Counter[int]:
+    """Coins per image rank after each word's coin moved through its block's
+    transformation; ``owner`` gives the block of every word of the level,
+    by the word's rank.
 
     Each distinct transformation with at least one word maps the whole
     word tree once (:func:`_image_ranks`, shared by the transformations of
     one machine), about k**level steps of C-level list work; a
     transformation whose blocks are all empty is not mapped.
     """
-    words = list(words)
-    owner = list(map(assignments.__getitem__, words))  # block of each word, by rank
     machines: dict[Automaton, list[Transformation]] = {}
     for h in dict.fromkeys(hs[i] for i in sorted(set(owner))):
         machines.setdefault(h.automaton, []).append(h)
@@ -269,7 +321,7 @@ def _tally(
         for h, ranks in zip(group, images):
             ids = {i for i, g in enumerate(hs) if g == h}
             tally.update(compress(ranks, map(ids.__contains__, owner)))
-    return dict(zip(words, map(tally.get, range(len(words)), repeat(0))))
+    return tally
 
 
 def _image_ranks(automaton: Automaton, starts: list[int], level: int) -> Iterator[list[int]]:

@@ -662,6 +662,33 @@ def oracle_coin_audit(level, parts, hs):
     return iv.CoinAudit(level, assignments, hs, counts, deficit)
 
 
+def oracle_audit_validation(level, parts, alphabet):
+    """The word -> block map of a valid partition, checked word by word as
+    coin_audit once checked every partition: the first malformed word, in
+    block and list order, raises, then the first word of the level that no
+    block lists.  The reference for the audit's errors, type and text."""
+    assignments = {}
+    for i, part in enumerate(parts):
+        for word in part:
+            w = alphabet.check_word(word)
+            if len(w) != level:
+                raise iv.ArgumentError(f"word {w} does not have length {level}")
+            if w in assignments:
+                j = assignments[w]
+                raise iv.PartitionOverlapError(
+                    f"word {alphabet.text(w)!r} is listed twice in block {i + 1}"
+                    if j == i
+                    else f"word {alphabet.text(w)!r} is assigned to blocks {j + 1} and {i + 1}"
+                )
+            assignments[w] = i
+    for w in itertools.product(range(alphabet.size), repeat=level):
+        if w not in assignments:
+            raise iv.PartitionNotTotalError(
+                f"word {alphabet.text(w)!r} is not assigned to any block"
+            )
+    return assignments
+
+
 def oracle_block_imports(h, level, tail_length, tails):
     """The words outside the block {uv : |u| = level, v in tails} that h
     maps into it, found by applying h to every word of length

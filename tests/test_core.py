@@ -692,19 +692,26 @@ def test_validation_matches_oracle(kind, data):
         assert want is not None
 
 
+def letter_error(x, k):
+    """The message naming ``x`` as a bad letter of a k-letter alphabet."""
+    if type(x) is not int:
+        return f"letter {x!r} is not an integer index for alphabet of size {k}"
+    return f"letter index {x} out of range for alphabet of size {k}"
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_check_word_names_first_bad_letter(data):
     draw = data.draw
-    k = draw(st.integers(2, 4))
+    k = draw(st.sampled_from([2, 3, 4, 300]))
     alphabet = iv.Alphabet.of_size(k)
     word = draw(st.lists(st.integers(0, k - 1), max_size=20))
     assert alphabet.check_word(word) == tuple(word)
-    bad = draw(st.lists(st.sampled_from([-1, k]), min_size=1, max_size=2))
+    bad = draw(st.lists(st.sampled_from([-1, k, 0.5, 1.0, "1", None]), min_size=1, max_size=2))
     for x in bad:
         word.insert(draw(st.integers(0, len(word))), x)
-    first = next(x for x in word if not 0 <= x < k)
-    message = f"letter index {first} out of range for alphabet of size {k}"
+    first = next(x for x in word if type(x) is not int or not 0 <= x < k)
+    message = letter_error(first, k)
     with pytest.raises(iv.LetterOutOfRangeError) as info:
         alphabet.check_word(word)
     assert str(info.value) == message
@@ -712,6 +719,38 @@ def test_check_word_names_first_bad_letter(data):
     with pytest.raises(iv.LetterOutOfRangeError) as info:
         g.apply(word)
     assert str(info.value) == message
+
+
+class Index:
+    """A letter that is an integer only through ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_a_letter_that_is_not_an_integer_is_a_letter_error():
+    q = adding().at("q")
+    alphabet = q.alphabet
+    calls = [
+        lambda x: alphabet.check_word((0, x)),
+        lambda x: alphabet.text((x,)),
+        lambda x: q.apply((x, 1)),
+        lambda x: q.path((x,)),
+        lambda x: list(q.apply_stream([1, x])),
+    ]
+    for x in (0.5, 1.0, "1", None, Fraction(1), [0]):
+        for call in calls:
+            with pytest.raises(iv.LetterOutOfRangeError) as info:
+                call(x)
+            assert str(info.value) == letter_error(x, 2)
+    # bools and other letters with __index__ are letters as before
+    assert alphabet.check_word((True, False)) == (True, False)
+    assert q.apply((True, False)) == q.apply((1, 0))
+    assert list(q.apply_stream([True, False])) == list(q.apply((1, 0)))
+    assert q.apply((Index(1), Index(0))) == q.apply((1, 0))
 
 
 def test_check_word_edges():
@@ -722,6 +761,15 @@ def test_check_word_edges():
         with pytest.raises(iv.LetterOutOfRangeError):
             alphabet.check_word(word)
     assert iv.identity_automaton(alphabet).at("e").apply(()) == ()
+    # letters from 256 on do not fit in bytes, and are checked one by one
+    alphabet = iv.Alphabet.of_size(300)
+    word = [255, 256, 299, 0, 299]
+    assert alphabet.check_word(word) == tuple(word)
+    assert iv.identity_automaton(alphabet).at("e").apply(word) == tuple(word)
+    for x in (300, 2**70, -1):
+        with pytest.raises(iv.LetterOutOfRangeError) as info:
+            alphabet.check_word([255, 256, x, 299])
+        assert str(info.value) == letter_error(x, 300)
 
 
 # ---------------------------------------------------------------- hashing

@@ -21,6 +21,7 @@ from helpers import (
     flip_all,
     flip_alternator,
     generated_repr,
+    oracle_audit_validation,
     oracle_block_imports,
     oracle_coin_audit,
     poly_chain,
@@ -325,10 +326,22 @@ def test_audit_checks_each_word_once(monkeypatch):
     words = list(all_words(2, 4))
     q = adding().at("q")
     hs = [q, q.inverse()]
+    # a valid partition is accepted by one comparison: no word is checked
     audit = iv.coin_audit(4, [words[:5], words[5:]], hs)
-    assert len(calls) == len(words)
+    assert calls == []
     images = [hs[0].apply(w) for w in words[:5]] + [hs[1].apply(w) for w in words[5:]]
     assert audit.coin_counts == {w: images.count(w) for w in words}
+    # a malformed one is read word by word, each word checked at most once
+    for parts, error in [
+        ([words[:5], words[5:-1]], iv.PartitionNotTotalError),
+        ([words[:5], words[5:9] + [(0, 1)] + words[9:]], iv.ArgumentError),
+        ([words[:5], words[5:] + [(0, 0, 0, 2)]], iv.LetterOutOfRangeError),
+        ([words[:5] + [(0.5, 0, 0, 0)], words[5:]], iv.LetterOutOfRangeError),
+    ]:
+        calls.clear()
+        with pytest.raises(error):
+            iv.coin_audit(4, parts, hs)
+        assert calls and len(calls) == len(set(calls))
 
 
 def test_audit_refuses_blocks_past_their_horizon():
@@ -413,6 +426,74 @@ def test_audit_matches_the_word_by_word_oracle(case):
     want = oracle_coin_audit(level, parts, hs)
     assert audit == want
     assert repr(audit) == repr(want)  # the dicts' orders too
+
+
+MALFORMATIONS = ["short", "long", "out_of_range", "not_an_int", "twice_in_a_block",
+                 "in_two_blocks", "missing", "extra", "lists"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.sampled_from([2, 3]), level=st.integers(0, 4), blocks=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    malformations=st.lists(st.sampled_from(MALFORMATIONS), max_size=2),
+)
+def test_audit_refuses_what_the_word_by_word_oracle_refuses(k, level, blocks, seed, malformations):
+    rng = random.Random(seed)
+    machine = random_automaton(rng, rng.randint(1, 4), k)
+    hs = [machine.at(rng.choice(machine.states)) for _ in range(blocks)]
+    parts: list[list] = [[] for _ in hs]
+    for word in all_words(k, level):
+        parts[rng.randrange(blocks)].append(word)
+    for how in malformations:
+        listed = [(i, j) for i, part in enumerate(parts) for j in range(len(part))]
+        i, j = rng.choice(listed) if listed else (0, 0)
+        word = list(parts[i][j]) if listed else []
+        if how == "short" and word:
+            parts[i][j] = tuple(word[:-1])
+        elif how == "long":
+            parts[i][j:j + 1] = [tuple(word + [rng.randrange(k)])]
+        elif how == "out_of_range" and word:
+            word[rng.randrange(len(word))] = rng.choice([-1, k, 2**70])
+            parts[i][j] = tuple(word)
+        elif how == "not_an_int" and word:
+            word[rng.randrange(len(word))] = rng.choice([0.5, 1.0, "1", None, Fraction(0)])
+            parts[i][j] = tuple(word)
+        elif how == "twice_in_a_block" and word:
+            parts[i].insert(rng.randint(0, len(parts[i])), tuple(word))
+        elif how == "in_two_blocks" and word:
+            other = rng.randrange(blocks)
+            parts[other].insert(rng.randint(0, len(parts[other])), tuple(word))
+        elif how == "missing" and listed:
+            del parts[i][j]
+        elif how == "extra":
+            length = rng.randint(0, level + 1)
+            parts[i].insert(j, tuple(rng.randrange(k) for _ in range(length)))
+        elif how == "lists":
+            parts = [[list(w) for w in part] for part in parts]
+    try:
+        oracle_audit_validation(level, parts, hs[0].alphabet)
+    except iv.AutomatonError as exc:
+        with pytest.raises(type(exc)) as info:
+            iv.coin_audit(level, parts, hs)
+        assert type(info.value) is type(exc)
+        assert str(info.value) == str(exc)
+    else:
+        audit = iv.coin_audit(level, parts, hs)
+        want = oracle_coin_audit(level, parts, hs)
+        assert audit == want
+        assert repr(audit) == repr(want)
+
+
+def test_audit_names_a_letter_that_is_not_an_integer():
+    q = adding().at("q")
+    for parts in ([[(0,), (1,), (0.5,)]], [[(0,), (0.5,)]], [[(0,), (1,), ("1",)]],
+                  [[(0,), (1.0,)]], [[(None,), (1,)]]):
+        with pytest.raises(iv.LetterOutOfRangeError, match="is not an integer index"):
+            iv.coin_audit(1, parts, [q])
+    # a bool is a letter, as in every other call on words
+    audit = iv.coin_audit(1, [[(False,), (True,)]], [q])
+    assert audit == oracle_coin_audit(1, [[(False,), (True,)]], [q])
 
 
 def test_audit_maps_each_transformation_with_words_over_the_tree_once(monkeypatch):

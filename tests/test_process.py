@@ -193,7 +193,7 @@ def test_a_reader_gone_is_one_error_line(argv):
 
 @pytest.mark.parametrize("argv", [
     "periods -k 2 -m 3", "gen adding", "export-dot --gen adding", "invert --gen adding",
-    "compose gen:adding gen:adding", "minimize --gen adding",
+    "compose gen:adding gen:adding", "minimize --gen adding", "--help", "ns --help",
 ])
 def test_a_closed_stdout_is_a_silent_success(argv):
     result = run_cli(*argv.split(), env=BUFFERED, preexec_fn=lambda: os.close(1))
