@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sys
 from itertools import chain, count
-from operator import index, itemgetter
+from operator import add, index, itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -304,6 +304,21 @@ def _kept(obj, name: str, make):
     return getattr(obj, name)
 
 
+def _unchecked(cls, fields: tuple, **kept):
+    """A ``cls`` record with these fields and kept attributes, made without
+    ``__init__`` and so without the checks of ``__post_init__``: the values
+    are set as given, so they must already be what it would make of them.
+    For an :class:`Automaton` derived from checked machines, that is tuples
+    of tuples (str names, rows of length k, int targets in range, output
+    rows that permute the alphabet, a policy naming only these states).
+    The names must be distinct too; the name index is left to the first
+    :meth:`Automaton.state_index`, which checks them then."""
+    self = cls.__new__(cls)
+    for name, value in chain(zip(cls._fields, fields), kept.items()):
+        object.__setattr__(self, name, value)
+    return self
+
+
 def _name_index(automaton: "Automaton") -> dict[str, int]:
     """State name -> index, which doubles as the check that names are
     distinct."""
@@ -343,7 +358,7 @@ class Automaton:
     :func:`generate_builtin`) checks every table entry by entry, and builds
     the name index :meth:`state_index` reads as part of the check that names
     are distinct.  The machines :func:`compose`, :func:`invert` and
-    :func:`minimize` derive from checked ones are built by :meth:`_derived`,
+    :func:`minimize` derive from checked ones are built by :func:`_unchecked`,
     which skips the entry checks and leaves the index to the first lookup.
     """
 
@@ -384,28 +399,6 @@ class Automaton:
         if policy is not None and not policy._lookup.keys() <= index.keys():
             unknown = next(s for s, _ in policy.horizons if s not in index)
             raise UnknownStateError(f"policy names unknown state {unknown!r}")
-
-    @classmethod
-    def _derived(
-        cls,
-        alphabet: Alphabet,
-        states: tuple[str, ...],
-        transitions: tuple[tuple[int, ...], ...],
-        outputs: tuple[tuple[int, ...], ...],
-        policy: MaterializationPolicy | None,
-    ) -> "Automaton":
-        """A machine whose table was computed from checked machines, built
-        without the entry checks of the constructor: the fields are set as
-        given, so they must already be tuples of tuples (str names, rows of
-        length k, int targets in range, output rows that permute the
-        alphabet, a policy naming only these states).  The names must be
-        distinct too; the name index is left to the first
-        :meth:`state_index`, which checks them then."""
-        self = cls.__new__(cls)
-        fields = (alphabet, states, transitions, outputs, policy)
-        for name, value in zip(cls._fields, fields):
-            object.__setattr__(self, name, value)
-        return self
 
     def __hash__(self) -> int:
         """The hash of the field tuple, as every record has, computed once
@@ -489,7 +482,7 @@ class Automaton:
     def state_index(self, name: str) -> int:
         """Index of the state named ``name``.  The name index is kept on the
         machine (:func:`_kept`): the checking constructor makes it, and a
-        derived machine (:meth:`_derived`) makes it on its first lookup."""
+        derived machine (:func:`_unchecked`) makes it on its first lookup."""
         try:
             return _kept(self, "_index", _name_index)[name]
         except KeyError:
@@ -524,6 +517,13 @@ class Transformation:
     def __post_init__(self):
         object.__setattr__(self, "_start", self.automaton.state_index(self.state))
         object.__setattr__(self, "_horizon", self.automaton.horizon(self.state))
+
+    @classmethod
+    def _known(cls, automaton: Automaton, state: str, start: int) -> "Transformation":
+        """``Transformation(automaton, state)`` with no name index looked up,
+        for a caller that knows ``start`` is the index of ``state``: a pruned
+        product starts at its state 0, and q^-1 has q's index."""
+        return _unchecked(cls, (automaton, state), _start=start, _horizon=automaton.horizon(state))
 
     @property
     def start(self) -> int:
@@ -570,11 +570,12 @@ class Transformation:
             try:
                 if not 0 <= x < k:
                     self.alphabet.check_word((x,))  # raises, naming the letter
-                self._check_length(i + 1)
-                yield out[q][x]
-            except TypeError:  # 0.5 or None fails to compare or to index
-                self.alphabet.check_word((x,))  # raises, naming the letter
-                raise
+                y = out[q][x]
+            except TypeError:  # 0.5 fails to index, a letter only through __index__ to compare
+                x = index(self.alphabet.check_word((x,))[0])  # raises, naming a bad letter
+                y = out[q][x]
+            self._check_length(i + 1)
+            yield y
             q = trans[q][x]
 
     def apply_text(self, text: str) -> str:
@@ -593,14 +594,14 @@ class Transformation:
         return tuple(visited)
 
     def inverse(self) -> "Transformation":
-        return Transformation(invert(self.automaton), inverse_name(self.state))
+        return Transformation._known(invert(self.automaton), inverse_name(self.state), self._start)
 
     def then(self, other: "Transformation") -> "Transformation":
         """The composite that applies ``self`` first, then ``other``."""
         product = compose(
             self.automaton, other.automaton, prune_from=(self.state, other.state)
         )
-        return Transformation(product, pair_name(self.state, other.state))
+        return Transformation._known(product, pair_name(self.state, other.state), 0)
 
 
 def _check_level(level: int, what: str = "level") -> None:
@@ -642,7 +643,7 @@ def invert(automaton: Automaton) -> Automaton:
     Because each output row is a permutation the swapped rows are total, and
     the machine started at q^-1 undoes the original machine started at q.
     The inverse is built from the checked input without the constructor's
-    entry checks (:meth:`Automaton._derived`).  Its names are distinct,
+    entry checks (:func:`_unchecked`).  Its names are distinct,
     since the input's are and q -> q^-1 is injective.
     """
     letters = range(automaton.alphabet.size)
@@ -658,13 +659,8 @@ def invert(automaton: Automaton) -> Automaton:
         policy = _derived_policy(
             policy.family, policy.depth, ((inverse_name(s), (h,)) for s, h in policy.horizons)
         )
-    return Automaton._derived(
-        automaton.alphabet,
-        tuple(inverse_name(s) for s in automaton.states),
-        transitions,
-        outputs,
-        policy,
-    )
+    names = tuple(inverse_name(s) for s in automaton.states)
+    return _unchecked(Automaton, (automaton.alphabet, names, transitions, outputs, policy))
 
 
 def compose(
@@ -677,7 +673,7 @@ def compose(
     State (q, s) acts as "a at q, then b at s".  With ``prune_from`` only the
     pairs reachable from that pair are kept (the rest cannot influence it).
     The product is built from the two checked inputs without the
-    constructor's entry checks (:meth:`Automaton._derived`).  When no name
+    constructor's entry checks (:func:`_unchecked`).  When no name
     of ``a`` holds a comma, "(q,s)" gives q back as the text before its
     first comma, so distinct pairs have distinct names.  Otherwise the
     names are checked: pairs ``('p,q', 'r')`` and ``('p', 'q,r')`` would
@@ -694,12 +690,12 @@ def compose(
     tails = [f"{s})" for s in b.states]
     names, transitions, outputs = [], [], []
     # a pair's output row is a's row fed through b's: one shared tuple per
-    # distinct (a-row, b-row), so the product holds no copies of them
+    # distinct (a-row, b-row), so the product holds no copies of them;
+    # b's distinct output rows are numbered in order of first occurrence
+    b_rows: dict[tuple[int, ...], int] = {}
+    b_row_ids = [b_rows.setdefault(row, len(b_rows)) for row in b.outputs]
     # pair (qa, qb) is numbered qa * nb + qb: a-major, as the full product lists it
     if prune_from is None:
-        # b's distinct output rows, numbered in order of first occurrence
-        b_rows: dict[tuple[int, ...], int] = {}
-        b_row_ids = [b_rows.setdefault(row, len(b_rows)) for row in b.outputs]
         # per distinct a-row, its image of every distinct b-row, built on first use
         fed: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         codes = range(a.n_states * nb)
@@ -719,30 +715,33 @@ def compose(
             outputs.extend(map(table.__getitem__, b_row_ids))
     else:
         start = a.state_index(prune_from[0]) * nb + b.state_index(prune_from[1])
-        # only the (a-row, b-row) pairs met are fed through, so the work stays
-        # with the pairs visited however many distinct rows the machines have
-        shared: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
+        # per a-state and letter: the a-part of the successor's code, and the letter fed to b
+        pieces = [tuple(zip([t * nb for t in ta], oa)) for ta, oa in zip(a.transitions, a.outputs)]
         # breadth-first from the start pair, letters ascending
         codes = [start]
         slot = {start: 0}
+        find, push, put, b_trans = slot.get, codes.append, transitions.append, b.transitions
         for code in codes:
-            qa, qb = divmod(code, nb)
-            oa, tb = a.outputs[qa], b.transitions[qb]
+            tb = b_trans[code % nb]
             row = []
-            for t, y in zip(a.transitions[qa], oa):
-                nxt = t * nb + tb[y]
-                i = slot.get(nxt)
+            for base, y in pieces[code // nb]:
+                nxt = base + tb[y]
+                i = find(nxt)
                 if i is None:
                     i = slot[nxt] = len(codes)
-                    codes.append(nxt)
+                    push(nxt)
                 row.append(i)
-            names.append(heads[qa] + tails[qb])
-            transitions.append(tuple(row))
-            key = (oa, b.outputs[qb])
-            out = shared.get(key)
-            if out is None:
-                out = shared[key] = itemgetter(*oa)(key[1])
-            outputs.append(out)
+            put(tuple(row))
+        qas, qbs = [code // nb for code in codes], [code % nb for code in codes]
+        names = list(map(add, map(heads.__getitem__, qas), map(tails.__getitem__, qbs)))
+        # a pair's rows as one int, a-row * width + b-row; only the pairs of
+        # rows met are fed through, so the work stays with the pairs visited
+        width, a_rows = len(b_rows), {}
+        a_keys = [a_rows.setdefault(row, len(a_rows) * width) for row in a.outputs]
+        keys = list(map(add, map(a_keys.__getitem__, qas), map(b_row_ids.__getitem__, qbs)))
+        a_rows, b_rows = list(a_rows), list(b_rows)
+        shared = {key: itemgetter(*a_rows[key // width])(b_rows[key % width]) for key in set(keys)}
+        outputs = list(map(shared.__getitem__, keys))
 
     policy = None
     if a.policy is not None or b.policy is not None:
@@ -754,9 +753,8 @@ def compose(
             for name, code in zip(names, codes)
         ))
 
-    product = Automaton._derived(
-        a.alphabet, tuple(names), tuple(transitions), tuple(outputs), policy
-    )
+    fields = (a.alphabet, tuple(names), tuple(transitions), tuple(outputs), policy)
+    product = _unchecked(Automaton, fields)
     if any("," in name for name in a.states):
         _kept(product, "_index", _name_index)  # checks the names
     return product
@@ -770,7 +768,7 @@ def minimize(automaton: Automaton) -> tuple[Automaton, dict[str, str]]:
     The quotient class is named after its lowest-index member.  Returns the
     quotient and the mapping old state name -> class name.  The quotient is
     built from the checked input without the constructor's entry checks
-    (:meth:`Automaton._derived`); its names are some of the input's, so
+    (:func:`_unchecked`); its names are some of the input's, so
     they are distinct.
     """
     labels: dict[tuple, int] = {}
@@ -802,7 +800,7 @@ def minimize(automaton: Automaton) -> tuple[Automaton, dict[str, str]]:
             for c, qs in members.items()
         ))
 
-    quotient = Automaton._derived(automaton.alphabet, names, transitions, outputs, policy)
+    quotient = _unchecked(Automaton, (automaton.alphabet, names, transitions, outputs, policy))
     mapping = {name: names[c] for name, c in zip(automaton.states, cls)}
     return quotient, mapping
 

@@ -44,61 +44,60 @@ def parse_document(text: str) -> tuple[Automaton, dict[str, str]]:
 def _parse_dsl(text: str) -> Automaton:
     symbols: tuple[str, ...] | None = None
     table: dict[str, dict[str, tuple[str, str]]] = {}
-    current: str | None = None
+    current = row = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        stripped = line.lstrip()
+        if not stripped:
             continue
-        indent = len(line) - len(line.lstrip())
-        stripped = line.strip()
 
         if stripped.startswith("alphabet:"):
+            column = len(line) - len(stripped) + 1
             if symbols is not None:
-                raise ParseError("duplicate alphabet line", lineno, indent + 1)
+                raise ParseError("duplicate alphabet line", lineno, column)
             symbols = tuple(stripped[len("alphabet:"):].split())
             if not symbols:
-                raise ParseError("alphabet line lists no letters", lineno, indent + 1)
+                raise ParseError("alphabet line lists no letters", lineno, column)
+            letters = dict.fromkeys(symbols)
             continue
 
         if symbols is None:
-            raise ParseError("expected an alphabet line first", lineno, indent + 1)
+            column = len(line) - len(stripped) + 1
+            raise ParseError("expected an alphabet line first", lineno, column)
 
-        if stripped.startswith("state ") or stripped.startswith("state\t"):
+        if stripped.startswith(("state ", "state\t")):
             name = stripped[len("state"):].strip()
             if not name.endswith(":"):
                 raise ParseError("state header must end with ':'", lineno, len(line))
             name = name[:-1].strip()
-            if not name or " " in name:
-                raise ParseError("bad state name", lineno, indent + 1)
-            if name in table:
-                raise ParseError(f"duplicate state {name!r}", lineno, indent + 1)
-            table[name] = {}
-            current = name
+            if not name or " " in name or name in table:
+                message = f"duplicate state {name!r}" if name in table else "bad state name"
+                raise ParseError(message, lineno, len(line) - len(stripped) + 1)
+            current, row = name, {}
+            table[name] = row
             continue
 
-        if current is None:
-            raise ParseError("transition before any state header", lineno, indent + 1)
-
-        # a missing '->' or '|' leaves the state part empty
+        # a missing '->' or '|' leaves the state part empty; a good line takes
+        # one test, and the checks after it name the first fault of a bad one
         left, _, rest = stripped.partition("->")
         middle, _, out = rest.rpartition("|")
         letter, nxt, out = left.strip(), middle.strip(), out.strip()
+        if row is not None and nxt and letter in letters and out in letters and letter not in row:
+            row[letter] = (nxt, out)
+            continue
+        column = len(line) - len(stripped) + 1
+        if row is None:
+            raise ParseError("transition before any state header", lineno, column)
         if not letter or not nxt or not out:
-            raise ParseError(
-                "expected '<letter> -> <state> | <letter>'", lineno, indent + 1
-            )
+            raise ParseError("expected '<letter> -> <state> | <letter>'", lineno, column)
         if letter not in symbols:
             raise ParseError(f"unknown letter {letter!r}", lineno, line.find(letter) + 1)
         if out not in symbols:
             raise ParseError(f"unknown letter {out!r}", lineno, line.rfind(out) + 1)
-        if letter in table[current]:
-            raise ParseError(
-                f"duplicate transition for letter {letter!r} in state {current!r}",
-                lineno,
-                indent + 1,
-            )
-        table[current][letter] = (nxt, out)
+        raise ParseError(
+            f"duplicate transition for letter {letter!r} in state {current!r}", lineno, column
+        )
 
     if symbols is None:
         raise ParseError("empty description: no alphabet line")
@@ -107,9 +106,19 @@ def _parse_dsl(text: str) -> Automaton:
     return Automaton.from_table(symbols, table)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key, whose last value json keeps, is refused."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ParseError(f"duplicate key {repeated!r} in a JSON object")
+    return obj
+
+
 def _parse_json(text: str) -> tuple[Automaton, dict[str, str]]:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
     if not isinstance(data, dict):

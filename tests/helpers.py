@@ -25,6 +25,7 @@ from invauto.errors import (
     AlphabetMismatchError,
     MissingTransitionError,
     NonBijectiveOutputError,
+    ParseError,
     UnknownStateError,
     ValidationError,
 )
@@ -562,6 +563,73 @@ def oracle_render_dsl(automaton, name=None):
             out = automaton.alphabet.symbols[automaton.outputs[q][x]]
             lines.append(f"  {letter} -> {nxt} | {out}")
     return "\n".join(lines) + "\n"
+
+
+def oracle_parse_dsl(text):
+    """The DSL read line by line with every check on every line, as
+    textio._parse_dsl once read it: the reference for its errors, their
+    order and locations, and the machine it builds."""
+    symbols = None
+    table = {}
+    current = None
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
+            continue
+        indent = len(line) - len(line.lstrip())
+        stripped = line.strip()
+
+        if stripped.startswith("alphabet:"):
+            if symbols is not None:
+                raise ParseError("duplicate alphabet line", lineno, indent + 1)
+            symbols = tuple(stripped[len("alphabet:"):].split())
+            if not symbols:
+                raise ParseError("alphabet line lists no letters", lineno, indent + 1)
+            continue
+
+        if symbols is None:
+            raise ParseError("expected an alphabet line first", lineno, indent + 1)
+
+        if stripped.startswith("state ") or stripped.startswith("state\t"):
+            name = stripped[len("state"):].strip()
+            if not name.endswith(":"):
+                raise ParseError("state header must end with ':'", lineno, len(line))
+            name = name[:-1].strip()
+            if not name or " " in name:
+                raise ParseError("bad state name", lineno, indent + 1)
+            if name in table:
+                raise ParseError(f"duplicate state {name!r}", lineno, indent + 1)
+            table[name] = {}
+            current = name
+            continue
+
+        if current is None:
+            raise ParseError("transition before any state header", lineno, indent + 1)
+
+        # a missing '->' or '|' leaves the state part empty
+        left, _, rest = stripped.partition("->")
+        middle, _, out = rest.rpartition("|")
+        letter, nxt, out = left.strip(), middle.strip(), out.strip()
+        if not letter or not nxt or not out:
+            raise ParseError("expected '<letter> -> <state> | <letter>'", lineno, indent + 1)
+        if letter not in symbols:
+            raise ParseError(f"unknown letter {letter!r}", lineno, line.find(letter) + 1)
+        if out not in symbols:
+            raise ParseError(f"unknown letter {out!r}", lineno, line.rfind(out) + 1)
+        if letter in table[current]:
+            raise ParseError(
+                f"duplicate transition for letter {letter!r} in state {current!r}",
+                lineno,
+                indent + 1,
+            )
+        table[current][letter] = (nxt, out)
+
+    if symbols is None:
+        raise ParseError("empty description: no alphabet line")
+    if not table:
+        raise ParseError("empty description: no states")
+    return iv.Automaton.from_table(symbols, table)
 
 
 def _oracle_quote(s):

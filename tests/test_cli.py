@@ -355,6 +355,8 @@ def test_t1_report_multiple_items(capsys):
         ["validate", "--file", "{alphabet_null}"],
         ["validate", "--file", "{alphabet_true}"],
         ["validate", "--file", "{alphabet_float}"],
+        ["validate", "--file", "{state_twice}"],
+        ["compose", "{letter_twice}", "gen:adding"],
         ["ns", "--gen", "adding", "--state", "q", "--max-level", HUGE],
         ["ns", "--gen", "adding", "--state", "q", "--max-level", str(sys.maxsize)],
         ["nc", "--gen", "adding", "--state", "q", "--max-level", HUGE],
@@ -368,9 +370,9 @@ def test_t1_report_multiple_items(capsys):
     ],
     ids=["negative-level", "periods-zero", "lemma2-zero", "audit-no-parts",
          "audit-not-json", "item-bad-depth", "alphabet-number", "alphabet-null",
-         "alphabet-true", "alphabet-float", "ns-huge-level", "ns-maxsize-level",
-         "nc-huge-level", "ns-huge-level-past-horizon", "t1-huge-level", "t2-huge-level",
-         "min-level-huge-l-max", "min-level-maxsize-l-max", "audit-huge-level",
+         "alphabet-true", "alphabet-float", "state-twice", "letter-twice", "ns-huge-level",
+         "ns-maxsize-level", "nc-huge-level", "ns-huge-level-past-horizon", "t1-huge-level",
+         "t2-huge-level", "min-level-huge-l-max", "min-level-maxsize-l-max", "audit-huge-level",
          "audit-huge-level-with-words"],
 )
 def test_malformed_input_gives_one_error_line(capsys, tmp_path, argv):
@@ -381,6 +383,10 @@ def test_malformed_input_gives_one_error_line(capsys, tmp_path, argv):
         "alphabet_null": '{"alphabet": null, "states": {}}',
         "alphabet_true": '{"alphabet": true, "states": {}}',
         "alphabet_float": '{"alphabet": 1.5, "states": {}}',
+        "state_twice": '{"alphabet": ["0", "1"], "states": {"q": {"0": ["q", "1"], '
+                       '"1": ["q", "0"]}, "q": {"0": ["q", "0"], "1": ["q", "1"]}}}',
+        "letter_twice": '{"alphabet": ["0", "1"], "states": {"q": {"0": ["q", "1"], '
+                        '"0": ["q", "0"], "1": ["q", "1"]}}}',
         "huge_level": json.dumps({"level": int(HUGE), "transformations": ["gen:adding@q"],
                                   "parts": [[]]}),
         "huge_level_words": json.dumps({"level": int(HUGE), "transformations": ["gen:adding@q"],

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invauto as iv
-from invauto.core import _decimal_str, _exact_str
+from invauto.core import _decimal_str, _exact_str, inverse_name, pair_name
 from helpers import (
     adding,
     add_one,
@@ -195,6 +195,38 @@ def test_composition_law_on_corpus_pairs():
             length = rng.randint(0, 8)
             word = tuple(rng.randrange(2) for _ in range(length))
             assert gh.apply(word) == h.apply(g.apply(word))
+
+
+def _commas():
+    """A machine over {0,1} whose state names hold commas."""
+    return iv.Automaton.from_table(("0", "1"), {
+        "p,q": {"0": ("r", "1"), "1": ("p,q", "0")},
+        "r": {"0": ("r", "0"), "1": ("p,q", "1")},
+    })
+
+
+@pytest.mark.parametrize("g, h", [
+    (adding().at("q"), adding().at("q")),
+    (adding().at("e"), flip_alternator().at("b")),
+    (remark_chain(3).at("q_2"), remark_chain(4).at("q_1")),
+    (_commas().at("p,q"), _commas().at("r")),
+], ids=["adding", "mixed", "policies", "commas"])
+def test_then_and_inverse_build_no_name_index(g, h):
+    """Each is made with the start index it knows: a pruned product starts
+    at its state 0, and q^-1 at q's index.  Only a product whose left names
+    hold a comma has an index, the one compose builds to check the names."""
+    composite = g.then(h)
+    product = iv.compose(g.automaton, h.automaton, prune_from=(g.state, h.state))
+    inverse = g.inverse()
+    made = [
+        (composite, iv.Transformation(product, pair_name(g.state, h.state))),
+        (inverse, iv.Transformation(iv.invert(g.automaton), inverse_name(g.state))),
+    ]
+    for got, want in made:
+        assert got == want
+        assert (got.start, got._horizon) == (want.start, want._horizon)
+    assert ("_index" in vars(composite.automaton)) == any("," in s for s in g.automaton.states)
+    assert "_index" not in vars(inverse.automaton)
 
 
 # ---------------------------------------------------------------- minimization
@@ -751,6 +783,7 @@ def test_a_letter_that_is_not_an_integer_is_a_letter_error():
     assert q.apply((True, False)) == q.apply((1, 0))
     assert list(q.apply_stream([True, False])) == list(q.apply((1, 0)))
     assert q.apply((Index(1), Index(0))) == q.apply((1, 0))
+    assert list(q.apply_stream([Index(1), Index(0)])) == list(q.apply((1, 0)))
 
 
 def test_check_word_edges():

@@ -18,9 +18,11 @@ from helpers import (
     full_corpus,
     named_table,
     oracle_json_doc,
+    oracle_parse_dsl,
     oracle_render_dot,
     oracle_render_dsl,
     oracle_render_json,
+    random_automaton,
     random_odd_machine,
     uv_core,
 )
@@ -332,6 +334,96 @@ def test_every_parse_error_has_its_message_and_location(read, text, message, lin
     with pytest.raises(iv.ParseError) as info:
         read(text)
     assert (str(info.value), info.value.line, info.value.column) == (message, line, column)
+
+
+def _read(read, text):
+    """What ``read`` makes of ``text``: the machine, or the error's type,
+    message, line and column."""
+    try:
+        return read(text)
+    except iv.AutomatonError as error:
+        return type(error), str(error), getattr(error, "line", None), getattr(error, "column", None)
+
+
+# tokens a mutation writes over one of a line's tokens
+_SWAPS = ("z", "9", "s 1", "s0", "0", "->", "|", "state", "state\t", "alphabet:", ":", "#")
+
+
+# header lines a mutation inserts: bad, repeated and tab-separated ones
+_HEADERS = (
+    "state s 1:", "state :", "state s0:", "state\ts9:", "state s0", "alphabet: 0 1", "alphabet:"
+)
+
+
+@st.composite
+def _mutated_dsl(draw):
+    """A rendered machine's DSL text with up to four edits: a separator
+    dropped, a token swapped (an unknown letter, a bad or known name), a line
+    repeated or moved (a duplicate transition, state or alphabet line, a
+    transition before any header), a line dropped, a header inserted, tabs,
+    comments and blank lines; then joined with LF, CRLF or CR."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    machine = random_automaton(rng, draw(st.integers(1, 4)), draw(st.sampled_from([2, 3])))
+    lines = iv.render_dsl(machine).splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(
+            ["separator", "swap", "repeat", "move", "drop", "tab", "comment", "header", "blank"]
+        ))
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines)))
+        line = lines[i]
+        if kind == "separator":
+            lines[i] = line.replace(draw(st.sampled_from(["->", "|"])), " ", 1)
+        elif kind == "swap" and line.split():
+            token = draw(st.sampled_from(line.split()))
+            lines[i] = line.replace(token, draw(st.sampled_from(_SWAPS)), 1)
+        elif kind == "repeat":
+            lines.insert(j, line)
+        elif kind == "move":
+            lines.insert(j, lines.pop(i))
+        elif kind == "drop" and len(lines) > 1:
+            del lines[i]
+        elif kind == "tab":
+            lines[i] = line.replace(" ", "\t", draw(st.integers(1, 2)))
+        elif kind == "comment":
+            lines[i] = line + draw(st.sampled_from(["  # 0 -> s0 | 1", "#", "\t# state x:"]))
+        elif kind == "header":
+            lines.insert(j, draw(st.sampled_from(_HEADERS)))
+        elif kind == "blank":
+            lines.insert(j, draw(st.sampled_from(["", "  ", "\t", "# a comment"])))
+    return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_dsl())
+def test_dsl_reader_matches_the_line_by_line_oracle(text):
+    assert _read(iv.parse_automaton, text) == _read(oracle_parse_dsl, text)
+
+
+_FLIP = '{"0": ["q", "1"], "1": ["q", "0"]}'
+_IDENTITY = '{"0": ["q", "0"], "1": ["q", "1"]}'
+
+
+@pytest.mark.parametrize("text, key", [
+    (f'{{"alphabet": ["0", "1"], "states": {{"q": {_FLIP}, "q": {_IDENTITY}}}}}', "q"),
+    ('{"alphabet": ["0", "1"], "states": {"q": {"0": ["q", "1"], "0": ["q", "0"], '
+     '"1": ["q", "1"]}}}', "0"),
+    (f'{{"alphabet": ["0", "1"], "states": {{"q": {_FLIP}}}, "alphabet": ["0", "1"]}}',
+     "alphabet"),
+], ids=["state", "letter", "top-level"])
+def test_a_json_key_given_twice_is_a_parse_error(text, key):
+    with pytest.raises(iv.ParseError) as info:
+        iv.parse_document(text)
+    assert str(info.value) == f"duplicate key {key!r} in a JSON object"
+
+
+def test_a_json_document_without_repeated_keys_reads_as_before():
+    text = f'{{"alphabet": ["0", "1"], "states": {{"q": {_FLIP}, "e": {_IDENTITY}}}, "name": "n"}}'
+    machine, meta = iv.parse_document(text)
+    assert meta == {"name": "n"}
+    assert machine == iv.Automaton.from_table(("0", "1"), {
+        "q": {"0": ("q", "1"), "1": ("q", "0")}, "e": {"0": ("q", "0"), "1": ("q", "1")},
+    })
 
 
 def test_dot_export_adding_machine():
