@@ -52,6 +52,8 @@ def _open_automaton(path: str | None, family: str | None, depth=None, length=Non
     ``depth``/``length``; exactly one of ``path`` and ``family`` is given."""
     if (path is None) == (family is None):
         raise ArgumentError("exactly one of --file or --gen is required")
+    if family is None and (depth, length) != (None, None):
+        raise ArgumentError("--depth and --length go with --gen only")
     if family is not None:
         return invauto.generate_builtin(family, depth=depth, length=length)
     return invauto.parse_document(_read_text(path))[0]
@@ -339,10 +341,13 @@ _AUDIT_KEYS = (
 
 def _audit_spec(path: str) -> dict:
     """The audit spec in ``path``, with each key's presence and type checked."""
-    try:
-        spec = json.loads(_read_text(path))
+    text = _read_text(path)
+    try:  # a repeated key is refused, as in a machine document
+        spec = json.loads(text, object_pairs_hook=invauto.textio._unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not JSON ({exc})") from None
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     if not isinstance(spec, dict):
         raise ParseError(f"{path}: audit spec must be a JSON object")
     for key, valid, what in _AUDIT_KEYS:
@@ -371,14 +376,15 @@ def cmd_audit(args) -> str:
         more = "" if len(audit.deficit) <= 8 else ", ..."
         lines.append(f"  {shown}{more}")
     lines.append("doubling" if audit.doubling else "not a doubling scheme")
-    payload = {
+    if not args.json:  # the payload would write out every word of the level
+        return _emit(args, lines, {})
+    return _emit(args, lines, {
         "level": audit.level,
         "total_coins": str(audit.total_coins),
         "coin_counts": {alphabet.text(w): str(c) for w, c in audit.coin_counts.items()},
         "deficit": [alphabet.text(w) for w in audit.deficit],
         "doubling": audit.doubling,
-    }
-    return _emit(args, lines, payload)
+    })
 
 
 class _Parser(argparse.ArgumentParser):

@@ -200,6 +200,8 @@ class Alphabet:
         object.__setattr__(self, "_lookup", {s: i for i, s in enumerate(self.symbols)})
         # the letters that fit in a byte, which check_word deletes in one pass
         object.__setattr__(self, "_bytes", bytes(range(min(len(self.symbols), 256))))
+        # a word is written letter after letter when every letter is one character
+        object.__setattr__(self, "_separator", "" if max(map(len, self.symbols)) == 1 else " ")
 
     @classmethod
     def of_size(cls, k: int) -> "Alphabet":
@@ -216,24 +218,15 @@ class Alphabet:
             raise LetterOutOfRangeError(f"unknown letter {token!r}") from None
 
     def word(self, text: str) -> Word:
-        """Decode a word from text.
-
-        Single-character alphabets read contiguously ("011"); otherwise the
-        letters must be whitespace-separated.
-        """
-        if not text:
-            return ()
-        if any(ch.isspace() for ch in text):
-            return tuple(self.index(tok) for tok in text.split())
-        if all(len(s) == 1 for s in self.symbols):
-            return tuple(self.index(ch) for ch in text)
-        return (self.index(text),)
+        """Decode a word from text: one letter per character ("011") when every
+        letter is one character and the text has no whitespace, else "0 1 1"."""
+        tokens = text.split()
+        if self._separator == "" and tokens == [text]:
+            tokens = text
+        return tuple(map(self.index, tokens))
 
     def text(self, word: Sequence[int]) -> str:
-        toks = [self.symbols[x] for x in self.check_word(word)]
-        if all(len(s) == 1 for s in self.symbols):
-            return "".join(toks)
-        return " ".join(toks)
+        return self._separator.join([self.symbols[x] for x in self.check_word(word)])
 
     def check_word(self, word: Sequence[int]) -> Word:
         """``word`` as a tuple, once every letter is an integer index below
@@ -454,7 +447,7 @@ class Automaton:
         for name in states:
             row = table[name]
             for tok in row:
-                if tok not in alphabet.symbols:
+                if tok not in alphabet._lookup:
                     raise LetterOutOfRangeError(
                         f"state {name!r} has a row for unknown letter {tok!r}"
                     )

@@ -15,7 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from operator import add, itemgetter, mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .core import (
     Alphabet,
@@ -32,6 +32,7 @@ from .errors import (
     AlphabetMismatchError,
     ArgumentError,
     BlockFactorTooSmallError,
+    LetterOutOfRangeError,
     PartitionNotTotalError,
     PartitionOverlapError,
 )
@@ -212,8 +213,8 @@ def coin_audit(
     parts must partition all words of the given length exactly.  A valid
     partition is accepted by one comparison: k**level words listed, as many
     distinct, all letters ints, and every word of the level among them.
-    Anything else is read word by word (:func:`_check_partition`), which
-    names the first bad word.  Then each distinct transformation with at
+    Anything else is read word by word (:func:`_raise_first_fault`), which
+    raises for the first bad word.  Then each distinct transformation with at
     least one word maps the whole word tree once (:func:`_tally`).
     """
     hs = tuple(hs)
@@ -228,16 +229,11 @@ def coin_audit(
         if part:
             h._check_length(level)
     k = alphabet.size
-    owner = None  # the block of each word of the level, by the word's rank
     assignments = _listed(parts, k, level)
-    if assignments is not None:
-        try:  # every word of the level is a key; the same pass reads its block
-            owner = list(map(assignments.__getitem__, itertools.product(range(k), repeat=level)))
-        except KeyError:
-            pass
-    if owner is None:
-        assignments = _check_partition(alphabet, level, parts)
+    try:  # every word of the level is a key; the same pass reads its block
         owner = list(map(assignments.__getitem__, itertools.product(range(k), repeat=level)))
+    except KeyError:
+        _raise_first_fault(alphabet, level, parts)
     tally = _tally(level, owner, hs)
     counts = dict(zip(
         itertools.product(range(k), repeat=level),
@@ -247,17 +243,17 @@ def coin_audit(
     return CoinAudit(level, assignments, hs, counts, deficit)
 
 
-def _listed(parts: list[list], k: int, level: int) -> dict[Word, int] | None:
+def _listed(parts: list[list], k: int, level: int) -> dict[Word, int]:
     """The word -> block map of ``parts``, built block by block at C level,
     when its counts fit a partition of the level's words: k**level words
-    listed, as many distinct, every letter an int.  None when they do not,
+    listed, as many distinct, every letter an int.  Empty when they do not,
     or when a word is not a hashable sequence."""
     assignments: dict[Word, int] = {}
     try:
         for i, part in enumerate(parts):
             assignments.update(zip(map(tuple, part), repeat(i)))
     except TypeError:
-        return None
+        return {}
     listed = sum(map(len, parts))
     # k**level > listed once level passes listed's bit length; not computed then
     if (
@@ -267,18 +263,24 @@ def _listed(parts: list[list], k: int, level: int) -> dict[Word, int] | None:
         and _sums_to_int(assignments)
     ):
         return assignments
-    return None
+    return {}
 
 
-def _check_partition(alphabet: Alphabet, level: int, parts: list[list]) -> dict[Word, int]:
-    """Each block's words checked one by one, in block and list order: the
-    first word that is malformed, of another length or listed before
-    raises, and then the first word of the level that no block lists.  A
-    valid partition's word -> block map is returned."""
+def _raise_first_fault(alphabet: Alphabet, level: int, parts: list[list]) -> NoReturn:
+    """Raise for the first fault of a partition that :func:`_listed` refused:
+    with each block's words checked in block and list order, the first word
+    that is malformed (a letter not an int included), of another length or
+    listed before raises; then the first word of the level no block lists."""
+    k = alphabet.size
     assignments: dict[Word, int] = {}
     for i, part in enumerate(parts):
         for word in part:
             w = alphabet.check_word(word)
+            for x in w:  # only an int or a bool hashes, compares and sums as its index
+                if type(x) is not int and type(x) is not bool:
+                    raise LetterOutOfRangeError(
+                        f"letter {x!r} is not an integer index for alphabet of size {k}"
+                    )
             if len(w) != level:
                 raise ArgumentError(f"word {w} does not have length {level}")
             if w in assignments:
@@ -289,17 +291,10 @@ def _check_partition(alphabet: Alphabet, level: int, parts: list[list]) -> dict[
                     else f"word {alphabet.text(w)!r} is assigned to blocks {j + 1} and {i + 1}"
                 )
             assignments[w] = i
-    # the assigned words are distinct and of length ``level``, so the parts
-    # are total exactly when there are k**level of them; only then list them
-    if len(assignments) != alphabet.size**level:
-        missing = next(
-            w for w in itertools.product(range(alphabet.size), repeat=level)
-            if w not in assignments
-        )
-        raise PartitionNotTotalError(
-            f"word {alphabet.text(missing)!r} is not assigned to any block"
-        )
-    return assignments
+    # a word of the level is missing: the comparison accepts every partition of
+    # distinct words of the level with int letters, and these passed every check
+    missing = next(w for w in itertools.product(range(k), repeat=level) if w not in assignments)
+    raise PartitionNotTotalError(f"word {alphabet.text(missing)!r} is not assigned to any block")
 
 
 def _tally(level: int, owner: list[int], hs: tuple[Transformation, ...]) -> Counter[int]:

@@ -23,9 +23,12 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
-from .core import Automaton
 from .errors import ParseError, ValidationError
+
+if TYPE_CHECKING:  # the readers import it when they run: the CLI reads audit specs without it
+    from .core import Automaton
 
 
 def parse_automaton(text: str) -> Automaton:
@@ -103,6 +106,7 @@ def _parse_dsl(text: str) -> Automaton:
         raise ParseError("empty description: no alphabet line")
     if not table:
         raise ParseError("empty description: no states")
+    from .core import Automaton
     return Automaton.from_table(symbols, table)
 
 
@@ -145,6 +149,7 @@ def _parse_json(text: str) -> tuple[Automaton, dict[str, str]]:
     meta = {
         key: str(data[key]) for key in ("name", "description") if key in data
     }
+    from .core import Automaton
     return Automaton.from_table(tuple(str(s) for s in data["alphabet"]), table), meta
 
 

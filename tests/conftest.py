@@ -2,6 +2,8 @@ import sys
 import warnings
 from pathlib import Path
 
+from hypothesis import settings
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 # Hypothesis imports its patch writer, and with it libcst when that is
@@ -15,3 +17,10 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:  # libcst is not installed
         pass
+
+# One hypothesis profile for the suite: no per-example deadline, since an
+# example's time depends on the machine it draws and the host it runs on.
+# Loaded before any test module builds its ``settings(...)``, it is the
+# parent of each of them, so they set only ``max_examples``.
+settings.register_profile("invauto", deadline=None)
+settings.load_profile("invauto")

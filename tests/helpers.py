@@ -124,7 +124,38 @@ def subtract_one(word):
     return tuple(bits)
 
 
+class Index:
+    """A letter that is an integer only through ``__index__``; it hashes and
+    compares by identity, not as its int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 # ---------------------------------------------------------------- oracles
+
+def oracle_word(alphabet, text):
+    """``Alphabet.word`` as it once was: it works out on every call whether
+    the text is split at whitespace, read letter by letter or is one letter."""
+    if not text:
+        return ()
+    if any(ch.isspace() for ch in text):
+        return tuple(alphabet.index(tok) for tok in text.split())
+    if all(len(s) == 1 for s in alphabet.symbols):
+        return tuple(alphabet.index(ch) for ch in text)
+    return (alphabet.index(text),)
+
+
+def oracle_text(alphabet, word):
+    """``Alphabet.text`` as it once was: the separator worked out on every call."""
+    toks = [alphabet.symbols[x] for x in alphabet.check_word(word)]
+    if all(len(s) == 1 for s in alphabet.symbols):
+        return "".join(toks)
+    return " ".join(toks)
+
 
 def decimal_value(text):
     """The int a decimal string of any length spells, read 1000 digits at a
@@ -734,11 +765,16 @@ def oracle_audit_validation(level, parts, alphabet):
     """The word -> block map of a valid partition, checked word by word as
     coin_audit once checked every partition: the first malformed word, in
     block and list order, raises, then the first word of the level that no
-    block lists.  The reference for the audit's errors, type and text."""
+    block lists.  A letter must be an int or a bool, not a subclass of
+    them.  The reference for the audit's errors, type and text."""
     assignments = {}
     for i, part in enumerate(parts):
         for word in part:
             w = alphabet.check_word(word)
+            for x in w:  # an int subclass or a letter with only __index__ may not hash as its int
+                if type(x) is not int and type(x) is not bool:
+                    raise iv.LetterOutOfRangeError(f"letter {x!r} is not an integer "
+                                                   f"index for alphabet of size {alphabet.size}")
             if len(w) != level:
                 raise iv.ArgumentError(f"word {w} does not have length {level}")
             if w in assignments:
@@ -755,6 +791,22 @@ def oracle_audit_validation(level, parts, alphabet):
                 f"word {alphabet.text(w)!r} is not assigned to any block"
             )
     return assignments
+
+
+def oracle_period_leaks(h, level, m):
+    """For each period word p of length m, by rank: how many prefixes u of
+    length ``level`` h sends out of the population "periodic past ``level``
+    with period m", found by applying h to u + p * (n + 2), n the machine's
+    state count, with neither ``apply_to_ep_word`` nor the cycle search.
+    n + 2 copies of p show every block of the image: the state at each
+    block boundary runs through its whole orbit within n + 1 blocks, and
+    each block's image depends only on that state."""
+    copies = h.automaton.n_states + 2
+    leaks = []
+    for p in all_words(h.alphabet.size, m):
+        images = (h.apply(u + p * copies) for u in all_words(h.alphabet.size, level))
+        leaks.append(sum(image[level:-m] != image[level + m:] for image in images))
+    return leaks
 
 
 def oracle_block_imports(h, level, tail_length, tails):

@@ -367,13 +367,16 @@ def test_t1_report_multiple_items(capsys):
         ["min-level", "--gen", "adding", "--state", "q", "--l-max", str(sys.maxsize)],
         ["audit", "--input", "{huge_level}"],
         ["audit", "--input", "{huge_level_words}"],
+        ["validate", "--file", str(DATA / "adding.maut"), "--depth", "5"],
+        ["ns", "--file", str(DATA / "adding.maut"), "--state", "q", "--max-level", "2",
+         "--length", "2"],
     ],
     ids=["negative-level", "periods-zero", "lemma2-zero", "audit-no-parts",
          "audit-not-json", "item-bad-depth", "alphabet-number", "alphabet-null",
          "alphabet-true", "alphabet-float", "state-twice", "letter-twice", "ns-huge-level",
          "ns-maxsize-level", "nc-huge-level", "ns-huge-level-past-horizon", "t1-huge-level",
          "t2-huge-level", "min-level-huge-l-max", "min-level-maxsize-l-max", "audit-huge-level",
-         "audit-huge-level-with-words"],
+         "audit-huge-level-with-words", "file-with-depth", "file-with-length"],
 )
 def test_malformed_input_gives_one_error_line(capsys, tmp_path, argv):
     texts = {
@@ -450,6 +453,16 @@ def test_audit_spec_error_names_the_key(capsys, tmp_path):
     code, _, err = run(capsys, "audit", "--input", str(path))
     assert code == 2
     assert "'level'" in err and "integer" in err
+
+
+def test_audit_spec_refuses_a_repeated_key(capsys, tmp_path):
+    # json keeps the last value: this spec would run at level 1
+    path = tmp_path / "audit.json"
+    path.write_text('{"level": 5, "level": 1, "transformations": ["gen:adding@q"], '
+                    '"parts": [["0", "1"]]}')
+    code, out, err = run(capsys, "audit", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: duplicate key 'level' in a JSON object\n"
 
 
 def test_binary_file_is_parse_error(capsys, tmp_path):
@@ -553,7 +566,7 @@ def fuzzed_argv(draw):
     return [command] + [a for group in groups for a in group]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(fuzzed_argv())
 def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
     _check_contract(argv)
@@ -609,7 +622,7 @@ def fuzzed_audit_spec(draw):
     return spec
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(fuzzed_audit_spec(), st.booleans())
 def test_fuzzed_audit_spec_keeps_the_exit_code_contract(spec, as_json):
     with tempfile.TemporaryDirectory() as tmp:

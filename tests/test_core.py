@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import invauto as iv
 from invauto.core import _decimal_str, _exact_str, inverse_name, pair_name
 from helpers import (
+    Index,
     adding,
     add_one,
     all_words,
@@ -30,7 +31,9 @@ from helpers import (
     oracle_compose,
     oracle_invert,
     oracle_remark_chain,
+    oracle_text,
     oracle_validate,
+    oracle_word,
     random_automaton,
     random_funnel,
     random_leaky,
@@ -389,14 +392,14 @@ def random_machines(draw):
     return machine.at(f"s{state}"), word
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(random_machines())
 def test_inverse_law_property(machine_and_word):
     g, word = machine_and_word
     assert g.inverse().apply(g.apply(word)) == word
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(random_machines())
 def test_prefix_compatibility_property(machine_and_word):
     g, word = machine_and_word
@@ -406,7 +409,7 @@ def test_prefix_compatibility_property(machine_and_word):
         assert g.apply(word[:cut]) == image[:cut]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(random_machines(), random_machines())
 def test_composition_law_property(first, second):
     g, word = first
@@ -440,13 +443,13 @@ def machine_pairs(draw):
     return tuple(draw(make)(rng, draw(st.integers(1, 12)), k) for _ in range(2))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(machine_pairs())
 def test_compose_matches_oracle(pair):
     assert_composes_like_oracle(*pair)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(machine_pairs())
 def test_product_output_rows_are_shared(pair):
     a, b = pair
@@ -460,7 +463,7 @@ def test_product_output_rows_are_shared(pair):
 _ODD_MACHINE_ARGS = (st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([2, 3, 4]))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(*_ODD_MACHINE_ARGS)
 def test_invert_matches_oracle(seed, n, k):
     machine = random_odd_machine(random.Random(seed), n, k)
@@ -473,7 +476,7 @@ def test_invert_matches_oracle_with_policy(depth):
     assert_same_table(iv.invert(chain), oracle_invert(chain))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(*_ODD_MACHINE_ARGS)
 def test_inverse_output_rows_are_shared(seed, n, k):
     machine = random_odd_machine(random.Random(seed), n, k)
@@ -572,7 +575,7 @@ def derivable_pairs(draw):
     return a, b, (draw(st.sampled_from(a.states)), draw(st.sampled_from(b.states)))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(derivable_pairs())
 def test_derived_machines_rebuild_alike(case):
     for machine in derived_from(*case):
@@ -616,7 +619,7 @@ def tangled_pairs(draw):
     return a, b, prune
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(tangled_pairs())
 def test_product_names_match_oracle_and_index_on_first_lookup(case):
     a, b, prune = case
@@ -699,7 +702,7 @@ def _corrupt(draw, kind, states, transitions, outputs, k):
 
 
 @pytest.mark.parametrize("kind", CORRUPTIONS)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_validation_matches_oracle(kind, data):
     """One or two spoiled rows: the constructor raises what the state-by-state
@@ -731,7 +734,7 @@ def letter_error(x, k):
     return f"letter index {x} out of range for alphabet of size {k}"
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(data=st.data())
 def test_check_word_names_first_bad_letter(data):
     draw = data.draw
@@ -751,16 +754,6 @@ def test_check_word_names_first_bad_letter(data):
     with pytest.raises(iv.LetterOutOfRangeError) as info:
         g.apply(word)
     assert str(info.value) == message
-
-
-class Index:
-    """A letter that is an integer only through ``__index__``."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __index__(self):
-        return self.value
 
 
 def test_a_letter_that_is_not_an_integer_is_a_letter_error():
@@ -803,6 +796,58 @@ def test_check_word_edges():
         with pytest.raises(iv.LetterOutOfRangeError) as info:
             alphabet.check_word([255, 256, x, 299])
         assert str(info.value) == letter_error(x, 300)
+
+
+# ---------------------------------------------------------------- text form
+
+# no whitespace (all of it is in these categories) and no surrogates
+LETTER_CHARS = st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp", "Zs"))
+# characters that str.split() splits at, ASCII and not
+WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2009\u2028\u2029\u3000"
+SPACES = st.text(st.sampled_from(WHITESPACE), min_size=1, max_size=3)
+
+
+@st.composite
+def alphabets(draw):
+    """Two to four letters: all one character, all longer, of mixed lengths,
+    or the letters of ``random_odd_machine``."""
+    shape = draw(st.sampled_from(["one", "long", "mixed", "odd"]))
+    k = draw(st.integers(2, 4))
+    if shape == "odd":
+        return random_odd_machine(random.Random(draw(st.integers(0, 2**32 - 1))), 1, k).alphabet
+    lengths = {"one": st.just(1), "long": st.integers(2, 3), "mixed": st.integers(1, 3)}[shape]
+    letter = lengths.flatmap(lambda n: st.text(LETTER_CHARS, min_size=n, max_size=n))
+    return iv.Alphabet(draw(st.lists(letter, min_size=k, max_size=k, unique=True)))
+
+
+def _result(call):
+    """What ``call()`` returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except iv.AutomatonError as error:
+        return type(error), str(error)
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_word_and_text_match_the_forms_worked_out_per_call(data):
+    draw = data.draw
+    alphabet = draw(alphabets())
+    k, symbols = alphabet.size, alphabet.symbols
+    # any text: letters, their pieces, other characters and whitespace runs
+    pieces = st.sampled_from(symbols) | st.text(LETTER_CHARS, max_size=2) | SPACES
+    text = "".join(draw(st.lists(pieces, max_size=8)))
+    assert _result(lambda: alphabet.word(text)) == _result(lambda: oracle_word(alphabet, text))
+    # a word, its text and the text with any whitespace around and between its letters
+    w = tuple(draw(st.lists(st.integers(0, k - 1), max_size=8)))
+    assert alphabet.text(w) == oracle_text(alphabet, w)
+    assert alphabet.word(alphabet.text(w)) == w
+    spaced = draw(SPACES) + draw(SPACES).join(symbols[x] for x in w) + draw(SPACES)
+    assert alphabet.word(spaced) == oracle_word(alphabet, spaced) == w
+    # a word with a bad letter: the same error
+    bad = list(w)
+    bad.insert(draw(st.integers(0, len(w))), draw(st.sampled_from([-1, k, 0.5, None, "0"])))
+    assert _result(lambda: alphabet.text(bad)) == _result(lambda: oracle_text(alphabet, bad))
 
 
 # ---------------------------------------------------------------- hashing

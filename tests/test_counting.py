@@ -142,7 +142,7 @@ def _assert_sweep_matches_oracle(g, max_level):
             assert next(sweep) == next(oracle), (kind, g.state, level)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     st.sampled_from(["random", "leaky", "funnel", "constant"]),
     st.integers(1, 40),
@@ -165,7 +165,7 @@ def test_frontier_sweep_matches_dense_sweep(kind, n, k, seed):
         _assert_sweep_matches_oracle(g, 64)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.integers(1, 30), st.sampled_from([2, 3, 4]), st.integers(0, 2**32 - 1))
 def test_carried_totals_match_dense_sweep_on_mixed_degrees(n, k, seed):
     """The carried level totals against the dense sweep, which sums the whole
@@ -295,7 +295,7 @@ def test_classify_rate_bounds_bracket_the_rate():
     assert (hi - lo) / lo <= Fraction(1, 2**40)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     st.sampled_from(["random", "funnel", "constant"]),
     st.integers(1, 40),
@@ -398,7 +398,7 @@ def test_kept_cycles_survive_pickling():
 
 # ---------------------------------------------------------------- component pass
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     st.sampled_from(["random", "leaky", "funnel"]),
     st.integers(1, 30),
@@ -518,7 +518,7 @@ def test_one_cycle_search_per_machine(monkeypatch):
     assert len(searches) == 2
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     st.sampled_from(["random", "leaky", "funnel", "functional"]),
     st.integers(1, 30),
@@ -551,7 +551,7 @@ def test_find_ucs_matches_oracle(kind, n, k, seed):
     assert dict(iv.counting.uc_state_lengths(machine)) == uc
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     st.sampled_from(["random", "leaky"]),
     st.integers(1, 8),
@@ -684,7 +684,7 @@ def test_word_set_enumerations_match_counts():
     assert iv.nc_words(flip_alternator().at("a"), 30) == []
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     st.sampled_from(["random", "leaky"]),
     st.integers(1, 8),

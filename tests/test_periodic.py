@@ -171,7 +171,7 @@ def test_lemma1_randomized_and_applicability_matches_cycle_avoidance():
     assert cases > 100
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     st.sampled_from([random_leaky, random_mixed_degree]),
     st.integers(1, 8),

@@ -20,12 +20,15 @@ import itertools
 import json
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
 import invauto
 from invauto.cli import _Parser, main
 from helpers import HUGE, _cap_address_space, run_cli, run_python
+
+DATA = Path(__file__).parent / "data"
 
 
 def _ok(*argv: str, **kwargs) -> bytes:
@@ -85,8 +88,11 @@ UNUSED_BY_ALL = {"dataclasses", "inspect"}
     (["classify", "--gen", "flip_all", "--state", "r", "--json"], 0,
      {"numpy", "networkx", "invauto.paradox", "invauto.periodic"}),
     (["t1-report", "--gen", "adding", "--state", "q", "-l", "2"], 0, set()),
+    # a spec that is not JSON: read with textio's key check, with no machine code
+    (["audit", "--input", str(DATA / "adding.maut")], 2,
+     {"invauto.core", "invauto.counting", "invauto.periodic", "invauto.paradox"}),
 ], ids=["bare-import", "periods", "ns", "gen", "export-dot", "malformed-item", "lemma1-json",
-        "classify", "t1-report"])
+        "classify", "t1-report", "malformed-audit-spec"])
 def test_a_call_loads_only_the_modules_it_uses(argv, code, unused):
     got, err, loaded = _call_in_fresh_interpreter(argv)
     assert got == code, err

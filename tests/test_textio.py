@@ -145,7 +145,7 @@ def _named_machines(draw):
     return iv.Automaton.from_table(letters, table)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_named_machines(), _names)
 def test_dsl_refuses_exactly_the_machines_it_cannot_read_back(machine, name):
     with mock.patch.object(textio, "_check_dsl_names"):
@@ -196,7 +196,7 @@ def _json_machines(draw):
     return iv.Automaton.from_table(draw(st.permutations(letters)), table)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([2, 3, 4]))
 def test_renderers_write_the_bytes_of_their_oracles(seed, n, k):
     machine = random_odd_machine(random.Random(seed), n, k)
@@ -211,7 +211,7 @@ def test_renderers_write_the_bytes_of_their_oracles(seed, n, k):
     assert iv.render_json(machine) == oracle_render_json(machine)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_json_machines(), st.none() | _json_text, st.none() | _json_text)
 def test_render_json_writes_the_bytes_of_json_dumps(machine, name, description):
     assert iv.render_json(machine) == oracle_render_json(machine)
@@ -394,7 +394,7 @@ def _mutated_dsl(draw):
     return draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines) + "\n"
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(_mutated_dsl())
 def test_dsl_reader_matches_the_line_by_line_oracle(text):
     assert _read(iv.parse_automaton, text) == _read(oracle_parse_dsl, text)
