@@ -417,8 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--file", metavar="PATH", help="automaton file (.maut or .json)")
     source.add_argument("--gen", metavar="FAMILY", help="builtin machine family")
-    source.add_argument("--depth", type=int, help="materialization depth for --gen")
-    source.add_argument(
+    depth = argparse.ArgumentParser(add_help=False)
+    depth.add_argument("--depth", type=int, help="materialization depth for --gen")
+    depth.add_argument(
         "--length", type=int, help="processing length the generated table must serve"
     )
     state = argparse.ArgumentParser(add_help=False)
@@ -426,33 +427,31 @@ def build_parser() -> argparse.ArgumentParser:
     json_ = argparse.ArgumentParser(add_help=False)
     json_.add_argument("--json", action="store_true", help="machine-readable output")
 
-    def add(name: str, handler, help_: str, parents=(source, state, json_), **defaults):
+    def add(name: str, handler, help_: str, parents=(source, depth, state, json_), **defaults):
         p = sub.add_parser(name, help=help_, parents=parents)
         p.set_defaults(handler=handler, **defaults)
         return p
 
-    add("validate", cmd_validate, "check an automaton description", [source, json_])
+    add("validate", cmd_validate, "check an automaton description", [source, depth, json_])
 
-    p = add("gen", cmd_gen, "print a builtin machine as DSL text", [])
+    p = add("gen", cmd_gen, "print a builtin machine as DSL text", [depth])
     p.add_argument("family")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--length", type=int)
 
     # commands printing a machine description have no JSON form
-    add("export-dot", cmd_export_dot, "print the labeled state diagram", [source])
+    add("export-dot", cmd_export_dot, "print the labeled state diagram", [source, depth])
 
     p = add("apply", cmd_apply, "run a machine on words")
     p.add_argument("word", nargs="*", help="words (default: read from stdin)")
 
-    add("invert", cmd_invert, "print the inverse machine", [source])
+    add("invert", cmd_invert, "print the inverse machine", [source, depth])
 
     p = add("compose", cmd_compose, "print the product machine (left acts first)", [])
     p.add_argument("left", help="path or gen:FAMILY[:depth=N]")
     p.add_argument("right", help="path or gen:FAMILY[:depth=N]")
     p.add_argument("--prune", metavar="A,B", help="keep only pairs reachable from (A,B)")
 
-    add("minimize", cmd_minimize, "print the behavioral quotient", [source, json_])
-    add("ucs", cmd_ucs, "list unconditional cycles", [source, json_])
+    add("minimize", cmd_minimize, "print the behavioral quotient", [source, depth, json_])
+    add("ucs", cmd_ucs, "list unconditional cycles", [source, depth, json_])
 
     # the library call is named here and looked up only when the handler runs
     p = add("ns", _cmd_counts, "count words ending in a nontrivial state, per level",
@@ -476,10 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", "--period-divisor", type=int, required=True)
     p.add_argument("--word", action="append", default=[], metavar="PREFIX:PERIOD")
 
-    p = add("periods", cmd_periods, "count primitive periods with length dividing m", [])
+    p = add("periods", cmd_periods, "count primitive periods with length dividing m", [json_])
     p.add_argument("-k", "--alphabet-size", type=int, required=True)
     p.add_argument("-m", "--period-divisor", type=int, required=True)
-    p.add_argument("--json", action="store_true")
 
     p = add("t1-report", cmd_t1_report, "activity-based doubling bound at one level")
     p.add_argument("-l", "--level", type=int, required=True)
@@ -497,9 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-max", type=int, default=64)
     p.add_argument("--item", action="append", metavar="SOURCE@STATE")
 
-    p = add("audit", cmd_audit, "replay a candidate doubling scheme from JSON", [])
+    p = add("audit", cmd_audit, "replay a candidate doubling scheme from JSON", [json_])
     p.add_argument("--input", required=True, metavar="PATH")
-    p.add_argument("--json", action="store_true")
 
     return parser
 

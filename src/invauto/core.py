@@ -233,8 +233,8 @@ class Alphabet:
         the alphabet size.  Accepted when deleting the alphabet's letters
         from its bytes leaves none; a letter that is not an integer, or not
         below 256, or a byte left over sends it through the loop that names
-        the first bad letter.  A letter with ``__index__`` (a bool) passes
-        and is kept as it is."""
+        the first bad letter (an out-of-range one by its index).  A letter
+        with ``__index__`` (a bool) passes and is kept as it is."""
         w = tuple(word)
         try:
             if not bytes(w).translate(None, self._bytes):
@@ -244,14 +244,14 @@ class Alphabet:
         k = len(self.symbols)
         for x in w:
             try:
-                ok = 0 <= index(x) < k
+                i = index(x)
             except TypeError:
                 raise LetterOutOfRangeError(
                     f"letter {x!r} is not an integer index for alphabet of size {k}"
                 ) from None
-            if not ok:
+            if not 0 <= i < k:
                 raise LetterOutOfRangeError(
-                    f"letter index {x} out of range for alphabet of size {k}"
+                    f"letter index {i} out of range for alphabet of size {k}"
                 )
         return w
 
@@ -560,15 +560,10 @@ class Transformation:
         k = self.alphabet.size
         q = self._start
         for i, x in enumerate(letters):
-            try:
-                if not 0 <= x < k:
-                    self.alphabet.check_word((x,))  # raises, naming the letter
-                y = out[q][x]
-            except TypeError:  # 0.5 fails to index, a letter only through __index__ to compare
+            if type(x) is not int or not 0 <= x < k:
                 x = index(self.alphabet.check_word((x,))[0])  # raises, naming a bad letter
-                y = out[q][x]
             self._check_length(i + 1)
-            yield y
+            yield out[q][x]
             q = trans[q][x]
 
     def apply_text(self, text: str) -> str:

@@ -170,11 +170,9 @@ def find_ucs(automaton: Automaton) -> tuple[UnconditionalCycle, ...]:
 def uc_state_lengths(automaton: Automaton) -> dict[int, int]:
     """State index -> length of the unconditional cycle it belongs to, from
     the search :func:`find_ucs` keeps (shared: read it, do not change it)."""
-    try:
-        return automaton._ucs[1]
-    except AttributeError:  # a first search goes through the public name, so wrappers see it
-        find_ucs(automaton)
-        return automaton._ucs[1]
+    if not hasattr(automaton, "_ucs"):
+        find_ucs(automaton)  # a first search goes through the public name, so wrappers see it
+    return automaton._ucs[1]
 
 
 def _dead(automaton: Automaton, kind: str) -> frozenset[int]:

@@ -232,7 +232,9 @@ def coin_audit(
     assignments = _listed(parts, k, level)
     try:  # every word of the level is a key; the same pass reads its block
         owner = list(map(assignments.__getitem__, itertools.product(range(k), repeat=level)))
-    except KeyError:
+    except KeyError:  # stops at the first word no block lists: refused
+        owner = None
+    if owner is None:
         _raise_first_fault(alphabet, level, parts)
     tally = _tally(level, owner, hs)
     counts = dict(zip(

@@ -237,6 +237,19 @@ def oracle_cycle_reached(g, w, level):
     return None
 
 
+def uc_entry(g, word):
+    """(steps, cycle length) when the path of ``word`` first touches a state
+    of an unconditional cycle (as :func:`invauto.find_ucs` lists them)."""
+    lengths = {}
+    for cycle in iv.find_ucs(g.automaton):
+        for name in cycle.states:
+            lengths[g.automaton.state_index(name)] = cycle.length
+    for step, state in enumerate(g.path(word)):
+        if state in lengths:
+            return step, lengths[state]
+    return None
+
+
 def brute_counts(g, max_level):
     """Per-level (ns, nc) by enumerating the word tree, no dynamic programming."""
     automaton = g.automaton

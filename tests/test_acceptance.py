@@ -25,6 +25,7 @@ from helpers import (
     random_ep_word,
     random_funnel,
     remark_chain,
+    uc_entry,
     uv_core,
 )
 
@@ -94,17 +95,6 @@ def test_criterion_3_subadditivity_and_inverse_symmetry():
     _report(3, "subadditivity and inverse symmetry of both counts")
 
 
-def _uc_entry(g, word):
-    lengths = {}
-    for cycle in iv.find_ucs(g.automaton):
-        for name in cycle.states:
-            lengths[g.automaton.state_index(name)] = cycle.length
-    for step, state in enumerate(g.path(word)):
-        if state in lengths:
-            return step, lengths[state]
-    return None
-
-
 def test_criterion_4_product_cycle_lengths():
     cases = [
         (adding().at("q"), adding().at("q"), (0, 0), (1, 1)),
@@ -112,12 +102,12 @@ def test_criterion_4_product_cycle_lengths():
         (flip_alternator().at("a"), flip_alternator().at("a"), (0,), (2, 2)),
     ]
     for g, h, word, (n, m) in cases:
-        step_g, len_g = _uc_entry(g, word)
-        step_h, len_h = _uc_entry(h, g.apply(word))
+        step_g, len_g = uc_entry(g, word)
+        step_h, len_h = uc_entry(h, g.apply(word))
         assert (len_g, len_h) == (n, m)
         product = iv.compose(g.automaton, h.automaton)
         gh = product.at(f"({g.state},{h.state})")
-        entry = _uc_entry(gh, word)
+        entry = uc_entry(gh, word)
         assert entry is not None
         assert entry[0] <= max(step_g, step_h)
         assert entry[1] == math.lcm(n, m)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import sys
@@ -65,6 +66,21 @@ def test_apply_reads_words_from_stdin(capsys, monkeypatch):
     code, out, _ = run(capsys, "apply", "--gen", "adding", "--state", "q")
     assert code == 0
     assert out.strip().splitlines() == ["000", "111"]
+
+
+class _BrokenStderr(io.StringIO):
+    """A stderr whose reader is gone: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.EPIPE, "Broken pipe")
+
+
+def test_a_stderr_that_fails_to_write_keeps_the_exit_code():
+    with contextlib.redirect_stderr(_BrokenStderr()), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["validate"]) == 2  # the error line is lost, the code is not
+        with pytest.raises(SystemExit) as info:  # a usage error, through _Parser.error
+            main(["ns", "--gen", "adding", "--state", "q"])
+    assert info.value.code == 2
 
 
 def test_validate_json_output(capsys):

@@ -728,10 +728,11 @@ def test_validation_matches_oracle(kind, data):
 
 
 def letter_error(x, k):
-    """The message naming ``x`` as a bad letter of a k-letter alphabet."""
-    if type(x) is not int:
+    """The message naming ``x`` as a bad letter of a k-letter alphabet; a
+    letter with ``__index__`` is out of range, and named by its index."""
+    if not hasattr(type(x), "__index__"):
         return f"letter {x!r} is not an integer index for alphabet of size {k}"
-    return f"letter index {x} out of range for alphabet of size {k}"
+    return f"letter index {x.__index__()} out of range for alphabet of size {k}"
 
 
 @settings(max_examples=100)
@@ -766,11 +767,12 @@ def test_a_letter_that_is_not_an_integer_is_a_letter_error():
         lambda x: q.path((x,)),
         lambda x: list(q.apply_stream([1, x])),
     ]
-    for x in (0.5, 1.0, "1", None, Fraction(1), [0]):
+    for x in (0.5, 1.0, "1", None, Fraction(1), [0], Index(5)):
         for call in calls:
             with pytest.raises(iv.LetterOutOfRangeError) as info:
                 call(x)
             assert str(info.value) == letter_error(x, 2)
+            assert info.value.__context__ is None or info.value.__suppress_context__
     # bools and other letters with __index__ are letters as before
     assert alphabet.check_word((True, False)) == (True, False)
     assert q.apply((True, False)) == q.apply((1, 0))

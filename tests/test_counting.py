@@ -43,6 +43,7 @@ from helpers import (
     random_leaky,
     random_mixed_degree,
     remark_chain,
+    uc_entry,
     uv_core,
     without_policy,
 )
@@ -604,18 +605,6 @@ def test_subadditivity_of_both_counts():
             assert nc_gh[level] <= nc_g[level] + nc_h[level]
 
 
-def _uc_entry(g, word):
-    """(steps, cycle length) when the path first touches an unconditional state."""
-    lengths = {}
-    for cycle in iv.find_ucs(g.automaton):
-        for name in cycle.states:
-            lengths[g.automaton.state_index(name)] = cycle.length
-    for step, state in enumerate(g.path(word)):
-        if state in lengths:
-            return step, lengths[state]
-    return None
-
-
 @pytest.mark.parametrize(
     "g, h, word",
     [
@@ -625,15 +614,15 @@ def _uc_entry(g, word):
     ],
 )
 def test_product_reaches_lcm_cycle(g, h, word):
-    entry_g = _uc_entry(g, word)
-    entry_h = _uc_entry(h, g.apply(word))
+    entry_g = uc_entry(g, word)
+    entry_h = uc_entry(h, g.apply(word))
     assert entry_g is not None and entry_h is not None
     import math
 
     expected = math.lcm(entry_g[1], entry_h[1])
     product = iv.compose(g.automaton, h.automaton)
     gh = product.at(f"({g.state},{h.state})")
-    entry_gh = _uc_entry(gh, word)
+    entry_gh = uc_entry(gh, word)
     assert entry_gh is not None
     assert entry_gh[0] <= max(entry_g[0], entry_h[0])
     assert entry_gh[1] == expected

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import invauto
-from helpers import adding, remark_chain, run_python
+from helpers import Index, adding, remark_chain, run_python
 
 # every public name, in the order of ``invauto.__all__``, after its home module
 PUBLIC = [
@@ -134,6 +134,7 @@ def test_public_edge_paths(call, expected):
         with pytest.raises(type(expected)) as info:
             call()
         assert str(info.value) == str(expected)
+        assert info.value.__context__ is None or info.value.__suppress_context__
     else:
         assert call() == expected
 
@@ -177,6 +178,8 @@ def test_public_edge_paths(call, expected):
      invauto.LetterOutOfRangeError("state 'a' has a row for unknown letter '2'")),
     (lambda: list(_ADDS.apply_stream([0, 2])),
      invauto.LetterOutOfRangeError("letter index 2 out of range for alphabet of size 2")),
+    (lambda: list(_ADDS.apply_stream([0, Index(5)])),
+     invauto.LetterOutOfRangeError("letter index 5 out of range for alphabet of size 2")),
     (lambda: invauto.UnconditionalCycle(()),
      invauto.ArgumentError("cycle states must be nonempty and pairwise distinct")),
     (lambda: invauto.UnconditionalCycle(("a", "b", "a")),
@@ -211,6 +214,7 @@ def test_public_edge_paths(call, expected):
         "policy-horizon-not-int", "policy-names-unknown-state", "letter-not-str",
         "no-states", "float-output", "float-target", "str-target", "str-output",
         "fraction-output", "int-name", "none-name", "int-table-key", "row-for-unknown-letter", "stream-letter",
+        "stream-index-letter",
         "empty-cycle", "repeated-cycle-state", "count-kind", "level-0-count", "max-level",
         "growth-category", "growth-degree-present", "growth-rate-absent",
         "growth-degree-0", "growth-bounds-not-exponential", "growth-bounds-reversed",
@@ -222,5 +226,6 @@ def test_validation_branches(call, expected):
             call()
         assert type(info.value) is type(expected)
         assert str(info.value) == str(expected)
+        assert info.value.__context__ is None or info.value.__suppress_context__
     else:
         assert call() == expected

@@ -529,11 +529,15 @@ def test_audit_refuses_what_the_word_by_word_oracle_refuses(k, level, blocks, se
             parts = [[list(w) for w in part] for part in parts]
     try:
         oracle_audit_validation(level, parts, hs[0].alphabet)
+        refused = None
     except iv.AutomatonError as exc:
-        with pytest.raises(type(exc)) as info:
+        refused = exc
+    if refused is not None:  # the audit is called outside the oracle's handler
+        with pytest.raises(type(refused)) as info:
             iv.coin_audit(level, parts, hs)
-        assert type(info.value) is type(exc)
-        assert str(info.value) == str(exc)
+        assert type(info.value) is type(refused)
+        assert str(info.value) == str(refused)
+        assert info.value.__context__ is None or info.value.__suppress_context__
     else:
         audit = iv.coin_audit(level, parts, hs)
         want = oracle_coin_audit(level, parts, hs)
