@@ -11,9 +11,10 @@ audits.
 from __future__ import annotations
 
 import sys
-from itertools import chain, count
-from operator import add, index, itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Mapping
+from itertools import chain, count, repeat
+from operator import add, getitem, index, itemgetter
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
     AlphabetMismatchError,
@@ -214,7 +215,7 @@ class Alphabet:
     def index(self, token: str) -> int:
         try:
             return self._lookup[token]
-        except KeyError:
+        except (KeyError, TypeError):  # a TypeError: the token does not hash
             raise LetterOutOfRangeError(f"unknown letter {token!r}") from None
 
     def word(self, text: str) -> Word:
@@ -304,8 +305,9 @@ def _unchecked(cls, fields: tuple, **kept):
     For an :class:`Automaton` derived from checked machines, that is tuples
     of tuples (str names, rows of length k, int targets in range, output
     rows that permute the alphabet, a policy naming only these states).
-    The names must be distinct too; the name index is left to the first
-    :meth:`Automaton.state_index`, which checks them then."""
+    The names must be distinct too; the name index, unless given as the
+    kept ``_index``, is left to the first :meth:`Automaton.state_index`,
+    which checks them then."""
     self = cls.__new__(cls)
     for name, value in chain(zip(cls._fields, fields), kept.items()):
         object.__setattr__(self, name, value)
@@ -337,6 +339,49 @@ def _sums_to_int(rows: Iterable[tuple[int, ...]]) -> bool:
         return False
 
 
+def _resolved(cls, alphabet: Alphabet, table: Mapping, policy) -> "Automaton | None":
+    """The machine of a name-keyed table (:meth:`Automaton.from_table`),
+    resolved and proved in whole-table C-level passes, or None when a pass
+    refuses.  Each row's letters are compared with the alphabet's, its pairs
+    taken in alphabet order by one ``itemgetter``, and their next names and
+    output letters looked up through ``map``, so each lookup proves its
+    entry; then each distinct output row is checked to be a permutation, and
+    the policy to name only these states.  It keeps the name index it used."""
+    states = tuple(table)
+    index = dict(zip(states, range(len(states))))
+    lookup = alphabet._lookup
+    k = len(lookup)
+    try:
+        rows = list(map(getitem, repeat(table), states))
+        if not (
+            states
+            and len(index) == len(states)
+            and all(map(isinstance, states, repeat(str)))
+            and all(issubclass(kind, Mapping) for kind in set(map(type, rows)))
+            and set(map(frozenset, rows)) == {frozenset(lookup)}
+        ):
+            return None
+        pairs = list(chain.from_iterable(map(itemgetter(*alphabet.symbols), rows)))
+        if not (
+            all(map(isinstance, pairs, repeat((tuple, list))))
+            and set(map(len, pairs)) == {2}
+        ):
+            return None
+        # k references to one iterator: zip cuts it into rows of k
+        nexts = map(index.__getitem__, map(itemgetter(0), pairs))
+        transitions = tuple(zip(*[nexts] * k))
+        outs = map(lookup.__getitem__, map(itemgetter(1), pairs))
+        outputs = tuple(zip(*[outs] * k))
+    except (KeyError, TypeError):  # an unknown or unhashable name or letter
+        return None
+    identity = list(range(k))
+    if not all(sorted(row) == identity for row in set(outputs)):
+        return None
+    if policy is not None and not policy._lookup.keys() <= index.keys():
+        return None
+    return _unchecked(cls, (alphabet, states, transitions, outputs, policy), _index=index)
+
+
 @_record
 class Automaton:
     """A complete, invertible letter transducer.
@@ -346,13 +391,15 @@ class Automaton:
     names are distinct strs.  A ``policy`` may give horizons (ints >= 0)
     only to states of this table.
 
-    The constructor (and so :meth:`from_table`, the readers in
-    :mod:`invauto.textio`, :func:`identity_automaton` and
-    :func:`generate_builtin`) checks every table entry by entry, and builds
-    the name index :meth:`state_index` reads as part of the check that names
-    are distinct.  The machines :func:`compose`, :func:`invert` and
-    :func:`minimize` derive from checked ones are built by :func:`_unchecked`,
-    which skips the entry checks and leaves the index to the first lookup.
+    The constructor (and so :func:`identity_automaton` and the
+    ``remark_chain`` of :func:`generate_builtin`) checks every table entry by
+    entry, and builds the name index :meth:`state_index` reads as part of the
+    check that names are distinct.  :meth:`from_table` (and so the readers in
+    :mod:`invauto.textio`) proves every entry in its own resolving pass and
+    keeps the name index that pass used.  The machines :func:`compose`,
+    :func:`invert` and :func:`minimize` derive from checked ones are built by
+    :func:`_unchecked`, which skips the entry checks and leaves the index to
+    the first lookup.
     """
 
     alphabet: Alphabet
@@ -437,15 +484,24 @@ class Automaton:
     ) -> "Automaton":
         """Build and check an automaton from name-keyed tables.
 
-        ``table`` maps each state name to a row mapping input letter tokens to
-        ``(next state name, output letter token)`` pairs.
+        ``table`` maps each state name to a row, a mapping from each input
+        letter token to a ``(next state name, output letter token)`` pair: a
+        tuple or list of two items.  One resolving pass proves every entry
+        (:func:`_resolved`); the state-by-state loop below runs only when it
+        refuses, to name the first fault, so a refused table raises the
+        error the loop and the checking constructor find first.
         """
         alphabet = symbols if isinstance(symbols, Alphabet) else Alphabet(tuple(symbols))
+        automaton = _resolved(cls, alphabet, table, policy)
+        if automaton is not None:
+            return automaton
         states = tuple(table)
         index = {s: i for i, s in enumerate(states)}
         transitions, outputs = [], []
         for name in states:
             row = table[name]
+            if not isinstance(row, Mapping):
+                raise ValidationError(f"state {name!r} must map letters to pairs")
             for tok in row:
                 if tok not in alphabet._lookup:
                     raise LetterOutOfRangeError(
@@ -457,12 +513,17 @@ class Automaton:
                     raise MissingTransitionError(
                         f"state {name!r} has no transition for letter {tok!r}"
                     )
-                nxt, out = row[tok]
-                if nxt not in index:
+                pair = row[tok]
+                if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+                    raise ValidationError(f"state {name!r}, letter {tok!r}: "
+                                          "expected a (next state, output letter) pair")
+                nxt, out = pair
+                try:
+                    trow.append(index[nxt])
+                except (KeyError, TypeError):  # a TypeError: nxt does not hash
                     raise UnknownStateError(
                         f"state {name!r} points to unknown state {nxt!r} on letter {tok!r}"
-                    )
-                trow.append(index[nxt])
+                    ) from None
                 orow.append(alphabet.index(out))
             transitions.append(tuple(trow))
             outputs.append(tuple(orow))

@@ -14,7 +14,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from operator import add, itemgetter, mul
+from operator import add, index, itemgetter, mul
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .core import (
@@ -280,8 +280,8 @@ def _raise_first_fault(alphabet: Alphabet, level: int, parts: list[list]) -> NoR
             w = alphabet.check_word(word)
             for x in w:  # only an int or a bool hashes, compares and sums as its index
                 if type(x) is not int and type(x) is not bool:
-                    raise LetterOutOfRangeError(
-                        f"letter {x!r} is not an integer index for alphabet of size {k}"
+                    raise LetterOutOfRangeError(  # by its index: a repr may hold an address
+                        f"letter index {index(x)} is of type {type(x).__name__!r}, not int"
                     )
             if len(w) != level:
                 raise ArgumentError(f"word {w} does not have length {level}")

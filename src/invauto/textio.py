@@ -21,6 +21,7 @@ are stable.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import TYPE_CHECKING
@@ -44,39 +45,46 @@ def parse_document(text: str) -> tuple[Automaton, dict[str, str]]:
     return _parse_dsl(text), {}
 
 
+def _code(raw: str) -> str:
+    """A DSL line as the reader reads it: cut at ``#``, trailing space dropped."""
+    return raw.partition("#")[0].rstrip()
+
+
+def _column(raw: str) -> int:
+    """The 1-based column where a DSL line's text starts, past its indent."""
+    return len(raw) - len(raw.lstrip()) + 1
+
+
 def _parse_dsl(text: str) -> Automaton:
     symbols: tuple[str, ...] | None = None
     table: dict[str, dict[str, tuple[str, str]]] = {}
     current = row = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        stripped = line.lstrip()
+        stripped = raw.partition("#")[0].strip()
         if not stripped:
             continue
 
         if stripped.startswith("alphabet:"):
-            column = len(line) - len(stripped) + 1
             if symbols is not None:
-                raise ParseError("duplicate alphabet line", lineno, column)
+                raise ParseError("duplicate alphabet line", lineno, _column(raw))
             symbols = tuple(stripped[len("alphabet:"):].split())
             if not symbols:
-                raise ParseError("alphabet line lists no letters", lineno, column)
+                raise ParseError("alphabet line lists no letters", lineno, _column(raw))
             letters = dict.fromkeys(symbols)
             continue
 
         if symbols is None:
-            column = len(line) - len(stripped) + 1
-            raise ParseError("expected an alphabet line first", lineno, column)
+            raise ParseError("expected an alphabet line first", lineno, _column(raw))
 
         if stripped.startswith(("state ", "state\t")):
             name = stripped[len("state"):].strip()
             if not name.endswith(":"):
-                raise ParseError("state header must end with ':'", lineno, len(line))
+                raise ParseError("state header must end with ':'", lineno, len(_code(raw)))
             name = name[:-1].strip()
             if not name or " " in name or name in table:
                 message = f"duplicate state {name!r}" if name in table else "bad state name"
-                raise ParseError(message, lineno, len(line) - len(stripped) + 1)
+                raise ParseError(message, lineno, _column(raw))
             current, row = name, {}
             table[name] = row
             continue
@@ -89,18 +97,16 @@ def _parse_dsl(text: str) -> Automaton:
         if row is not None and nxt and letter in letters and out in letters and letter not in row:
             row[letter] = (nxt, out)
             continue
-        column = len(line) - len(stripped) + 1
         if row is None:
-            raise ParseError("transition before any state header", lineno, column)
+            raise ParseError("transition before any state header", lineno, _column(raw))
         if not letter or not nxt or not out:
-            raise ParseError("expected '<letter> -> <state> | <letter>'", lineno, column)
+            raise ParseError("expected '<letter> -> <state> | <letter>'", lineno, _column(raw))
         if letter not in symbols:
-            raise ParseError(f"unknown letter {letter!r}", lineno, line.find(letter) + 1)
+            raise ParseError(f"unknown letter {letter!r}", lineno, _code(raw).find(letter) + 1)
         if out not in symbols:
-            raise ParseError(f"unknown letter {out!r}", lineno, line.rfind(out) + 1)
-        raise ParseError(
-            f"duplicate transition for letter {letter!r} in state {current!r}", lineno, column
-        )
+            raise ParseError(f"unknown letter {out!r}", lineno, _code(raw).rfind(out) + 1)
+        message = f"duplicate transition for letter {letter!r} in state {current!r}"
+        raise ParseError(message, lineno, _column(raw))
 
     if symbols is None:
         raise ParseError("empty description: no alphabet line")
@@ -132,10 +138,25 @@ def _parse_json(text: str) -> tuple[Automaton, dict[str, str]]:
             raise ParseError(f"missing top-level key {key!r}")
     if not isinstance(data["alphabet"], list):
         raise ParseError("'alphabet' must be an array")
-    if not isinstance(data["states"], dict):
+    states = data["states"]
+    if not isinstance(states, dict):
         raise ParseError("'states' must be an object")
+    meta = {
+        key: str(data[key]) for key in ("name", "description") if key in data
+    }
+    symbols = tuple(str(s) for s in data["alphabet"])
+    from .core import Automaton
+    # every row an object of [str, str] pairs: the table as it is
+    if set(map(type, states.values())) <= {dict}:
+        pairs = list(chain.from_iterable(map(dict.values, states.values())))
+        if (
+            set(map(type, pairs)) <= {list}
+            and set(map(len, pairs)) <= {2}
+            and set(map(type, chain.from_iterable(pairs))) <= {str}
+        ):
+            return Automaton.from_table(symbols, states), meta
     table: dict[str, dict[str, tuple[str, str]]] = {}
-    for name, row in data["states"].items():
+    for name, row in states.items():
         if not isinstance(row, dict):
             raise ParseError(f"state {name!r} must map letters to pairs")
         entries = {}
@@ -146,11 +167,7 @@ def _parse_json(text: str) -> tuple[Automaton, dict[str, str]]:
                 )
             entries[letter] = (str(pair[0]), str(pair[1]))
         table[name] = entries
-    meta = {
-        key: str(data[key]) for key in ("name", "description") if key in data
-    }
-    from .core import Automaton
-    return Automaton.from_table(tuple(str(s) for s in data["alphabet"]), table), meta
+    return Automaton.from_table(symbols, table), meta
 
 
 def _check_dsl_names(automaton: Automaton) -> None:

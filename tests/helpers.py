@@ -17,6 +17,7 @@ import subprocess
 import sys
 import sysconfig
 from collections import Counter, deque
+from collections.abc import Mapping
 from pathlib import Path
 
 import invauto as iv
@@ -593,6 +594,58 @@ def oracle_remark_chain(depth):
     return iv.Automaton.from_table(("0", "1", "2", "3"), table, policy)
 
 
+def oracle_from_table(symbols, table, policy=None):
+    """A name-keyed table built state by state with every check on every
+    entry, as Automaton.from_table once built it (with a pair taken only as
+    a tuple or list of two items), then checked as the constructor checks:
+    names, then rows (oracle_validate), then the policy.  The reference
+    for the machine from_table builds and the first fault it names."""
+    alphabet = symbols if isinstance(symbols, iv.Alphabet) else iv.Alphabet(tuple(symbols))
+    states = tuple(table)
+    transitions, outputs = [], []
+    for name in states:
+        row = table[name]
+        if not isinstance(row, Mapping):
+            raise ValidationError(f"state {name!r} must map letters to pairs")
+        for tok in row:
+            if tok not in alphabet.symbols:
+                raise iv.LetterOutOfRangeError(
+                    f"state {name!r} has a row for unknown letter {tok!r}"
+                )
+        trow, orow = [], []
+        for tok in alphabet.symbols:
+            if tok not in row:
+                raise MissingTransitionError(
+                    f"state {name!r} has no transition for letter {tok!r}"
+                )
+            pair = row[tok]
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ValidationError(
+                    f"state {name!r}, letter {tok!r}: expected a (next state, output letter) pair"
+                )
+            nxt, out = pair
+            # looked up in tuples, by equality: a name need not hash
+            if nxt not in states:
+                raise UnknownStateError(
+                    f"state {name!r} points to unknown state {nxt!r} on letter {tok!r}"
+                )
+            if out not in alphabet.symbols:
+                raise iv.LetterOutOfRangeError(f"unknown letter {out!r}")
+            trow.append(states.index(nxt))
+            orow.append(alphabet.symbols.index(out))
+        transitions.append(tuple(trow))
+        outputs.append(tuple(orow))
+    for name in states:
+        if not isinstance(name, str):
+            raise ValidationError(f"state name {name!r} is not a str")
+    oracle_validate(alphabet, states, transitions, outputs)
+    if policy is not None:
+        for name, _ in policy.horizons:
+            if name not in states:
+                raise UnknownStateError(f"policy names unknown state {name!r}")
+    return iv.Automaton(alphabet, states, tuple(transitions), tuple(outputs), policy)
+
+
 def oracle_render_dsl(automaton, name=None):
     """DSL text written letter by letter, as render_dsl once wrote it, for a
     machine and name the DSL can carry (this writes, it does not check)."""
@@ -673,7 +726,7 @@ def oracle_parse_dsl(text):
         raise ParseError("empty description: no alphabet line")
     if not table:
         raise ParseError("empty description: no states")
-    return iv.Automaton.from_table(symbols, table)
+    return oracle_from_table(symbols, table)
 
 
 def _oracle_quote(s):
@@ -786,8 +839,8 @@ def oracle_audit_validation(level, parts, alphabet):
             w = alphabet.check_word(word)
             for x in w:  # an int subclass or a letter with only __index__ may not hash as its int
                 if type(x) is not int and type(x) is not bool:
-                    raise iv.LetterOutOfRangeError(f"letter {x!r} is not an integer "
-                                                   f"index for alphabet of size {alphabet.size}")
+                    raise iv.LetterOutOfRangeError(f"letter index {x.__index__()} is of "
+                                                   f"type {type(x).__name__!r}, not int")
             if len(w) != level:
                 raise iv.ArgumentError(f"word {w} does not have length {level}")
             if w in assignments:

@@ -9,6 +9,7 @@ import itertools
 import pickle
 import random
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from helpers import (
     full_corpus,
     isomorphic_under,
     oracle_compose,
+    oracle_from_table,
     oracle_invert,
     oracle_remark_chain,
     oracle_text,
@@ -725,6 +727,142 @@ def test_validation_matches_oracle(kind, data):
     # a second corruption may undo the first (a short row made long again)
     if len(kinds) == 1 and (kind != "duplicate_name" or n > 1):
         assert want is not None
+
+
+class _Row(Mapping):
+    """A table row that is a Mapping but not a dict."""
+
+    def __init__(self, entries):
+        self._entries = dict(entries)
+
+    def __getitem__(self, letter):
+        return self._entries[letter]
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self):
+        return len(self._entries)
+
+
+class _Name(str):
+    """A state name that is a str subclass."""
+
+
+class _Pair(tuple):
+    """A (next state, output letter) pair that is a tuple subclass."""
+
+
+# the faults a name-keyed table can carry: entry faults first, then the ones
+# that rename or replace a whole row, then the policy's
+TABLE_FAULTS = (
+    "missing_letter",
+    "extra_letter",
+    "unknown_letter",
+    "unknown_output",
+    "unhashable_output",
+    "dangling_next",
+    "non_str_next",
+    "unhashable_next",
+    "str_pair",
+    "bad_pair",
+    "repeated_output",
+    "non_str_name",
+    "row_not_a_mapping",
+    "unknown_policy_state",
+)
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_from_table_matches_oracle(data):
+    """A name-keyed table, valid or with one or two faults, in any form
+    from_table accepts (str-subclass names, non-dict Mapping rows, list and
+    tuple-subclass pairs): from_table builds the machine the state-by-state
+    oracle builds, with the same name index, or raises its error."""
+    draw = data.draw
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 5))
+    symbols = tuple(map(str, range(k)))
+    names = [chr(ord("a") + i) for i in range(n)]  # one character: "a0" reads as a pair
+    if draw(st.booleans()):
+        names = list(map(_Name, names))
+    original = {
+        name: dict(zip(symbols, zip(
+            (draw(st.sampled_from([str, _Name]))(names[draw(st.integers(0, n - 1))])
+             for _ in symbols),
+            draw(st.permutations(symbols)),
+        )))
+        for name in names
+    }
+    table = {name: dict(row) for name, row in original.items()}
+    policy = None
+    size = draw(st.sampled_from([1, 0, 2, 1]))
+    faults = draw(st.lists(st.sampled_from(TABLE_FAULTS), min_size=size, max_size=size,
+                           unique=True))
+    faults.sort(key=TABLE_FAULTS.index)
+    for fault in faults:
+        q = names[draw(st.integers(0, n - 1))]
+        x, y = draw(st.permutations(symbols))[:2]
+        nxt, out = original[q][x]
+        row = table.get(q)
+        if fault == "missing_letter":
+            row.pop(x, None)
+        elif fault == "extra_letter":
+            row["9"] = (nxt, out)
+        elif fault == "unknown_letter":
+            row.pop(x, None)
+            row["z" + x] = (nxt, out)
+        elif fault == "unknown_output":
+            row[x] = (nxt, "9")
+        elif fault == "unhashable_output":
+            row[x] = (nxt, [out])
+        elif fault == "dangling_next":
+            row[x] = ("ghost", out)
+        elif fault == "non_str_next":
+            row[x] = (draw(st.sampled_from([1, None, 2.5])), out)
+        elif fault == "unhashable_next":
+            row[x] = ([nxt], out)
+        elif fault == "str_pair":  # two characters, a state's name and a letter
+            row[x] = nxt + out
+        elif fault == "bad_pair":
+            row[x] = draw(st.sampled_from([(nxt,), (nxt, out, out), None, {nxt: out}]))
+        elif fault == "repeated_output":
+            row[x] = (nxt, original[q][y][1])
+        elif fault == "non_str_name":  # renamed 1, also where a pair names it
+            table = {(1 if name == q else name): row for name, row in table.items()}
+            for entries in table.values():
+                for letter, pair in entries.items():
+                    if type(pair) is tuple and len(pair) == 2 and pair[0] == q:
+                        entries[letter] = (1, pair[1])
+        elif fault == "row_not_a_mapping":
+            key = list(table)[names.index(q)]
+            table[key] = list(table[key].items())
+        else:
+            policy = iv.MaterializationPolicy("family", 1, (("ghost", 1),))
+    if policy is None and draw(st.booleans()):
+        policy = iv.MaterializationPolicy("family", 1, ((names[0], 1),))
+    # the valid forms: some rows a Mapping, some pairs lists or tuple subclasses
+    for key, row in table.items():
+        if isinstance(row, dict):
+            for letter, pair in row.items():
+                if type(pair) is tuple:
+                    row[letter] = draw(st.sampled_from([tuple, list, _Pair]))(pair)
+            if draw(st.booleans()):
+                table[key] = _Row(row)
+    want = _raised(lambda: oracle_from_table(symbols, table, policy))
+    got = _raised(lambda: iv.Automaton.from_table(symbols, table, policy))
+    assert got == want
+    if faults:
+        assert want is not None
+    if want is None:
+        machine = iv.Automaton.from_table(symbols, table, policy)
+        reference = oracle_from_table(symbols, table, policy)
+        assert machine == reference
+        assert [machine.state_index(name) for name in names] == list(range(n))
+        assert [reference.state_index(name) for name in names] == list(range(n))
+        assert _raised(lambda: machine.state_index("ghost")) == _raised(
+            lambda: reference.state_index("ghost"))
 
 
 def letter_error(x, k):

@@ -188,6 +188,29 @@ def test_carried_totals_match_dense_sweep_deep_on_the_chain(state):
     _assert_sweep_matches_oracle(g, 300)
 
 
+def chain_paths(level):
+    """NS(q_1, level) of remark_chain at depth >= level, with no sweep.  From
+    q_1 letters 2 and 3 step up, 1 steps down and 0 kills, so a word that
+    survives is a weighted lattice path above 0, and the reflection principle
+    counts them: the sum over v <= level/2 of (C(level, v) - C(level, v - 1))
+    * 2**(level - v).  Each binomial comes from the one before it."""
+    total, before, binomial = 0, 0, 1  # C(level, v - 1), C(level, v)
+    for v in range(level // 2 + 1):
+        total += (binomial - before) << (level - v)
+        before, binomial = binomial, binomial * (level - v) // (v + 1)
+    return total
+
+
+def test_deep_chain_counts_match_the_path_count():
+    """The deep chain's NS and NC (their dead sets are both {e}) against the
+    reflection-principle count, at every level up to 64 and every 100th."""
+    g = remark_chain(2000).at("q_1")
+    levels = [*range(65), *range(100, 2001, 100)]
+    want = [chain_paths(level) for level in levels]
+    for table in (iv.count_ns(g, 2000), iv.count_nc(g, 2000)):
+        assert [table[level] for level in levels] == want
+
+
 def test_carried_totals_match_dense_sweep_deep_at_constant_degree():
     machine = random_constant_degree(random.Random(11), 40, 3, 2)
     for state in ("c0", "c17", "e"):

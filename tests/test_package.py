@@ -176,6 +176,19 @@ def test_public_edge_paths(call, expected):
     (lambda: invauto.Automaton.from_table(("0", "1"), {"a": {
         "0": ("a", "1"), "1": ("a", "0"), "2": ("a", "0")}}),
      invauto.LetterOutOfRangeError("state 'a' has a row for unknown letter '2'")),
+    (lambda: invauto.Automaton.from_table(("0", "1"), {"q": {"0": "q1", "1": ("q", "0")}}),
+     invauto.ValidationError(
+         "state 'q', letter '0': expected a (next state, output letter) pair")),
+    (lambda: invauto.Automaton.from_table(("0", "1"), {"q": {
+        "0": ("q", "1"), "1": ("q", "0", "1")}}),
+     invauto.ValidationError(
+         "state 'q', letter '1': expected a (next state, output letter) pair")),
+    (lambda: invauto.Automaton.from_table(("0", "1"), {"q": {"0": (["q"], "1"), "1": ("q", "0")}}),
+     invauto.UnknownStateError("state 'q' points to unknown state ['q'] on letter '0'")),
+    (lambda: invauto.Automaton.from_table(("0", "1"), {"q": {"0": ("q", ["1"]), "1": ("q", "0")}}),
+     invauto.LetterOutOfRangeError("unknown letter ['1']")),
+    (lambda: invauto.Automaton.from_table(("0", "1"), {"q": [("q", "1"), ("q", "0")]}),
+     invauto.ValidationError("state 'q' must map letters to pairs")),
     (lambda: list(_ADDS.apply_stream([0, 2])),
      invauto.LetterOutOfRangeError("letter index 2 out of range for alphabet of size 2")),
     (lambda: list(_ADDS.apply_stream([0, Index(5)])),
@@ -213,8 +226,9 @@ def test_public_edge_paths(call, expected):
 ], ids=["policy-depth-0", "policy-depth-not-int", "policy-horizon-below-0",
         "policy-horizon-not-int", "policy-names-unknown-state", "letter-not-str",
         "no-states", "float-output", "float-target", "str-target", "str-output",
-        "fraction-output", "int-name", "none-name", "int-table-key", "row-for-unknown-letter", "stream-letter",
-        "stream-index-letter",
+        "fraction-output", "int-name", "none-name", "int-table-key", "row-for-unknown-letter",
+        "str-pair", "three-item-pair", "unhashable-next-name", "unhashable-output",
+        "row-not-a-mapping", "stream-letter", "stream-index-letter",
         "empty-cycle", "repeated-cycle-state", "count-kind", "level-0-count", "max-level",
         "growth-category", "growth-degree-present", "growth-rate-absent",
         "growth-degree-0", "growth-bounds-not-exponential", "growth-bounds-reversed",
