@@ -15,11 +15,11 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _HOMES = {
+    "algebra": ("compose", "invert", "minimize"),
     "core": (
         "Alphabet", "Automaton", "BUILTIN_FAMILIES", "MaterializationPolicy",
-        "Transformation", "Word", "compose", "generate_builtin",
-        "identity_automaton", "invert", "is_trivial_state", "minimize",
-        "trivial_states",
+        "Transformation", "Word", "generate_builtin", "identity_automaton",
+        "is_trivial_state", "trivial_states",
     ),
     "counting": (
         "CountTable", "GrowthReport", "MembershipDecision", "UnconditionalCycle",

@@ -22,9 +22,11 @@ without interpreter teardown, so ``atexit`` hooks that a ``sitecustomize``
 or ``.pth`` file registers do not run in it (coverage's subprocess
 measurement is one).  In-process callers use :func:`main`, which returns.
 
-A call pays only for the library modules its subcommand uses: the library
-is reached through the ``invauto`` namespace, which imports each submodule
-on first use.
+A call pays only for its own subcommand.  The library is reached through
+the ``invauto`` namespace, which imports each submodule on first use, and a
+call naming a subcommand first builds only that subcommand's parser
+(:func:`build_parser`); help, no argument or an unknown subcommand build
+the parser of every subcommand.
 """
 
 from __future__ import annotations
@@ -406,98 +408,110 @@ class _Parser(argparse.ArgumentParser):
             super().print_help(file)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+class _Root(_Parser):
+    """The top-level parser when it holds one subcommand
+    (:func:`build_parser`): a usage error of its own shows the usage of the
+    full parser, which names every subcommand."""
+
+    def format_usage(self):
+        return build_parser().format_usage()
+
+
+def _arg(*flags, **options):
+    """One ``add_argument`` call, as data."""
+    return flags, options
+
+
+# the options several subcommands share
+_SOURCE = (
+    _arg("--file", metavar="PATH", help="automaton file (.maut or .json)"),
+    _arg("--gen", metavar="FAMILY", help="builtin machine family"),
+)
+_DEPTH = (
+    _arg("--depth", type=int, help="materialization depth for --gen"),
+    _arg("--length", type=int, help="processing length the generated table must serve"),
+)
+_STATE = (_arg("--state", metavar="NAME", help="initial state"),)
+_JSON = (_arg("--json", action="store_true", help="machine-readable output"),)
+_MACHINE = _SOURCE + _DEPTH
+_START = _MACHINE + _STATE + _JSON
+_LEVEL = _arg("-l", "--level", type=int, required=True)
+_DIVISOR = _arg("-m", "--period-divisor", type=int, required=True)
+_BLOCK = _arg("-s", "--block-factor", type=int, default=8)
+_ITEM = _arg("--item", action="append", metavar="SOURCE@STATE")
+_MAX_LEVEL = _arg("--max-level", type=int, required=True)
+
+# subcommand -> handler, help line, arguments and defaults, in the order the
+# help lists them; commands printing a machine description have no JSON form,
+# and a shared handler's library call is named here and looked up only when
+# the handler runs
+_COMMANDS = {
+    "validate": (cmd_validate, "check an automaton description", _MACHINE + _JSON),
+    "gen": (cmd_gen, "print a builtin machine as DSL text", (*_DEPTH, _arg("family"))),
+    "export-dot": (cmd_export_dot, "print the labeled state diagram", _MACHINE),
+    "apply": (cmd_apply, "run a machine on words", (
+        *_START, _arg("word", nargs="*", help="words (default: read from stdin)"),
+    )),
+    "invert": (cmd_invert, "print the inverse machine", _MACHINE),
+    "compose": (cmd_compose, "print the product machine (left acts first)", (
+        _arg("left", help="path or gen:FAMILY[:depth=N]"),
+        _arg("right", help="path or gen:FAMILY[:depth=N]"),
+        _arg("--prune", metavar="A,B", help="keep only pairs reachable from (A,B)"),
+    )),
+    "minimize": (cmd_minimize, "print the behavioral quotient", _MACHINE + _JSON),
+    "ucs": (cmd_ucs, "list unconditional cycles", _MACHINE + _JSON),
+    "ns": (_cmd_counts, "count words ending in a nontrivial state, per level",
+           (*_START, _MAX_LEVEL), {"call": "count_ns"}),
+    "nc": (_cmd_counts, "count words avoiding all unconditional cycles, per level",
+           (*_START, _MAX_LEVEL), {"call": "count_nc"}),
+    "classify": (cmd_classify, "growth class of the activity counts", _START),
+    "member-g0": (_cmd_member, "exact small-activity membership", _START, {"call": "decide_g0"}),
+    "member-g1": (_cmd_member, "exact small-cycle-avoidance membership", _START,
+                  {"call": "decide_g1"}),
+    "lemma1": (cmd_lemma1, "image period divisibility for one word", (
+        *_START,
+        _arg("--prefix", required=True, help="prefix (may be empty: '')"),
+        _arg("--period", required=True),
+    )),
+    "lemma2": (cmd_lemma2, "period-class closure over sample words", (
+        *_START, _LEVEL,
+        _arg("-c", "--cycle-bound", type=int, required=True),
+        _DIVISOR,
+        # argparse appends to a copy, so this one default list stays empty
+        _arg("--word", action="append", default=[], metavar="PREFIX:PERIOD"),
+    )),
+    "periods": (cmd_periods, "count primitive periods with length dividing m", (
+        *_JSON, _arg("-k", "--alphabet-size", type=int, required=True), _DIVISOR,
+    )),
+    "t1-report": (cmd_t1_report, "activity-based doubling bound at one level",
+                  (*_START, _LEVEL, _BLOCK, _ITEM)),
+    "t2-report": (cmd_t2_report, "cycle-avoidance doubling bound at one level",
+                  (*_START, _LEVEL, _DIVISOR, _BLOCK, _ITEM)),
+    "min-level": (cmd_min_level, "smallest level satisfying the activity bound", (
+        *_START, _BLOCK, _arg("--l-max", type=int, default=64), _ITEM,
+    )),
+    "audit": (cmd_audit, "replay a candidate doubling scheme from JSON", (
+        *_JSON, _arg("--input", required=True, metavar="PATH"),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with every subcommand, or with ``command`` (a key
+    of :data:`_COMMANDS`) only: its parse of a call naming ``command`` first
+    is the full parser's, and so are its help and usage errors."""
+    root = _Parser if command is None else _Root
+    parser = root(
         prog="invauto",
         description="invertible letter-to-letter automata: algebra, counting, audits",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # each shared option is built once and every subparser reuses its action
-    source = argparse.ArgumentParser(add_help=False)
-    source.add_argument("--file", metavar="PATH", help="automaton file (.maut or .json)")
-    source.add_argument("--gen", metavar="FAMILY", help="builtin machine family")
-    depth = argparse.ArgumentParser(add_help=False)
-    depth.add_argument("--depth", type=int, help="materialization depth for --gen")
-    depth.add_argument(
-        "--length", type=int, help="processing length the generated table must serve"
-    )
-    state = argparse.ArgumentParser(add_help=False)
-    state.add_argument("--state", metavar="NAME", help="initial state")
-    json_ = argparse.ArgumentParser(add_help=False)
-    json_.add_argument("--json", action="store_true", help="machine-readable output")
-
-    def add(name: str, handler, help_: str, parents=(source, depth, state, json_), **defaults):
-        p = sub.add_parser(name, help=help_, parents=parents)
-        p.set_defaults(handler=handler, **defaults)
-        return p
-
-    add("validate", cmd_validate, "check an automaton description", [source, depth, json_])
-
-    p = add("gen", cmd_gen, "print a builtin machine as DSL text", [depth])
-    p.add_argument("family")
-
-    # commands printing a machine description have no JSON form
-    add("export-dot", cmd_export_dot, "print the labeled state diagram", [source, depth])
-
-    p = add("apply", cmd_apply, "run a machine on words")
-    p.add_argument("word", nargs="*", help="words (default: read from stdin)")
-
-    add("invert", cmd_invert, "print the inverse machine", [source, depth])
-
-    p = add("compose", cmd_compose, "print the product machine (left acts first)", [])
-    p.add_argument("left", help="path or gen:FAMILY[:depth=N]")
-    p.add_argument("right", help="path or gen:FAMILY[:depth=N]")
-    p.add_argument("--prune", metavar="A,B", help="keep only pairs reachable from (A,B)")
-
-    add("minimize", cmd_minimize, "print the behavioral quotient", [source, depth, json_])
-    add("ucs", cmd_ucs, "list unconditional cycles", [source, depth, json_])
-
-    # the library call is named here and looked up only when the handler runs
-    p = add("ns", _cmd_counts, "count words ending in a nontrivial state, per level",
-            call="count_ns")
-    p.add_argument("--max-level", type=int, required=True)
-    p = add("nc", _cmd_counts, "count words avoiding all unconditional cycles, per level",
-            call="count_nc")
-    p.add_argument("--max-level", type=int, required=True)
-
-    add("classify", cmd_classify, "growth class of the activity counts")
-    add("member-g0", _cmd_member, "exact small-activity membership", call="decide_g0")
-    add("member-g1", _cmd_member, "exact small-cycle-avoidance membership", call="decide_g1")
-
-    p = add("lemma1", cmd_lemma1, "image period divisibility for one word")
-    p.add_argument("--prefix", required=True, help="prefix (may be empty: '')")
-    p.add_argument("--period", required=True)
-
-    p = add("lemma2", cmd_lemma2, "period-class closure over sample words")
-    p.add_argument("-l", "--level", type=int, required=True)
-    p.add_argument("-c", "--cycle-bound", type=int, required=True)
-    p.add_argument("-m", "--period-divisor", type=int, required=True)
-    p.add_argument("--word", action="append", default=[], metavar="PREFIX:PERIOD")
-
-    p = add("periods", cmd_periods, "count primitive periods with length dividing m", [json_])
-    p.add_argument("-k", "--alphabet-size", type=int, required=True)
-    p.add_argument("-m", "--period-divisor", type=int, required=True)
-
-    p = add("t1-report", cmd_t1_report, "activity-based doubling bound at one level")
-    p.add_argument("-l", "--level", type=int, required=True)
-    p.add_argument("-s", "--block-factor", type=int, default=8)
-    p.add_argument("--item", action="append", metavar="SOURCE@STATE")
-
-    p = add("t2-report", cmd_t2_report, "cycle-avoidance doubling bound at one level")
-    p.add_argument("-l", "--level", type=int, required=True)
-    p.add_argument("-m", "--period-divisor", type=int, required=True)
-    p.add_argument("-s", "--block-factor", type=int, default=8)
-    p.add_argument("--item", action="append", metavar="SOURCE@STATE")
-
-    p = add("min-level", cmd_min_level, "smallest level satisfying the activity bound")
-    p.add_argument("-s", "--block-factor", type=int, default=8)
-    p.add_argument("--l-max", type=int, default=64)
-    p.add_argument("--item", action="append", metavar="SOURCE@STATE")
-
-    p = add("audit", cmd_audit, "replay a candidate doubling scheme from JSON", [json_])
-    p.add_argument("--input", required=True, metavar="PATH")
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name in _COMMANDS if command is None else (command,):
+        handler, help_, arguments, *defaults = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(handler=handler, **(defaults[0] if defaults else {}))
     return parser
 
 
@@ -521,7 +535,11 @@ def _error(message, code: int) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Run one CLI call and return its exit code; a stdout that cannot take
     the text (its reader gone, an encoding that lacks a character) is exit 1."""
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a call naming a subcommand first builds that subcommand's parser only
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         text = args.handler(args)
         if sys.stdout is not None:  # None: fd 1 was closed at start

@@ -21,7 +21,7 @@ from collections.abc import Mapping
 from pathlib import Path
 
 import invauto as iv
-from invauto.core import inverse_name, pair_name
+from invauto.algebra import inverse_name, pair_name
 from invauto.errors import (
     AlphabetMismatchError,
     MissingTransitionError,

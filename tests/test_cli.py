@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invauto
-from invauto.cli import main
+from invauto.cli import build_parser, main
 from helpers import HUGE, decimal_value
 
 DATA = Path(__file__).parent / "data"
@@ -673,6 +673,36 @@ def test_usage_errors_print_the_top_level_usage(argv):
     assert (code, out) == (2, "")
     assert err.startswith("usage: invauto [-h]")
     assert "{" + ",".join(VALID) + "}" in err
+
+
+def _parse_in_process(parser, argv):
+    """Exit code, stdout and stderr of ``parser.parse_args(argv)``, for an
+    ``argv`` on which argparse exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args(argv)
+    return info.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(VALID))
+def test_one_subcommand_parser_parses_and_helps_as_the_full_parser(command):
+    want = _parse_in_process(build_parser(), [command, "--help"])
+    assert want[0] == 0 and want[1].startswith(f"usage: invauto {command}")
+    assert _parse_in_process(build_parser(command), [command, "--help"]) == want
+    argv = [command, *(arg for group in VALID[command] for arg in group)]
+    assert vars(build_parser(command).parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "adding", "--bogus"],
+    ["ns", "--gen", "adding", "--state", "q", "--max-level", "3", "extra"],
+], ids=["gen", "ns"])
+def test_a_top_level_error_after_a_subcommand_writes_the_full_parser_s_bytes(argv):
+    want = _parse_in_process(build_parser(), argv)
+    assert want[:2] == (2, "") and "error: unrecognized arguments: " in want[2]
+    assert _parse_in_process(build_parser(argv[0]), argv) == want
+    assert _main_in_process(argv) == want
 
 
 # ---------------------------------------------------------------- long integers

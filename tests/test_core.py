@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invauto as iv
-from invauto.core import _decimal_str, _exact_str, inverse_name, pair_name
+from invauto.algebra import inverse_name, pair_name
+from invauto.core import _decimal_str, _exact_str
 from helpers import (
     Index,
     adding,
@@ -232,6 +233,30 @@ def test_then_and_inverse_build_no_name_index(g, h):
         assert (got.start, got._horizon) == (want.start, want._horizon)
     assert ("_index" in vars(composite.automaton)) == any("," in s for s in g.automaton.states)
     assert "_index" not in vars(inverse.automaton)
+
+
+@pytest.mark.parametrize("g, h, f", [
+    (adding().at("q"), adding().at("q"), adding().at("q")),
+    (adding().at("e"), flip_alternator().at("b"), flip_all().at("r")),
+    (remark_chain(5).at("q_2"), remark_chain(4).at("q_1"), remark_chain(6).at("q_3")),
+], ids=["adding", "mixed", "policies"])
+def test_a_chain_of_then_looks_no_inner_name_up(g, h, f):
+    """The second ``then`` starts at the index the inner composite knows, so
+    the inner product builds no name index; the chain is the product that
+    compose builds from the names."""
+    inner = g.then(h)
+    chained = inner.then(f)
+    assert "_index" not in vars(inner.automaton)
+    by_name = iv.compose(g.automaton, h.automaton, prune_from=(g.state, h.state))
+    by_name = iv.compose(by_name, f.automaton, prune_from=(inner.state, f.state))
+    want = iv.Transformation(by_name, pair_name(inner.state, f.state))
+    assert chained == want
+    horizon = chained.automaton.horizon(chained.state)
+    rng = random.Random(5)
+    for length in range((8 if horizon is None else min(8, horizon)) + 1):
+        for _ in range(20):
+            word = tuple(rng.randrange(g.alphabet.size) for _ in range(length))
+            assert chained.apply(word) == want.apply(word) == f.apply(h.apply(g.apply(word)))
 
 
 # ---------------------------------------------------------------- minimization

@@ -27,12 +27,12 @@ PUBLIC = [
     "errors.PeriodBoundInvalidError", "core.Transformation", "counting.UnconditionalCycle",
     "errors.UnknownFamilyError", "errors.UnknownStateError", "errors.ValidationError",
     "core.Word", "periodic.apply_to_ep_word", "periodic.check_lemma1", "periodic.check_lemma2",
-    "counting.classify_growth", "paradox.coin_audit", "core.compose", "counting.count_nc",
+    "counting.classify_growth", "paradox.coin_audit", "algebra.compose", "counting.count_nc",
     "counting.count_ns", "periodic.count_periods", "counting.decide_g0", "counting.decide_g1",
     "paradox.find_minimal_level", "counting.find_ucs", "core.generate_builtin",
-    "core.identity_automaton", "core.invert", "core.is_trivial_state",
+    "core.identity_automaton", "algebra.invert", "core.is_trivial_state",
     "counting.iter_nc_counts", "counting.iter_ns_counts", "counting.max_uc_length",
-    "core.minimize", "counting.nc_words", "counting.ns_words", "textio.parse_automaton",
+    "algebra.minimize", "counting.nc_words", "counting.ns_words", "textio.parse_automaton",
     "textio.parse_document", "periodic.primitive_root", "periodic.purely_periodic_period",
     "counting.reachable_uc_lengths", "textio.render_dot", "textio.render_dsl",
     "textio.render_json", "paradox.theorem1_report", "paradox.theorem2_report",

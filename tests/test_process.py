@@ -63,7 +63,9 @@ def _call_in_fresh_interpreter(argv: list[str] | None) -> tuple[int | None, str,
     return code, stderr, set(modules)
 
 
-LIBRARY = {f"invauto.{name}" for name in ("core", "counting", "periodic", "paradox", "textio")}
+LIBRARY = {
+    f"invauto.{name}" for name in ("algebra", "core", "counting", "periodic", "paradox", "textio")
+}
 
 
 # a call that failed early would load fewer modules, so each case pins its
@@ -75,30 +77,37 @@ UNUSED_BY_ALL = {"dataclasses", "inspect"}
 
 @pytest.mark.parametrize("argv, code, unused", [
     (None, None, LIBRARY | {"invauto.cli"}),
-    (["periods", "-k", "2", "-m", "3"], 0, {"invauto.paradox", "invauto.textio", "decimal"}),
+    (["periods", "-k", "2", "-m", "3"], 0,
+     {"invauto.algebra", "invauto.paradox", "invauto.textio", "decimal"}),
     (["ns", "--gen", "adding", "--state", "q", "--max-level", "3"], 0,
-     {"invauto.textio", "invauto.periodic", "invauto.paradox", "heapq"}),
-    (["gen", "adding"], 0, {"invauto.counting", "invauto.periodic", "invauto.paradox"}),
+     {"invauto.algebra", "invauto.textio", "invauto.periodic", "invauto.paradox", "heapq"}),
+    (["gen", "adding"], 0,
+     {"invauto.algebra", "invauto.counting", "invauto.periodic", "invauto.paradox"}),
     (["export-dot", "--gen", "adding"], 0,
-     {"invauto.counting", "invauto.periodic", "invauto.paradox"}),
+     {"invauto.algebra", "invauto.counting", "invauto.periodic", "invauto.paradox"}),
     (["t1-report", "--gen", "adding", "--state", "q", "-l", "2", "--item", "gen:adding:depth=x@q"],
-     2, {"invauto.counting", "invauto.periodic", "invauto.paradox"}),
+     2, {"invauto.algebra", "invauto.counting", "invauto.periodic", "invauto.paradox"}),
     (["lemma1", "--gen", "adding", "--state", "q", "--prefix", "01", "--period", "1", "--json"],
-     0, {"invauto.paradox", "invauto.textio"}),
+     0, {"invauto.algebra", "invauto.paradox", "invauto.textio"}),
     (["classify", "--gen", "flip_all", "--state", "r", "--json"], 0,
-     {"numpy", "networkx", "invauto.paradox", "invauto.periodic"}),
-    (["t1-report", "--gen", "adding", "--state", "q", "-l", "2"], 0, set()),
+     {"numpy", "networkx", "invauto.algebra", "invauto.paradox", "invauto.periodic"}),
+    (["t1-report", "--gen", "adding", "--state", "q", "-l", "2"], 0, {"invauto.algebra"}),
     # a spec that is not JSON: read with textio's key check, with no machine code
     (["audit", "--input", str(DATA / "adding.maut")], 2,
-     {"invauto.core", "invauto.counting", "invauto.periodic", "invauto.paradox"}),
+     {"invauto.algebra", "invauto.core", "invauto.counting", "invauto.periodic",
+      "invauto.paradox"}),
+    (["compose", "gen:adding", "gen:flip_all"], 0,
+     {"invauto.counting", "invauto.periodic", "invauto.paradox"}),
 ], ids=["bare-import", "periods", "ns", "gen", "export-dot", "malformed-item", "lemma1-json",
-        "classify", "t1-report", "malformed-audit-spec"])
+        "classify", "t1-report", "malformed-audit-spec", "compose"])
 def test_a_call_loads_only_the_modules_it_uses(argv, code, unused):
     got, err, loaded = _call_in_fresh_interpreter(argv)
     assert got == code, err
     assert (err.startswith("error: ") if code == 2 else err == ""), err
     assert "invauto" in loaded
     assert not (unused | UNUSED_BY_ALL) & loaded
+    # only a call that composes, inverts or minimizes loads the algebra
+    assert ("invauto.algebra" in loaded) == ("invauto.algebra" not in unused)
 
 
 # ------------------------------------------------- capped memory
