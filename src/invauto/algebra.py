@@ -19,7 +19,7 @@ from .core import (
     _name_index,
     _unchecked,
 )
-from .errors import AlphabetMismatchError
+from .errors import AlphabetMismatchError, ArgumentError
 
 
 def inverse_name(name: str) -> str:
@@ -97,6 +97,8 @@ def compose(
     _check_alphabets(a, b)
     if prune_from is None:
         return _product(a, b, None)
+    if not (isinstance(prune_from, (tuple, list)) and len(prune_from) == 2):
+        raise ArgumentError(f"prune_from must be a pair of state names, got {prune_from!r}")
     return _product(a, b, (a.state_index(prune_from[0]), b.state_index(prune_from[1])))
 
 

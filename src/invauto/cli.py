@@ -71,6 +71,8 @@ def _automaton_from_source(source: str):
         key, _, value = opt.partition("=")
         if key not in options:
             raise ArgumentError(f"unknown generator option {key!r} in {source!r}")
+        if options[key] is not None:
+            raise ArgumentError(f"generator option {key!r} given twice in {source!r}")
         try:
             options[key] = int(value)
         except ValueError:
@@ -342,22 +344,13 @@ _AUDIT_KEYS = (
 
 
 def _audit_spec(path: str) -> dict:
-    """The audit spec in ``path``, with each key's presence and type checked."""
+    """The audit spec in ``path``, read as a machine document is (a repeated
+    key refused, every key present, then each of the right type)."""
     text = _read_text(path)
-    try:  # a repeated key is refused, as in a machine document
-        spec = json.loads(text, object_pairs_hook=invauto.textio._unique_keys)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not JSON ({exc})") from None
+    try:
+        return invauto.textio._json_object(text, _AUDIT_KEYS)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    if not isinstance(spec, dict):
-        raise ParseError(f"{path}: audit spec must be a JSON object")
-    for key, valid, what in _AUDIT_KEYS:
-        if key not in spec:
-            raise ParseError(f"{path}: audit spec has no {key!r} key")
-        if not valid(spec[key]):
-            raise ParseError(f"{path}: audit spec key {key!r} must be {what}")
-    return spec
 
 
 def cmd_audit(args) -> str:

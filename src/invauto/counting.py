@@ -27,12 +27,13 @@ from .core import (
     _components,
     _kept,
     _record,
+    _sums_to_int,
     greatest_closed_subset,
     trivial_states,
 )
 from .errors import ArgumentError
 
-if TYPE_CHECKING:  # imported in _rate_bounds: fractions loads decimal
+if TYPE_CHECKING:  # imported where used: fractions loads decimal
     from fractions import Fraction
 
 NS = "ns"
@@ -71,6 +72,8 @@ class CountTable:
         if self.kind not in (NS, NC):
             raise ArgumentError(f"kind must be {NS!r} or {NC!r}")
         object.__setattr__(self, "counts", tuple(self.counts))
+        if not _sums_to_int((self.counts,)):
+            raise ArgumentError(f"counts must be ints, got {self.counts!r}")
         if not self.counts or self.counts[0] not in (0, 1):
             raise ArgumentError("level-0 count must be 0 or 1")
         k = self.transformation.alphabet.size
@@ -115,6 +118,9 @@ class GrowthReport:
         if self.rate_bounds is not None:
             if self.category != "exponential":
                 raise ArgumentError("rate bounds are present only for exponential growth")
+            from fractions import Fraction
+            if not all(isinstance(b, (int, Fraction)) for b in self.rate_bounds):
+                raise ArgumentError(f"rate bounds must be ints or Fractions: {self.rate_bounds!r}")
             lo, hi = self.rate_bounds
             if lo > hi:
                 raise ArgumentError(f"rate bounds {lo} > {hi}")

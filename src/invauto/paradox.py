@@ -58,6 +58,10 @@ class ParadoxReport:
     period_count: int | None = None
 
     def __post_init__(self):
+        if not _sums_to_int((self.per_item, (self.aggregate,))):
+            raise ArgumentError("per-item counts and the aggregate must be ints")
+        if not isinstance(self.threshold, (int, Fraction)):
+            raise ArgumentError(f"threshold must be an int or a Fraction, got {self.threshold!r}")
         if self.satisfied != (self.aggregate <= self.threshold):
             raise ArgumentError("verdict disagrees with the exact comparison")
         _check_block_factor(self.block_factor)

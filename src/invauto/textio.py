@@ -126,48 +126,52 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _parse_json(text: str) -> tuple[Automaton, dict[str, str]]:
+def _json_object(text: str, keys) -> dict:
+    """The JSON object in ``text``, a repeated key refused.  ``keys`` lists
+    ``(key, test, what)``: every key must be present, then each value must
+    pass its ``test``, and ``what`` says what it must be."""
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
     if not isinstance(data, dict):
         raise ParseError("top-level JSON value must be an object")
-    for key in ("alphabet", "states"):
+    for key, _, _ in keys:
         if key not in data:
             raise ParseError(f"missing top-level key {key!r}")
-    if not isinstance(data["alphabet"], list):
-        raise ParseError("'alphabet' must be an array")
+    for key, valid, what in keys:
+        if not valid(data[key]):
+            raise ParseError(f"{key!r} must be {what}")
+    return data
+
+
+_MACHINE_KEYS = (
+    ("alphabet", lambda v: isinstance(v, list), "an array"),
+    ("states", lambda v: isinstance(v, dict), "an object"),
+)
+
+
+def _parse_json(text: str) -> tuple[Automaton, dict[str, str]]:
+    data = _json_object(text, _MACHINE_KEYS)
     states = data["states"]
-    if not isinstance(states, dict):
-        raise ParseError("'states' must be an object")
-    meta = {
-        key: str(data[key]) for key in ("name", "description") if key in data
-    }
-    symbols = tuple(str(s) for s in data["alphabet"])
-    from .core import Automaton
-    # every row an object of [str, str] pairs: the table as it is
-    if set(map(type, states.values())) <= {dict}:
+    meta = {key: str(data[key]) for key in ("name", "description") if key in data}
+    # every row an object and every pair a list of two, or the loop names
+    # the first that is not; from_table judges the items as they are written
+    shaped = set(map(type, states.values())) <= {dict}
+    if shaped:
         pairs = list(chain.from_iterable(map(dict.values, states.values())))
-        if (
-            set(map(type, pairs)) <= {list}
-            and set(map(len, pairs)) <= {2}
-            and set(map(type, chain.from_iterable(pairs))) <= {str}
-        ):
-            return Automaton.from_table(symbols, states), meta
-    table: dict[str, dict[str, tuple[str, str]]] = {}
-    for name, row in states.items():
-        if not isinstance(row, dict):
-            raise ParseError(f"state {name!r} must map letters to pairs")
-        entries = {}
-        for letter, pair in row.items():
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ParseError(
-                    f"state {name!r}, letter {letter!r}: expected [next, output]"
-                )
-            entries[letter] = (str(pair[0]), str(pair[1]))
-        table[name] = entries
-    return Automaton.from_table(symbols, table), meta
+        shaped = set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+    if not shaped:
+        for name, row in states.items():
+            if not isinstance(row, dict):
+                raise ParseError(f"state {name!r} must map letters to pairs")
+            for letter, pair in row.items():
+                if not (isinstance(pair, list) and len(pair) == 2):
+                    raise ParseError(
+                        f"state {name!r}, letter {letter!r}: expected [next, output]"
+                    )
+    from .core import Automaton
+    return Automaton.from_table(data["alphabet"], states), meta
 
 
 def _check_dsl_names(automaton: Automaton) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import errno
 import io
@@ -367,6 +368,8 @@ def test_t1_report_multiple_items(capsys):
         ["audit", "--input", "{not_json}"],
         ["t1-report", "--gen", "adding", "--state", "q", "-l", "2",
          "--item", "gen:adding:depth=x@q"],
+        ["t1-report", "--gen", "remark_chain", "--depth", "9", "--state", "q_1", "-l", "2",
+         "--item", "gen:remark_chain:depth=3:depth=9@q_1"],
         ["validate", "--file", "{alphabet_number}"],
         ["validate", "--file", "{alphabet_null}"],
         ["validate", "--file", "{alphabet_true}"],
@@ -388,7 +391,7 @@ def test_t1_report_multiple_items(capsys):
          "--length", "2"],
     ],
     ids=["negative-level", "periods-zero", "lemma2-zero", "audit-no-parts",
-         "audit-not-json", "item-bad-depth", "alphabet-number", "alphabet-null",
+         "audit-not-json", "item-bad-depth", "item-depth-twice", "alphabet-number", "alphabet-null",
          "alphabet-true", "alphabet-float", "state-twice", "letter-twice", "ns-huge-level",
          "ns-maxsize-level", "nc-huge-level", "ns-huge-level-past-horizon", "t1-huge-level",
          "t2-huge-level", "min-level-huge-l-max", "min-level-maxsize-l-max", "audit-huge-level",
@@ -461,6 +464,49 @@ def test_minimize_prints_only_comments_that_read_back(capsys, tmp_path, merged, 
         assert (code, shown) == (0, "ok: 1 states over alphabet {0, 1}\n")
     code, out, _ = run(capsys, "minimize", "--file", str(path), "--json")
     assert code == 0 and json.loads(out)["classes"] == {"q": "q", merged: "q"}
+
+
+@pytest.mark.parametrize("option", ["depth", "length"])
+def test_a_generator_option_given_twice_is_refused(capsys, option):
+    item = f"gen:remark_chain:{option}=3:depth=4:{option}=9@q_1"
+    code, out, err = run(capsys, "t1-report", "--gen", "remark_chain", "--depth", "9",
+                         "--state", "q_1", "-l", "2", "--item", item)
+    assert (code, out) == (2, "")
+    assert err == f"error: generator option {option!r} given twice in {item[:-4]!r}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("level: 2\n", "line 1, column 1: Expecting value"),
+    ("[2]", "top-level JSON value must be an object"),
+    ('{"level": "x", "transformations": ["gen:adding@q"]}', "missing top-level key 'parts'"),
+    ('{"level": "x", "transformations": 1, "parts": []}', "'level' must be an integer"),
+    ('{"level": 1, "transformations": [1], "parts": []}',
+     "'transformations' must be a list of SOURCE@STATE strings"),
+    ('{"level": 1, "transformations": [], "parts": [[1]]}', "'parts' must be a list of word lists"),
+], ids=["not-json", "not-an-object", "missing-key", "wrong-type", "item-not-str", "word-not-str"])
+def test_an_audit_spec_is_refused_as_a_machine_document_is(capsys, tmp_path, text, message):
+    """All keys present first, then each of its type, in the machine
+    reader's words after the path."""
+    path = tmp_path / "audit.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "audit", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("document, message", [
+    ('{"alphabet": [0, 1], "states": {"q": {"0": ["q", "1"], "1": ["q", "0"]}}}',
+     "bad alphabet symbol 0"),
+    ('{"alphabet": ["0", "1"], "states": {"q": {"0": ["q", 1], "1": ["q", 0]}}}',
+     "unknown letter 1"),
+    ('{"alphabet": ["0", "1"], "states": {"q": {"0": [null, "1"], "1": ["q", "0"]}}}',
+     "state 'q' points to unknown state None on letter '0'"),
+], ids=["int-symbol", "int-letter", "null-state"])
+def test_a_machine_document_is_read_as_written(capsys, tmp_path, document, message):
+    path = tmp_path / "machine.json"
+    path.write_text(document)
+    code, out, err = run(capsys, "validate", "--file", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_audit_spec_error_names_the_key(capsys, tmp_path):
@@ -703,6 +749,105 @@ def test_a_top_level_error_after_a_subcommand_writes_the_full_parser_s_bytes(arg
     assert want[:2] == (2, "") and "error: unrecognized arguments: " in want[2]
     assert _parse_in_process(build_parser(argv[0]), argv) == want
     assert _main_in_process(argv) == want
+
+
+# each argument as help shows it: flags (a positional's name), action, metavar,
+# help, default, required, nargs and type name.  A positional's required is
+# argparse's own reading of its nargs, which Python 3.13 changed for '*': None.
+OPT_FILE = ("--file", "store", "PATH", "automaton file (.maut or .json)", None, False, None, None)
+OPT_GEN = ("--gen", "store", "FAMILY", "builtin machine family", None, False, None, None)
+OPT_DEPTH = ("--depth", "store", None, "materialization depth for --gen", None, False, None,
+             "int")
+OPT_LENGTH = ("--length", "store", None, "processing length the generated table must serve",
+              None, False, None, "int")
+OPT_STATE = ("--state", "store", "NAME", "initial state", None, False, None, None)
+OPT_JSON = ("--json", "store_true", None, "machine-readable output", False, False, 0, None)
+OPT_LEVEL = ("-l --level", "store", None, None, None, True, None, "int")
+OPT_DIVISOR = ("-m --period-divisor", "store", None, None, None, True, None, "int")
+OPT_BLOCK = ("-s --block-factor", "store", None, None, 8, False, None, "int")
+OPT_ITEM = ("--item", "append", "SOURCE@STATE", None, None, False, None, None)
+OPT_MAX_LEVEL = ("--max-level", "store", None, None, None, True, None, "int")
+OPT_SOURCE = ("store", None, "path or gen:FAMILY[:depth=N]", None, None, None, None)
+MACHINE = [OPT_FILE, OPT_GEN, OPT_DEPTH, OPT_LENGTH]
+START = MACHINE + [OPT_STATE, OPT_JSON]
+# every subcommand in help order: its name, help line and arguments but -h
+DECLARED = [
+    ("validate", "check an automaton description", MACHINE + [OPT_JSON]),
+    ("gen", "print a builtin machine as DSL text",
+     [OPT_DEPTH, OPT_LENGTH, ("family", "store", None, None, None, None, None, None)]),
+    ("export-dot", "print the labeled state diagram", MACHINE),
+    ("apply", "run a machine on words",
+     START + [("word", "store", None, "words (default: read from stdin)", None, None, "*", None)]),
+    ("invert", "print the inverse machine", MACHINE),
+    ("compose", "print the product machine (left acts first)", [
+        ("left", *OPT_SOURCE), ("right", *OPT_SOURCE),
+        ("--prune", "store", "A,B", "keep only pairs reachable from (A,B)", None, False, None,
+         None),
+    ]),
+    ("minimize", "print the behavioral quotient", MACHINE + [OPT_JSON]),
+    ("ucs", "list unconditional cycles", MACHINE + [OPT_JSON]),
+    ("ns", "count words ending in a nontrivial state, per level", START + [OPT_MAX_LEVEL]),
+    ("nc", "count words avoiding all unconditional cycles, per level", START + [OPT_MAX_LEVEL]),
+    ("classify", "growth class of the activity counts", START),
+    ("member-g0", "exact small-activity membership", START),
+    ("member-g1", "exact small-cycle-avoidance membership", START),
+    ("lemma1", "image period divisibility for one word", START + [
+        ("--prefix", "store", None, "prefix (may be empty: '')", None, True, None, None),
+        ("--period", "store", None, None, None, True, None, None),
+    ]),
+    ("lemma2", "period-class closure over sample words", START + [
+        OPT_LEVEL, ("-c --cycle-bound", "store", None, None, None, True, None, "int"), OPT_DIVISOR,
+        ("--word", "append", "PREFIX:PERIOD", None, [], False, None, None),
+    ]),
+    ("periods", "count primitive periods with length dividing m", [
+        OPT_JSON, ("-k --alphabet-size", "store", None, None, None, True, None, "int"),
+        OPT_DIVISOR,
+    ]),
+    ("t1-report", "activity-based doubling bound at one level",
+     START + [OPT_LEVEL, OPT_BLOCK, OPT_ITEM]),
+    ("t2-report", "cycle-avoidance doubling bound at one level",
+     START + [OPT_LEVEL, OPT_DIVISOR, OPT_BLOCK, OPT_ITEM]),
+    ("min-level", "smallest level satisfying the activity bound", START + [
+        OPT_BLOCK, ("--l-max", "store", None, None, 64, False, None, "int"), OPT_ITEM,
+    ]),
+    ("audit", "replay a candidate doubling scheme from JSON", [
+        OPT_JSON, ("--input", "store", "PATH", None, None, True, None, None),
+    ]),
+]
+ACTION_KINDS = {"_StoreAction": "store", "_StoreTrueAction": "store_true",
+                "_AppendAction": "append"}
+
+
+def _argument(action):
+    required = action.required if action.option_strings else None
+    return (" ".join(action.option_strings) or action.dest,
+            ACTION_KINDS.get(type(action).__name__, type(action).__name__), action.metavar,
+            action.help, action.default, required, action.nargs,
+            getattr(action.type, "__name__", None))
+
+
+def _declared(parser):
+    """Each subcommand of ``parser`` in help order: name, help line and
+    arguments, as :data:`DECLARED` writes them."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (choice.dest, choice.help, [
+            _argument(action) for action in sub.choices[choice.dest]._actions
+            if not isinstance(action, argparse._HelpAction)
+        ])
+        for choice in sub._choices_actions
+    ]
+
+
+def test_every_help_screen_is_built_from_its_declared_arguments():
+    """What each help screen is made of, pinned without its rendered bytes,
+    which argparse lays out differently across Python versions."""
+    parser = build_parser()
+    assert (parser.prog, parser.description) == (
+        "invauto", "invertible letter-to-letter automata: algebra, counting, audits")
+    assert _declared(parser) == DECLARED
+    for row in DECLARED:
+        assert _declared(build_parser(row[0])) == [row]
 
 
 # ---------------------------------------------------------------- long integers

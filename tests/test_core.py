@@ -558,6 +558,18 @@ def test_compose_errors_match_oracle():
     assert want == (iv.ValidationError, "state names must be distinct")
 
 
+@pytest.mark.parametrize("prune", ["qe", ("q",), ("q", "e", "x")], ids=["str", "one", "three"])
+def test_compose_refuses_a_prune_start_that_is_not_a_pair(prune):
+    with pytest.raises(iv.ArgumentError) as info:
+        iv.compose(adding(), adding(), prune_from=prune)
+    assert str(info.value) == f"prune_from must be a pair of state names, got {prune!r}"
+
+
+def test_compose_reads_a_list_prune_start_as_its_tuple():
+    a = adding()
+    assert iv.compose(a, a, prune_from=["q", "e"]) == iv.compose(a, a, prune_from=("q", "e"))
+
+
 # ---------------------------------------------------------------- derived machines
 
 def assert_rebuilds_alike(machine):

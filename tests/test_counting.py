@@ -669,6 +669,26 @@ def test_count_table_rejects_impossible_counts():
         iv.CountTable(r, "ns", counts[:-1] + (2**40 + 1,))
 
 
+@pytest.mark.parametrize("counts", [(1, 1.0, True), (1, Fraction(1)), (1, "1")],
+                         ids=["float", "fraction", "str"])
+def test_count_table_refuses_counts_that_are_not_ints(counts):
+    with pytest.raises(iv.ArgumentError) as info:
+        iv.CountTable(adding().at("q"), "ns", counts)
+    assert str(info.value) == f"counts must be ints, got {counts!r}"
+    # a bool is an int
+    assert iv.CountTable(adding().at("q"), "ns", (True, 1, True)).counts == (1, 1, 1)
+
+
+@pytest.mark.parametrize("bounds", [(1.5, 2.5), (Fraction(3, 2), 2.5), (1.5, Fraction(5, 2))],
+                         ids=["both", "upper", "lower"])
+def test_growth_report_refuses_rate_bounds_that_are_not_exact(bounds):
+    with pytest.raises(iv.ArgumentError) as info:
+        iv.GrowthReport("exponential", rate=2.0, rate_bounds=bounds)
+    assert str(info.value) == f"rate bounds must be ints or Fractions: {bounds!r}"
+    exact = iv.GrowthReport("exponential", rate=2.0, rate_bounds=(Fraction(3, 2), 3))
+    assert exact.rate_bounds == (Fraction(3, 2), 3)
+
+
 def test_count_table_repr_prints_every_digit():
     table = iv.count_ns(adding().at("q"), 6)
     assert repr(table) == generated_repr(table)

@@ -85,6 +85,21 @@ def test_report_object_rejects_small_block_factor():
         iv.ParadoxReport(**fields)
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"per_item": (1.0,)}, "per-item counts and the aggregate must be ints"),
+    ({"aggregate": 8.0}, "per-item counts and the aggregate must be ints"),
+    ({"threshold": 4.0}, "threshold must be an int or a Fraction, got 4.0"),
+], ids=["per-item", "aggregate", "threshold"])
+def test_report_object_refuses_a_float(changes, message):
+    report = iv.theorem1_report([adding().at("q")], 1)
+    with pytest.raises(iv.ArgumentError) as info:
+        iv.ParadoxReport(**{**report.__dict__, **changes})
+    assert str(info.value) == message
+    # an int threshold and bool counts are exact
+    exact = {"per_item": (True,), "aggregate": True, "threshold": 4, "satisfied": True}
+    assert iv.ParadoxReport(**{**report.__dict__, **exact}).aggregate == 1
+
+
 @pytest.mark.parametrize(
     "report",
     [

@@ -435,16 +435,12 @@ def test_a_json_document_without_repeated_keys_reads_as_before():
     '{"q": {"0": ["q", "1"], "2": ["q", "0"]}}',
 ], ids=["str-pairs", "int-letters", "int-names", "unknown-state", "unknown-letter"])
 def test_json_pairs_read_as_their_str(states):
-    """A document of [str, str] pairs goes to from_table as it is, any other
-    has its items converted first: either way the machine, or the error,
-    is the one of the table with every item as its str."""
+    """Every document goes to from_table as it is written, no item turned
+    into its str: a pair of strs reads as its machine, and an int letter or
+    state name is refused with from_table's error."""
     text = f'{{"alphabet": ["0", "1"], "states": {states}}}'
-    table = {
-        name: {letter: tuple(map(str, pair)) for letter, pair in row.items()}
-        for name, row in json.loads(states).items()
-    }
     assert _read(iv.parse_automaton, text) == _read(
-        lambda _: iv.Automaton.from_table(("0", "1"), table), text)
+        lambda _: iv.Automaton.from_table(("0", "1"), json.loads(states)), text)
 
 
 def test_dot_export_adding_machine():
