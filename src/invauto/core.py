@@ -277,12 +277,20 @@ class MaterializationPolicy:
         if self.depth < 1:
             raise ValidationError("materialization depth must be >= 1")
         object.__setattr__(self, "horizons", tuple(self.horizons))
-        for state, horizon in self.horizons:
+        for i, entry in enumerate(self.horizons):
+            if not (isinstance(entry, tuple) and len(entry) == 2):
+                raise ValidationError(f"horizons entry {i} is not a (state, horizon) pair")
+            state, horizon = entry
             if not isinstance(horizon, int) or horizon < 0:
                 raise ValidationError(
                     f"horizon of state {state!r} must be an int >= 0, got {horizon!r}"
                 )
-        object.__setattr__(self, "_lookup", dict(self.horizons))
+        lookup = dict(self.horizons)
+        if len(lookup) < len(self.horizons):
+            seen: set = set()
+            repeated = next(s for s, _ in self.horizons if s in seen or seen.add(s))
+            raise ValidationError(f"state {repeated!r} is given two horizons")
+        object.__setattr__(self, "_lookup", lookup)
 
     def horizon(self, state: str) -> int | None:
         return self._lookup.get(state)
@@ -654,10 +662,19 @@ class Transformation:
         return _composite(self, other)
 
 
+def _check_int(value: object, what: str) -> None:
+    """Refuse a value that is not an int as a usage error, naming its type
+    (a repr may hold a memory address); a bool counts as its int."""
+    if not isinstance(value, int):
+        raise ArgumentError(f"{what} must be an int, not {type(value).__name__}")
+
+
 def _check_level(level: int, what: str = "level") -> None:
-    """Refuse a level outside 0 <= level < sys.maxsize as a usage error: the
-    counts of levels 0..level are level + 1 items, which a sequence (and
-    ``itertools.islice``) can only hold or skip up to sys.maxsize of."""
+    """Refuse a level that is not an int, or outside 0 <= level < sys.maxsize,
+    as a usage error: the counts of levels 0..level are level + 1 items,
+    which a sequence (and ``itertools.islice``) can only hold or skip up to
+    sys.maxsize of."""
+    _check_int(level, what)
     if level < 0:
         raise ArgumentError(f"{what} must be >= 0")
     if level >= sys.maxsize:
@@ -772,11 +789,17 @@ def generate_builtin(
                         fixes 2 and 3.  Passing ``length`` asserts the table
                         must be exact for that many letters from q_1, which
                         the clamp at q_D can only honor up to the depth.
+
+    Only ``remark_chain`` takes a ``depth`` (an int >= 1); a depth given to
+    a fixed family raises ArgumentError.  Every family takes ``length``: a
+    fixed table serves every length.
     """
     if name in _FIXED_BUILTINS:
+        if depth is not None:
+            raise ArgumentError(f"family {name!r} takes no depth")
         return Automaton.from_table(("0", "1"), _FIXED_BUILTINS[name])
     if name == "remark_chain":
-        if depth is None or depth < 1:
+        if not isinstance(depth, int) or depth < 1:
             raise ValidationError("remark_chain requires depth >= 1")
         if length is not None and length > depth:
             raise DepthTooSmallError(

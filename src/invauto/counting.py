@@ -24,6 +24,7 @@ from .core import (
     Automaton,
     Transformation,
     Word,
+    _check_int,
     _components,
     _kept,
     _record,
@@ -113,11 +114,15 @@ class GrowthReport:
             raise ArgumentError("degree is present exactly for polynomial growth")
         if (self.rate is not None) != (self.category == "exponential"):
             raise ArgumentError("rate is present exactly for exponential growth")
-        if self.degree is not None and self.degree < 1:
-            raise ArgumentError("polynomial degree must be >= 1")
+        if self.degree is not None:
+            _check_int(self.degree, "polynomial degree")
+            if self.degree < 1:
+                raise ArgumentError("polynomial degree must be >= 1")
         if self.rate_bounds is not None:
             if self.category != "exponential":
                 raise ArgumentError("rate bounds are present only for exponential growth")
+            if not (isinstance(self.rate_bounds, tuple) and len(self.rate_bounds) == 2):
+                raise ArgumentError("rate bounds must be a (lo, hi) pair")
             from fractions import Fraction
             if not all(isinstance(b, (int, Fraction)) for b in self.rate_bounds):
                 raise ArgumentError(f"rate bounds must be ints or Fractions: {self.rate_bounds!r}")

@@ -22,6 +22,7 @@ from .core import (
     Automaton,
     Transformation,
     Word,
+    _check_int,
     _check_level,
     _exact_str,
     _record,
@@ -65,6 +66,11 @@ class ParadoxReport:
         if self.satisfied != (self.aggregate <= self.threshold):
             raise ArgumentError("verdict disagrees with the exact comparison")
         _check_block_factor(self.block_factor)
+        _check_int(self.level, "level")
+        for field in ("period_divisor", "period_count"):
+            value = getattr(self, field)
+            if value is not None:
+                _check_int(value, field)
 
 
 def _common_alphabet(hs: Sequence[Transformation]):
@@ -78,6 +84,7 @@ def _common_alphabet(hs: Sequence[Transformation]):
 
 
 def _check_block_factor(block_factor: int) -> None:
+    _check_int(block_factor, "block factor")
     if block_factor < MIN_BLOCK_FACTOR:
         raise BlockFactorTooSmallError(
             f"block factor {block_factor} is below the minimum {MIN_BLOCK_FACTOR}"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-from .core import Transformation, Word, _check_level, _record
+from .core import Transformation, Word, _check_int, _check_level, _record
 from .counting import reachable_uc_lengths, uc_state_lengths
 from .errors import ArgumentError, CycleBoundTooSmallError, PeriodBoundInvalidError
 
@@ -210,6 +210,7 @@ def check_lemma2(
     words); each remaining word's image must again be periodic past the
     level with period length dividing ``period_divisor``.
     """
+    _check_int(period_divisor, "period divisor")
     if period_divisor < 1:
         raise ArgumentError("period divisor must be >= 1")
     reachable = reachable_uc_lengths(g, level)
@@ -247,8 +248,10 @@ def count_periods(alphabet_size: int, period_divisor: int) -> int:
     divisor from sys.maxsize up is refused as a level is
     (:func:`invauto.core._check_level`), before the power fills the memory.
     """
+    _check_int(alphabet_size, "alphabet size")
     if alphabet_size < 1:
         raise ArgumentError("alphabet size must be >= 1")
+    _check_int(period_divisor, "period divisor")
     if period_divisor < 1:
         raise ArgumentError("period divisor must be >= 1")
     _check_level(period_divisor, "period divisor")

@@ -21,7 +21,6 @@ are stable.
 from __future__ import annotations
 
 import json
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import TYPE_CHECKING
@@ -126,10 +125,11 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _json_object(text: str, keys) -> dict:
+def _json_object(text: str, keys, optional=()) -> dict:
     """The JSON object in ``text``, a repeated key refused.  ``keys`` lists
     ``(key, test, what)``: every key must be present, then each value must
-    pass its ``test``, and ``what`` says what it must be."""
+    pass its ``test``, and ``what`` says what it must be.  A key of
+    ``optional``, listed the same way, is tested after them when present."""
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
@@ -139,8 +139,8 @@ def _json_object(text: str, keys) -> dict:
     for key, _, _ in keys:
         if key not in data:
             raise ParseError(f"missing top-level key {key!r}")
-    for key, valid, what in keys:
-        if not valid(data[key]):
+    for key, valid, what in (*keys, *optional):
+        if key in data and not valid(data[key]):
             raise ParseError(f"{key!r} must be {what}")
     return data
 
@@ -149,29 +149,19 @@ _MACHINE_KEYS = (
     ("alphabet", lambda v: isinstance(v, list), "an array"),
     ("states", lambda v: isinstance(v, dict), "an object"),
 )
+_METADATA_KEYS = (
+    ("name", lambda v: isinstance(v, str), "a string"),
+    ("description", lambda v: isinstance(v, str), "a string"),
+)
 
 
 def _parse_json(text: str) -> tuple[Automaton, dict[str, str]]:
-    data = _json_object(text, _MACHINE_KEYS)
-    states = data["states"]
-    meta = {key: str(data[key]) for key in ("name", "description") if key in data}
-    # every row an object and every pair a list of two, or the loop names
-    # the first that is not; from_table judges the items as they are written
-    shaped = set(map(type, states.values())) <= {dict}
-    if shaped:
-        pairs = list(chain.from_iterable(map(dict.values, states.values())))
-        shaped = set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
-    if not shaped:
-        for name, row in states.items():
-            if not isinstance(row, dict):
-                raise ParseError(f"state {name!r} must map letters to pairs")
-            for letter, pair in row.items():
-                if not (isinstance(pair, list) and len(pair) == 2):
-                    raise ParseError(
-                        f"state {name!r}, letter {letter!r}: expected [next, output]"
-                    )
+    """The document's keys are checked here; its table, as it is written,
+    by ``from_table`` alone, which names the first fault in state order."""
+    data = _json_object(text, _MACHINE_KEYS, _METADATA_KEYS)
+    meta = {key: data[key] for key, _, _ in _METADATA_KEYS if key in data}
     from .core import Automaton
-    return Automaton.from_table(data["alphabet"], states), meta
+    return Automaton.from_table(data["alphabet"], data["states"]), meta
 
 
 def _check_dsl_names(automaton: Automaton) -> None:
@@ -192,6 +182,14 @@ def _check_dsl_names(automaton: Automaton) -> None:
             raise ValidationError(f"letter {letter!r} cannot be written in the DSL")
 
 
+def _check_text(value, what: str) -> None:
+    """Refuse metadata that is not a str, named by its type (a repr may hold
+    a memory address): the JSON reader would refuse it, and the DSL and DOT
+    writers write only text."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} must be a str, not {type(value).__name__}")
+
+
 def _check_dsl_comment(text: str, what: str) -> None:
     """Refuse ``text`` as a ``#`` comment unless the DSL reader, which splits
     lines where ``str.splitlines`` does, reads it as the one line it is;
@@ -204,9 +202,11 @@ def render_dsl(automaton: Automaton, name: str | None = None) -> str:
     """Deterministic DSL text; ``parse_automaton`` gives the machine back.
 
     Raises ``ValidationError`` for a machine whose state names or letters
-    the DSL cannot carry, or a ``name`` its header comment cannot; JSON
-    carries any name.
+    the DSL cannot carry, or a ``name`` that is not a str or that its header
+    comment cannot carry; JSON carries any str name.
     """
+    if name is not None:
+        _check_text(name, "name")
     _check_dsl_names(automaton)
     lines = []
     if name:
@@ -251,7 +251,12 @@ def render_json(
     ``doc`` being the machine's document (:func:`_json_doc`), written here
     key by key in sorted order: with an indent json falls back to its
     pure-Python encoder.  Every string is escaped by the C function json
-    itself uses."""
+    itself uses.  A ``name`` or ``description`` that is not a str raises
+    ``ValidationError``: the reader would refuse it."""
+    if name is not None:
+        _check_text(name, "name")
+    if description is not None:
+        _check_text(description, "description")
     symbols, states = automaton.alphabet.symbols, automaton.states
     letter_text = list(map(encode_basestring_ascii, symbols))
     state_text = list(map(encode_basestring_ascii, states))
@@ -285,8 +290,10 @@ def render_dot(automaton: Automaton, name: str = "automaton") -> str:
     """DOT digraph with one edge per (state, letter), labeled input|output.
 
     States are emitted in table order and letters in alphabet order, so the
-    output is byte-stable.
+    output is byte-stable.  A ``name`` that is not a str raises
+    ``ValidationError``.
     """
+    _check_text(name, "name")
     symbols, states = automaton.alphabet.symbols, automaton.states
     lines = [f"digraph {_quote(name)} {{", "  rankdir=LR;"]
     for state in states:

@@ -389,13 +389,17 @@ def test_t1_report_multiple_items(capsys):
         ["validate", "--file", str(DATA / "adding.maut"), "--depth", "5"],
         ["ns", "--file", str(DATA / "adding.maut"), "--state", "q", "--max-level", "2",
          "--length", "2"],
+        ["gen", "adding", "--depth", "3"],
+        ["t1-report", "--gen", "flip_all", "--state", "r", "-l", "2",
+         "--item", "gen:flip_all:depth=5@r"],
     ],
     ids=["negative-level", "periods-zero", "lemma2-zero", "audit-no-parts",
          "audit-not-json", "item-bad-depth", "item-depth-twice", "alphabet-number", "alphabet-null",
          "alphabet-true", "alphabet-float", "state-twice", "letter-twice", "ns-huge-level",
          "ns-maxsize-level", "nc-huge-level", "ns-huge-level-past-horizon", "t1-huge-level",
          "t2-huge-level", "min-level-huge-l-max", "min-level-maxsize-l-max", "audit-huge-level",
-         "audit-huge-level-with-words", "file-with-depth", "file-with-length"],
+         "audit-huge-level-with-words", "file-with-depth", "file-with-length",
+         "fixed-family-depth", "item-fixed-family-depth"],
 )
 def test_malformed_input_gives_one_error_line(capsys, tmp_path, argv):
     texts = {
@@ -501,7 +505,9 @@ def test_an_audit_spec_is_refused_as_a_machine_document_is(capsys, tmp_path, tex
      "unknown letter 1"),
     ('{"alphabet": ["0", "1"], "states": {"q": {"0": [null, "1"], "1": ["q", "0"]}}}',
      "state 'q' points to unknown state None on letter '0'"),
-], ids=["int-symbol", "int-letter", "null-state"])
+    ('{"alphabet": ["0", "1"], "states": {"q": [["q", "1"], ["q", "0"]]}}',
+     "state 'q' must map letters to pairs"),
+], ids=["int-symbol", "int-letter", "null-state", "row-an-array"])
 def test_a_machine_document_is_read_as_written(capsys, tmp_path, document, message):
     path = tmp_path / "machine.json"
     path.write_text(document)

@@ -223,6 +223,60 @@ def test_public_edge_paths(call, expected):
      invauto.ArgumentError("need at least one transformation")),
     (lambda: invauto.EventuallyPeriodicWord((0,), (1,))[-1],
      IndexError("infinite words have no negative positions")),
+    # an integer argument must be an int, named by its type
+    (lambda: invauto.count_periods(2, 2.5),
+     invauto.ArgumentError("period divisor must be an int, not float")),
+    (lambda: invauto.count_periods(2.5, 2),
+     invauto.ArgumentError("alphabet size must be an int, not float")),
+    (lambda: invauto.check_lemma2(_ADDS, 2.0, 1, 1, []),
+     invauto.ArgumentError("level must be an int, not float")),
+    (lambda: invauto.check_lemma2(_ADDS, 1, 1, 2.5, []),
+     invauto.ArgumentError("period divisor must be an int, not float")),
+    (lambda: invauto.theorem1_report([_ADDS], 2.0),
+     invauto.ArgumentError("level must be an int, not float")),
+    (lambda: invauto.theorem1_report([_ADDS], "2"),
+     invauto.ArgumentError("level must be an int, not str")),
+    (lambda: invauto.theorem1_report([_ADDS], 2, 8.5),
+     invauto.ArgumentError("block factor must be an int, not float")),
+    (lambda: invauto.find_minimal_level([_ADDS], 8, 3.5),
+     invauto.ArgumentError("max_level must be an int, not float")),
+    (lambda: invauto.count_ns(_ADDS, 2.0),
+     invauto.ArgumentError("level must be an int, not float")),
+    (lambda: invauto.coin_audit(1.0, [[(0,), (1,)]], [_ADDS]),
+     invauto.ArgumentError("level must be an int, not float")),
+    # the fields a report still took on trust
+    (lambda: invauto.ParadoxReport("nc", (_ADDS,), 1, 8, (1,), 8, Fraction(4), False,
+                                   period_divisor=1, period_count=2.5),
+     invauto.ArgumentError("period_count must be an int, not float")),
+    (lambda: invauto.ParadoxReport("nc", (_ADDS,), 1, 8, (1,), 8, Fraction(4), False,
+                                   period_divisor=1.0, period_count=2),
+     invauto.ArgumentError("period_divisor must be an int, not float")),
+    (lambda: invauto.ParadoxReport("ns", (_ADDS,), 1.0, 8, (1,), 8, Fraction(4), False),
+     invauto.ArgumentError("level must be an int, not float")),
+    (lambda: invauto.GrowthReport("exponential", rate=2.0, rate_bounds=(1, 2, 3)),
+     invauto.ArgumentError("rate bounds must be a (lo, hi) pair")),
+    (lambda: invauto.GrowthReport("polynomial", degree=1.5),
+     invauto.ArgumentError("polynomial degree must be an int, not float")),
+    (lambda: invauto.MaterializationPolicy("f", 3, (("q", 1), ("q", 2))),
+     invauto.ValidationError("state 'q' is given two horizons")),
+    (lambda: invauto.MaterializationPolicy("f", 3, (("q", 1), ("r", 1, 2))),
+     invauto.ValidationError("horizons entry 1 is not a (state, horizon) pair")),
+    # a fixed builtin takes no depth
+    (lambda: invauto.generate_builtin("adding", depth=3),
+     invauto.ArgumentError("family 'adding' takes no depth")),
+    (lambda: invauto.generate_builtin("remark_chain", depth=2.5),
+     invauto.ValidationError("remark_chain requires depth >= 1")),
+    (lambda: invauto.generate_builtin("remark_chain", depth="3"),
+     invauto.ValidationError("remark_chain requires depth >= 1")),
+    # the writers take only str metadata, which the JSON reader reads back
+    (lambda: invauto.render_dsl(adding(), name=5),
+     invauto.ValidationError("name must be a str, not int")),
+    (lambda: invauto.render_dot(adding(), name=None),
+     invauto.ValidationError("name must be a str, not NoneType")),
+    (lambda: invauto.render_json(adding(), name=5),
+     invauto.ValidationError("name must be a str, not int")),
+    (lambda: invauto.render_json(adding(), description=b"adds one"),
+     invauto.ValidationError("description must be a str, not bytes")),
 ], ids=["policy-depth-0", "policy-depth-not-int", "policy-horizon-below-0",
         "policy-horizon-not-int", "policy-names-unknown-state", "letter-not-str",
         "no-states", "float-output", "float-target", "str-target", "str-output",
@@ -233,7 +287,14 @@ def test_public_edge_paths(call, expected):
         "growth-category", "growth-degree-present", "growth-rate-absent",
         "growth-degree-0", "growth-bounds-not-exponential", "growth-bounds-reversed",
         "decision-false", "decision-true", "paradox-verdict", "theorem1-no-items",
-        "negative-position"])
+        "negative-position", "periods-float-divisor", "periods-float-size",
+        "lemma2-float-level", "lemma2-float-divisor",
+        "t1-float-level", "t1-str-level", "t1-float-block-factor", "min-level-float-max",
+        "ns-float-level", "audit-float-level", "paradox-float-period-count",
+        "paradox-float-period-divisor", "paradox-float-level", "growth-bounds-not-a-pair",
+        "growth-float-degree", "policy-state-twice", "policy-entry-not-a-pair",
+        "fixed-builtin-depth", "chain-float-depth", "chain-str-depth",
+        "dsl-int-name", "dot-none-name", "json-int-name", "json-bytes-description"])
 def test_validation_branches(call, expected):
     if isinstance(expected, Exception):
         with pytest.raises(Exception) as info:

@@ -115,7 +115,8 @@ def test_dsl_carries_separators_inside_state_names():
 
 
 def test_dsl_refuses_no_builtin_or_data_machine():
-    machines = [iv.generate_builtin(family, depth=3) for family in iv.BUILTIN_FAMILIES]
+    machines = [iv.generate_builtin(family, depth=3 if family == "remark_chain" else None)
+                for family in iv.BUILTIN_FAMILIES]
     machines += [iv.parse_automaton(path.read_text()) for path in sorted(DATA.glob("adding.*"))]
     for machine in machines:
         assert _reads_back(machine, iv.render_dsl(machine))
@@ -326,10 +327,14 @@ _ALPHABET = "alphabet: 0 1\n"
      "'alphabet' must be an array", None, None),
     (iv.parse_document, '{"alphabet": ["0", "1"], "states": []}',
      "'states' must be an object", None, None),
-    (iv.parse_document, '{"alphabet": ["0", "1"], "states": {"q": []}}',
-     "state 'q' must map letters to pairs", None, None),
-    (iv.parse_document, '{"alphabet": ["0", "1"], "states": {"q": {"0": ["q"]}}}',
-     "state 'q', letter '0': expected [next, output]", None, None),
+    # metadata is checked after the required keys and before the table
+    (iv.parse_document, '{"alphabet": ["0", "1"], "states": {}, "name": null}',
+     "'name' must be a string", None, None),
+    (iv.parse_document,
+     '{"alphabet": ["0", "1"], "states": {"q": []}, "description": {"a": 1}}',
+     "'description' must be a string", None, None),
+    (iv.parse_document, '{"alphabet": ["0", "1"], "name": 5}',
+     "missing top-level key 'states'", None, None),
 ])
 def test_every_parse_error_has_its_message_and_location(read, text, message, line, column):
     with pytest.raises(iv.ParseError) as info:
@@ -433,14 +438,71 @@ def test_a_json_document_without_repeated_keys_reads_as_before():
     '{"1": {"0": [1, "1"], "1": [1, "0"]}}',
     '{"q": {"0": ["q", "1"], "1": ["e", "0"]}}',
     '{"q": {"0": ["q", "1"], "2": ["q", "0"]}}',
-], ids=["str-pairs", "int-letters", "int-names", "unknown-state", "unknown-letter"])
+    '{"q": []}',
+    '{"q": {"0": ["q"]}}',
+    '{"q": {"2": ["q", "1"]}, "r": []}',
+], ids=["str-pairs", "int-letters", "int-names", "unknown-state", "unknown-letter",
+        "row-an-array", "one-item-pair", "first-fault-in-state-order"])
 def test_json_pairs_read_as_their_str(states):
     """Every document goes to from_table as it is written, no item turned
     into its str: a pair of strs reads as its machine, and an int letter or
-    state name is refused with from_table's error."""
+    state name, a row that is not an object or a pair that is not two items
+    is refused with from_table's error, the first in state order."""
     text = f'{{"alphabet": ["0", "1"], "states": {states}}}'
     assert _read(iv.parse_automaton, text) == _read(
         lambda _: iv.Automaton.from_table(("0", "1"), json.loads(states)), text)
+
+
+_FAULTS = ("row_array", "row_string", "one_item_pair", "three_item_pair", "unknown_letter",
+           "unknown_state", "missing_letter", "int_output")
+
+
+@st.composite
+def _faulty_json_machine(draw):
+    """A random name table over 2 or 3 letters, with up to three faults in
+    one or several states, written as a JSON document."""
+    k = draw(st.sampled_from([2, 3]))
+    symbols = [str(x) for x in range(k)]
+    names = draw(st.lists(st.sampled_from(["q", "r", "e", "s0", "1"]), min_size=1, max_size=4,
+                          unique=True))
+    states = {}
+    for name in names:
+        outputs = draw(st.permutations(symbols))
+        states[name] = {x: [draw(st.sampled_from(names)), y] for x, y in zip(symbols, outputs)}
+    for _ in range(draw(st.integers(0, 3))):
+        name, fault = draw(st.sampled_from(names)), draw(st.sampled_from(_FAULTS))
+        row = states[name]
+        if fault == "row_array":
+            states[name] = list(row.values()) if isinstance(row, dict) else row
+        elif fault == "row_string":
+            states[name] = "".join(symbols)
+        elif isinstance(row, dict):
+            letter = draw(st.sampled_from(symbols))
+            pair = row.get(letter, [name, letter])
+            if fault == "one_item_pair":
+                row[letter] = pair[:1]
+            elif fault == "three_item_pair":
+                row[letter] = [*pair, letter][:3]
+            elif fault == "unknown_letter":
+                row["z"] = [name, letter]
+            elif fault == "unknown_state":
+                row[letter] = ["ghost", *pair[1:]]
+            elif fault == "missing_letter":
+                row.pop(letter, None)
+            else:
+                row[letter] = [*pair[:1], symbols.index(letter)]
+    return json.dumps({"alphabet": symbols, "states": states})
+
+
+@settings(max_examples=300)
+@given(_faulty_json_machine())
+def test_the_json_reader_refuses_a_table_as_from_table_does(text):
+    """The reader hands the table to from_table as it is written: the same
+    machine, or the same error type and message, whatever the faults."""
+    document = json.loads(text)
+    expected = _read(lambda _: iv.Automaton.from_table(document["alphabet"],
+                                                       document["states"]), text)
+    assert _read(iv.parse_automaton, text) == expected
 
 
 def test_dot_export_adding_machine():
