@@ -206,6 +206,7 @@ class Alphabet:
 
     @classmethod
     def of_size(cls, k: int) -> "Alphabet":
+        _check_int(k, "alphabet size")
         return cls(tuple(str(i) for i in range(k)))
 
     @property
@@ -262,9 +263,9 @@ class MaterializationPolicy:
     """Record that an automaton is a finite stand-in for a parametric family.
 
     ``depth`` (an int >= 1) is how much of the family was materialized.
-    ``horizons`` maps state names to the largest processing length (an int
-    >= 0) for which the table is exact when started there; states without
-    an entry are exact at every length.
+    ``horizons`` maps state names (strs) to the largest processing length
+    (an int >= 0) for which the table is exact when started there; states
+    without an entry are exact at every length.
     """
 
     family: str
@@ -272,19 +273,18 @@ class MaterializationPolicy:
     horizons: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.depth, int):
-            raise ValidationError(f"materialization depth must be an int, got {self.depth!r}")
-        if self.depth < 1:
-            raise ValidationError("materialization depth must be >= 1")
+        _check_int(self.depth, "materialization depth", 1, ValidationError)
         object.__setattr__(self, "horizons", tuple(self.horizons))
-        for i, entry in enumerate(self.horizons):
+        # no index or message on the accepting path: a fault is counted and named when met
+        for entry in self.horizons:
             if not (isinstance(entry, tuple) and len(entry) == 2):
+                i = next(i for i, e in enumerate(self.horizons) if e is entry)
                 raise ValidationError(f"horizons entry {i} is not a (state, horizon) pair")
             state, horizon = entry
-            if not isinstance(horizon, int) or horizon < 0:
-                raise ValidationError(
-                    f"horizon of state {state!r} must be an int >= 0, got {horizon!r}"
-                )
+            if type(state) is not str or type(horizon) is not int or horizon < 0:
+                if not isinstance(state, str):
+                    raise ValidationError(f"state name {state!r} is not a str")
+                _check_int(horizon, f"horizon of state {state!r}", 0, ValidationError)
         lookup = dict(self.horizons)
         if len(lookup) < len(self.horizons):
             seen: set = set()
@@ -547,7 +547,7 @@ class Automaton:
         derived machine (:func:`_unchecked`) makes it on its first lookup."""
         try:
             return _kept(self, "_index", _name_index)[name]
-        except KeyError:
+        except (KeyError, TypeError):  # a TypeError: the name does not hash
             raise UnknownStateError(f"no state named {name!r}") from None
 
     def horizon(self, state: str) -> int | None:
@@ -662,11 +662,13 @@ class Transformation:
         return _composite(self, other)
 
 
-def _check_int(value: object, what: str) -> None:
-    """Refuse a value that is not an int as a usage error, naming its type
-    (a repr may hold a memory address); a bool counts as its int."""
+def _check_int(value: object, what: str, least: int | None = None, error=ArgumentError) -> None:
+    """The rule for an integer argument: raise ``error`` for a non-int, named by
+    its type, never a repr (a bool counts as its int), or a value below ``least``."""
     if not isinstance(value, int):
-        raise ArgumentError(f"{what} must be an int, not {type(value).__name__}")
+        raise error(f"{what} must be an int, not {type(value).__name__}")
+    if least is not None and value < least:
+        raise error(f"{what} must be >= {least}")
 
 
 def _check_level(level: int, what: str = "level") -> None:
@@ -674,9 +676,7 @@ def _check_level(level: int, what: str = "level") -> None:
     as a usage error: the counts of levels 0..level are level + 1 items,
     which a sequence (and ``itertools.islice``) can only hold or skip up to
     sys.maxsize of."""
-    _check_int(level, what)
-    if level < 0:
-        raise ArgumentError(f"{what} must be >= 0")
+    _check_int(level, what, 0)
     if level >= sys.maxsize:
         raise ArgumentError(f"{what} must be below sys.maxsize, {sys.maxsize}")
 
@@ -765,7 +765,7 @@ def is_trivial_state(automaton: Automaton, state: str) -> bool:
 
 def identity_automaton(alphabet: Alphabet | int) -> Automaton:
     """Single state ``e`` copying its input; the unit for composition."""
-    if isinstance(alphabet, int):
+    if not isinstance(alphabet, Alphabet):
         alphabet = Alphabet.of_size(alphabet)
     k = alphabet.size
     return Automaton(alphabet, ("e",), ((0,) * k,), (tuple(range(k)),))
@@ -791,16 +791,19 @@ def generate_builtin(
                         the clamp at q_D can only honor up to the depth.
 
     Only ``remark_chain`` takes a ``depth`` (an int >= 1); a depth given to
-    a fixed family raises ArgumentError.  Every family takes ``length``: a
-    fixed table serves every length.
+    a fixed family raises ArgumentError.  Every family takes ``length`` (an
+    int >= 0): a fixed table serves every length.
     """
+    if length is not None:
+        _check_int(length, "length", 0)
     if name in _FIXED_BUILTINS:
         if depth is not None:
             raise ArgumentError(f"family {name!r} takes no depth")
         return Automaton.from_table(("0", "1"), _FIXED_BUILTINS[name])
     if name == "remark_chain":
-        if not isinstance(depth, int) or depth < 1:
-            raise ValidationError("remark_chain requires depth >= 1")
+        if depth is None:
+            raise ValidationError("remark_chain requires a depth")
+        _check_int(depth, "remark_chain depth", 1, ValidationError)
         if length is not None and length > depth:
             raise DepthTooSmallError(
                 f"depth {depth} cannot serve processing length {length}; "

@@ -115,9 +115,7 @@ class GrowthReport:
         if (self.rate is not None) != (self.category == "exponential"):
             raise ArgumentError("rate is present exactly for exponential growth")
         if self.degree is not None:
-            _check_int(self.degree, "polynomial degree")
-            if self.degree < 1:
-                raise ArgumentError("polynomial degree must be >= 1")
+            _check_int(self.degree, "polynomial degree", 1)
         if self.rate_bounds is not None:
             if self.category != "exponential":
                 raise ArgumentError("rate bounds are present only for exponential growth")

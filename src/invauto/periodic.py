@@ -51,6 +51,7 @@ class EventuallyPeriodicWord:
         return self.period[(i - len(self.prefix)) % len(self.period)]
 
     def first(self, n: int) -> Word:
+        _check_level(n, "length")
         return tuple(self[i] for i in range(n))
 
     def letters(self) -> Iterator[int]:
@@ -60,6 +61,7 @@ class EventuallyPeriodicWord:
 
     def tail_from(self, position: int) -> "EventuallyPeriodicWord":
         """The same infinite word starting at ``position``."""
+        _check_int(position, "position", 0)
         if position <= len(self.prefix):
             return EventuallyPeriodicWord(self.prefix[position:], self.period)
         shift = (position - len(self.prefix)) % len(self.period)
@@ -168,10 +170,9 @@ def check_lemma1(
     same level, must then be periodic with period length dividing
     lcm(t, c) for t the input period and c the cycle length.
     """
+    _check_level(level)
     if w.level != level:
-        raise ArgumentError(
-            f"word is presented at level {w.level}, expected {level}"
-        )
+        raise ArgumentError(f"word is presented at level {w.level}, expected {level}")
     t = len(w.period)
     c, observed = _lemma_sample(g, w)
     if c is None:
@@ -210,9 +211,8 @@ def check_lemma2(
     words); each remaining word's image must again be periodic past the
     level with period length dividing ``period_divisor``.
     """
-    _check_int(period_divisor, "period divisor")
-    if period_divisor < 1:
-        raise ArgumentError("period divisor must be >= 1")
+    _check_int(period_divisor, "period divisor", 1)
+    _check_int(cycle_bound, "cycle bound")
     reachable = reachable_uc_lengths(g, level)
     longest = max(reachable, default=0)
     if cycle_bound < longest:
@@ -248,11 +248,7 @@ def count_periods(alphabet_size: int, period_divisor: int) -> int:
     divisor from sys.maxsize up is refused as a level is
     (:func:`invauto.core._check_level`), before the power fills the memory.
     """
-    _check_int(alphabet_size, "alphabet size")
-    if alphabet_size < 1:
-        raise ArgumentError("alphabet size must be >= 1")
-    _check_int(period_divisor, "period divisor")
-    if period_divisor < 1:
-        raise ArgumentError("period divisor must be >= 1")
+    _check_int(alphabet_size, "alphabet size", 1)
+    _check_int(period_divisor, "period divisor", 1)
     _check_level(period_divisor, "period divisor")
     return alphabet_size**period_divisor

@@ -389,6 +389,9 @@ def test_t1_report_multiple_items(capsys):
         ["validate", "--file", str(DATA / "adding.maut"), "--depth", "5"],
         ["ns", "--file", str(DATA / "adding.maut"), "--state", "q", "--max-level", "2",
          "--length", "2"],
+        ["gen", "remark_chain", "--depth", "2", "--length", "-1"],
+        ["t1-report", "--gen", "remark_chain", "--depth", "3", "--state", "q_1", "-l", "2",
+         "--item", "gen:remark_chain:depth=3:length=-1@q_1"],
         ["gen", "adding", "--depth", "3"],
         ["t1-report", "--gen", "flip_all", "--state", "r", "-l", "2",
          "--item", "gen:flip_all:depth=5@r"],
@@ -399,6 +402,7 @@ def test_t1_report_multiple_items(capsys):
          "ns-maxsize-level", "nc-huge-level", "ns-huge-level-past-horizon", "t1-huge-level",
          "t2-huge-level", "min-level-huge-l-max", "min-level-maxsize-l-max", "audit-huge-level",
          "audit-huge-level-with-words", "file-with-depth", "file-with-length",
+         "negative-length", "item-negative-length",
          "fixed-family-depth", "item-fixed-family-depth"],
 )
 def test_malformed_input_gives_one_error_line(capsys, tmp_path, argv):

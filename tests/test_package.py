@@ -145,11 +145,11 @@ def test_public_edge_paths(call, expected):
     (lambda: invauto.MaterializationPolicy("remark", 0),
      invauto.ValidationError("materialization depth must be >= 1")),
     (lambda: invauto.MaterializationPolicy("remark", 2.0),
-     invauto.ValidationError("materialization depth must be an int, got 2.0")),
+     invauto.ValidationError("materialization depth must be an int, not float")),
     (lambda: invauto.MaterializationPolicy("remark", 2, (("q_1", -1),)),
-     invauto.ValidationError("horizon of state 'q_1' must be an int >= 0, got -1")),
+     invauto.ValidationError("horizon of state 'q_1' must be >= 0")),
     (lambda: invauto.MaterializationPolicy("remark", 2, (("q_1", 1.5),)),
-     invauto.ValidationError("horizon of state 'q_1' must be an int >= 0, got 1.5")),
+     invauto.ValidationError("horizon of state 'q_1' must be an int, not float")),
     (lambda: invauto.Automaton(
         _CHAIN.alphabet, _CHAIN.states, _CHAIN.transitions, _CHAIN.outputs,
         invauto.MaterializationPolicy("remark_chain", 3, (("q1", 3), ("q2", 2), ("q3", 1)))),
@@ -265,9 +265,42 @@ def test_public_edge_paths(call, expected):
     (lambda: invauto.generate_builtin("adding", depth=3),
      invauto.ArgumentError("family 'adding' takes no depth")),
     (lambda: invauto.generate_builtin("remark_chain", depth=2.5),
-     invauto.ValidationError("remark_chain requires depth >= 1")),
+     invauto.ValidationError("remark_chain depth must be an int, not float")),
     (lambda: invauto.generate_builtin("remark_chain", depth="3"),
-     invauto.ValidationError("remark_chain requires depth >= 1")),
+     invauto.ValidationError("remark_chain depth must be an int, not str")),
+    (lambda: invauto.generate_builtin("remark_chain"),
+     invauto.ValidationError("remark_chain requires a depth")),
+    # the integer arguments no rule saw: refused by type, then below their bound
+    (lambda: invauto.generate_builtin("remark_chain", depth=3, length="5"),
+     invauto.ArgumentError("length must be an int, not str")),
+    (lambda: invauto.generate_builtin("remark_chain", depth=3, length=2.5),
+     invauto.ArgumentError("length must be an int, not float")),
+    (lambda: invauto.generate_builtin("adding", length=-1),
+     invauto.ArgumentError("length must be >= 0")),
+    (lambda: invauto.check_lemma2(_ADDS, 1, "2", 1, []),
+     invauto.ArgumentError("cycle bound must be an int, not str")),
+    (lambda: invauto.check_lemma2(_ADDS, 1, 2.5, 1, []),
+     invauto.ArgumentError("cycle bound must be an int, not float")),
+    (lambda: invauto.Alphabet.of_size(2.5),
+     invauto.ArgumentError("alphabet size must be an int, not float")),
+    (lambda: invauto.identity_automaton(2.5),
+     invauto.ArgumentError("alphabet size must be an int, not float")),
+    (lambda: invauto.check_lemma1(_ADDS, invauto.EventuallyPeriodicWord((), (0,)), "0"),
+     invauto.ArgumentError("level must be an int, not str")),
+    (lambda: invauto.EventuallyPeriodicWord((1, 0, 1), (0,)).tail_from(-1),
+     invauto.ArgumentError("position must be >= 0")),
+    (lambda: invauto.EventuallyPeriodicWord((1, 0, 1), (0,)).first(-1),
+     invauto.ArgumentError("length must be >= 0")),
+    # named by its type, never by a repr that holds a memory address
+    (lambda: invauto.MaterializationPolicy("f", object()),
+     invauto.ValidationError("materialization depth must be an int, not object")),
+    # a policy's states are strs, as an automaton's are
+    (lambda: invauto.MaterializationPolicy("f", 1, ((5, 1),)),
+     invauto.ValidationError("state name 5 is not a str")),
+    (lambda: invauto.MaterializationPolicy("f", 1, (([1], 1),)),
+     invauto.ValidationError("state name [1] is not a str")),
+    (lambda: _ADDS.automaton.state_index([1]),
+     invauto.UnknownStateError("no state named [1]")),
     # the writers take only str metadata, which the JSON reader reads back
     (lambda: invauto.render_dsl(adding(), name=5),
      invauto.ValidationError("name must be a str, not int")),
@@ -293,7 +326,12 @@ def test_public_edge_paths(call, expected):
         "ns-float-level", "audit-float-level", "paradox-float-period-count",
         "paradox-float-period-divisor", "paradox-float-level", "growth-bounds-not-a-pair",
         "growth-float-degree", "policy-state-twice", "policy-entry-not-a-pair",
-        "fixed-builtin-depth", "chain-float-depth", "chain-str-depth",
+        "fixed-builtin-depth", "chain-float-depth", "chain-str-depth", "chain-no-depth",
+        "str-length", "float-length", "negative-length", "lemma2-str-cycle-bound",
+        "lemma2-float-cycle-bound", "float-alphabet-size", "identity-float-size",
+        "lemma1-str-level", "negative-tail-position", "negative-first-length",
+        "policy-depth-object", "policy-int-state", "policy-unhashable-state",
+        "unhashable-state-name",
         "dsl-int-name", "dot-none-name", "json-int-name", "json-bytes-description"])
 def test_validation_branches(call, expected):
     if isinstance(expected, Exception):
