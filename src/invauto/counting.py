@@ -17,6 +17,7 @@ lengths all read the cycles kept from it.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from typing import TYPE_CHECKING, Iterator
 
@@ -29,6 +30,7 @@ from .core import (
     _kept,
     _record,
     _sums_to_int,
+    _unchecked,
     greatest_closed_subset,
     trivial_states,
 )
@@ -43,6 +45,14 @@ NC = "nc"
 _RATE_STEPS = 10_000
 _RATE_TOLERANCE_BITS = 40
 _VECTOR_BITS = 60
+# the counts a table stages as bytes while its sweep runs: wider than 64 bits,
+# and narrow enough that pymalloc serves the int from its pools (blocks of
+# up to 512 bytes, which sys.getsizeof of an int gives in full)
+_STAGED_ABOVE = (1 << 64) - 1
+_STAGED_BELOW = 1 << (
+    (512 - sys.getsizeof(1)) // sys.int_info.sizeof_digit + 1
+) * sys.int_info.bits_per_digit
+_MARK_BYTES = 10  # after a staged count's bytes: level << 16 | its byte length
 
 
 @_record
@@ -63,7 +73,11 @@ class UnconditionalCycle:
 
 @_record
 class CountTable:
-    """Counts indexed by level 0..max_level for one transformation."""
+    """Counts indexed by level 0..max_level for one transformation.
+
+    A table built here is checked entry by entry (ints, a level-0 count of
+    0 or 1, each count at most k**level); :func:`count_ns` and
+    :func:`count_nc` build theirs from the sweep, without the checks."""
 
     transformation: Transformation
     kind: str
@@ -74,7 +88,8 @@ class CountTable:
             raise ArgumentError(f"kind must be {NS!r} or {NC!r}")
         object.__setattr__(self, "counts", tuple(self.counts))
         if not _sums_to_int((self.counts,)):
-            raise ArgumentError(f"counts must be ints, got {self.counts!r}")
+            for level, c in enumerate(self.counts):  # only to name the first fault
+                _check_int(c, f"count at level {level}")
         if not self.counts or self.counts[0] not in (0, 1):
             raise ArgumentError("level-0 count must be 0 or 1")
         k = self.transformation.alphabet.size
@@ -89,6 +104,10 @@ class CountTable:
         return len(self.counts) - 1
 
     def __getitem__(self, level: int) -> int:
+        """The count at ``level``; IndexError above max_level, which ends
+        iteration.  Slice ``counts`` for a range of levels."""
+        if level.__class__ is not int or level < 0:  # no call on the int path
+            _check_int(level, "level", 0)
         return self.counts[level]
 
 
@@ -122,9 +141,12 @@ class GrowthReport:
             if not (isinstance(self.rate_bounds, tuple) and len(self.rate_bounds) == 2):
                 raise ArgumentError("rate bounds must be a (lo, hi) pair")
             from fractions import Fraction
-            if not all(isinstance(b, (int, Fraction)) for b in self.rate_bounds):
-                raise ArgumentError(f"rate bounds must be ints or Fractions: {self.rate_bounds!r}")
             lo, hi = self.rate_bounds
+            for what, b in (("lower", lo), ("upper", hi)):
+                if not isinstance(b, (int, Fraction)):
+                    raise ArgumentError(
+                        f"{what} rate bound must be an int or a Fraction, not {type(b).__name__}"
+                    )
             if lo > hi:
                 raise ArgumentError(f"rate bounds {lo} > {hi}")
 
@@ -264,12 +286,33 @@ def _iter_counts(g: Transformation, kind: str) -> Iterator[int]:
 
 
 def _count(g: Transformation, max_level: int, kind: str) -> CountTable:
+    """The table behind :func:`count_ns` and :func:`count_nc`.
+
+    A staged count (``_STAGED_ABOVE < count < _STAGED_BELOW``) kept as an
+    int would be allocated among the sweep's short-lived vector ints of
+    nearly its size, and hold a pymalloc pool of their size class that
+    could otherwise be freed; in the buffer, each count's bytes are followed
+    by a mark of its level and length.  The buffer is read back from its
+    end, so it shrinks in place as it empties.  The sweep's oracles test
+    every count, so the table skips the entry checks (``_unchecked``)."""
     g._check_length(max_level)
     # allocated before the sweep, so a table too large to hold fails at once
     counts = [0] * (max_level + 1)
+    staged = bytearray()
     for level, count in zip(range(max_level + 1), _iter_counts(g, kind)):
-        counts[level] = count
-    return CountTable(g, kind, counts)
+        if _STAGED_ABOVE < count < _STAGED_BELOW:
+            size = (count.bit_length() + 7) >> 3
+            staged += count.to_bytes(size, "little")
+            staged += (level << 16 | size).to_bytes(_MARK_BYTES, "little")
+        else:
+            counts[level] = count
+    while staged:
+        end = len(staged) - _MARK_BYTES
+        mark = int.from_bytes(staged[end:], "little")
+        start = end - (mark & 0xFFFF)
+        counts[mark >> 16] = int.from_bytes(staged[start:end], "little")
+        del staged[start:]
+    return _unchecked(CountTable, (g, kind, tuple(counts)))
 
 
 def count_ns(g: Transformation, max_level: int) -> CountTable:
@@ -277,13 +320,19 @@ def count_ns(g: Transformation, max_level: int) -> CountTable:
 
     The table of max_level + 1 counts is allocated before the sweep starts,
     so a max_level whose table cannot be held raises ``MemoryError`` at
-    once, not after the sweep has filled the memory."""
+    once, not after the sweep has filled the memory.  While the sweep runs,
+    each count wider than 64 bits whose int pymalloc would serve from its
+    small-object pools (up to 3,660 bits on 64-bit CPython) is kept as
+    bytes in one buffer, apart from the sweep's short-lived ints, and the
+    buffer is made ints in one batch when the sweep ends; narrower and
+    wider counts are kept as they come."""
     return _count(g, max_level, NS)
 
 
 def count_nc(g: Transformation, max_level: int) -> CountTable:
     """Words of each length l <= max_level avoiding all unconditional cycles;
-    a table that cannot be held fails at once, as in :func:`count_ns`."""
+    the table is allocated before the sweep and keeps its counts as in
+    :func:`count_ns`, so one that cannot be held fails at once."""
     return _count(g, max_level, NC)
 
 

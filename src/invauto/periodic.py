@@ -44,6 +44,8 @@ class EventuallyPeriodicWord:
         return len(self.prefix)
 
     def __getitem__(self, i: int) -> int:
+        if i.__class__ is not int:  # no call on the int path
+            _check_int(i, "position")
         if i < 0:
             raise IndexError("infinite words have no negative positions")
         if i < len(self.prefix):

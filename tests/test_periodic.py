@@ -57,6 +57,14 @@ def test_indexing_and_first():
     word = EP((0, 1), (1, 0, 0))
     assert word.first(8) == (0, 1, 1, 0, 0, 1, 0, 0)
     assert word[100] == word[100 - 3]
+    assert word[True] == 1  # a bool is an int
+    for position, message in [(1.5, "position must be an int, not float"),
+                              ("1", "position must be an int, not str")]:
+        with pytest.raises(iv.ArgumentError) as info:
+            word[position]
+        assert str(info.value) == message
+    with pytest.raises(IndexError, match="no negative positions"):
+        word[-1]
 
 
 # ---------------------------------------------------------------- application
