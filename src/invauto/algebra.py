@@ -17,6 +17,7 @@ from .core import (
     Transformation,
     _kept,
     _name_index,
+    _shown,
     _unchecked,
 )
 from .errors import AlphabetMismatchError, ArgumentError
@@ -98,7 +99,7 @@ def compose(
     if prune_from is None:
         return _product(a, b, None)
     if not (isinstance(prune_from, (tuple, list)) and len(prune_from) == 2):
-        raise ArgumentError(f"prune_from must be a pair of state names, got {prune_from!r}")
+        raise ArgumentError(f"prune_from must be a pair of state names, not {_shown(prune_from)}")
     return _product(a, b, (a.state_index(prune_from[0]), b.state_index(prune_from[1])))
 
 

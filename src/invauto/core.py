@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Mapping
-from itertools import chain, count, repeat
-from operator import getitem, index, itemgetter
+from functools import partial
+from itertools import chain, count, cycle, repeat
+from operator import attrgetter, getitem, index, itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -113,31 +114,162 @@ def _exact_repr(value) -> str:
     return _exact_str(value)
 
 
-def _record(cls):
+def _shown(value) -> str:
+    """A name, letter token or letter for a message: a str by its repr,
+    anything else by its type alone, as ``<list>``, since a repr may hold a
+    memory address."""
+    return repr(value) if isinstance(value, str) else f"<{type(value).__name__}>"
+
+
+# an annotation's name -> how a refusal names it and the classes it takes
+# (None: _rational's, made only for a value that is not an int)
+_NAMED = {"int": ("an int", int), "str": ("a str", str), "bool": ("a bool", bool),
+          "float": ("a float", (int, float)), "Fraction": ("an int or a Fraction", None),
+          "Mapping": ("a mapping", Mapping)}
+
+
+def _rational() -> tuple:
+    return int, __import__("fractions").Fraction  # only here: fractions loads decimal
+
+
+def _kind(text: str, scope: dict) -> tuple:
+    """Annotation ``text`` as ("opt", X) for ``X | None``, ("seq", X) for
+    ``tuple[X, ...]``, ("pair", X, Y), or ("name", description, classes of
+    _NAMED or of ``scope``, the record's module)."""
+    if text.endswith(" | None"):
+        return "opt", _kind(text[:-7], scope)
+    text = "tuple[int, ...]" if text == "Word" else text
+    if text.startswith("tuple["):
+        if text.endswith(", ...]"):
+            return "seq", _kind(text[6:-6], scope)
+        return ("pair", *(_kind(part, scope) for part in text[6:-1].split(", ")))
+    name = text.partition("[")[0]  # Mapping[K, V] is judged as a mapping only
+    return ("name", *_NAMED.get(name, (f"a{'n' * (name[0] in 'AEIOU')} {name}", scope.get(name))))
+
+
+def _holds(kind: tuple, value) -> bool:
+    """Whether ``value`` holds ``kind``, with a tuple at every depth; the
+    items of a tuple are read in one C-level pass, a row's in turn."""
+    form = kind[0]
+    if form == "opt":
+        return value is None or _holds(kind[1], value)
+    if form == "name":
+        return isinstance(value, kind[2] or _rational())
+    if not isinstance(value, tuple):
+        return False
+    if form == "pair":
+        return len(value) == 2 and _holds(kind[1], value[0]) and _holds(kind[2], value[1])
+    row = kind[1]
+    if row[0] == "name":
+        return all(map(isinstance, value, repeat(row[2] or _rational())))
+    classes = [k[2] or _rational() for k in row[1:]]  # a row's, place by place
+    return (all(map(isinstance, value, repeat(tuple)))
+            and (row[0] == "seq" or {*map(len, value)} <= {len(classes)})
+            and all(map(isinstance, chain.from_iterable(value), cycle(classes))))
+
+
+def _fast(kind: tuple, n: str, namespace: dict) -> str:
+    """Source of field ``n``'s fast test: inline for a class, None or a
+    tuple of one class's items, else a call of :func:`_holds`."""
+    if kind[0] == "seq" and kind[1][0] == "name":
+        namespace[f"_class_{n}"] = kind[1][2] or int
+        return f"isinstance({n}, tuple) and all(map(isinstance, {n}, _repeat(_class_{n})))"
+    inner, none = (kind[1], f"{n} is None or ") if kind[0] == "opt" else (kind, "")
+    if inner[0] == "name":  # a Fraction's takes an int: a Fraction goes to the judge
+        namespace[f"_class_{n}"] = inner[2] or int
+        return f"{none}isinstance({n}, _class_{n})"
+    namespace[f"_kind_{n}"] = kind
+    return f"_holds(_kind_{n}, {n})"
+
+
+def _first_init(cls, params: str, fields: str, defaults: dict, error, self, *values) -> None:
+    """A record's first ``__init__``: compile the checking one (one fast
+    test per field, all in one line; when one refuses, :func:`_judged`
+    builds the record), put it in its place, and run it."""
+    scope = sys.modules[cls.__module__].__dict__
+    kinds = tuple((n, _kind(text, scope)) for n, text in cls.__annotations__.items())
+    namespace = {"_defaults": defaults, "_set": object.__setattr__, "_holds": _holds,
+                 "_repeat": repeat, "_judged": partial(_judged, kinds, error)}
+    tests = " and ".join(f"({_fast(kind, n, namespace)})" for n, kind in kinds)
+    body = f"    if not ({tests}):\n        return _judged(self{fields})\n"
+    body += "".join(f"    _set(self, {n!r}, {n})\n" for n, _ in kinds)
+    if hasattr(cls, "__post_init__"):
+        body += "    self.__post_init__()\n"
+    exec(f"def __init__(self{params}):\n{body}", namespace)  # a real signature, as namedtuple has
+    namespace["__init__"].__qualname__ = cls.__init__.__qualname__
+    cls.__init__ = namespace["__init__"]
+    cls.__init__(self, *values)
+
+
+def _judged(kinds: tuple, error, self, *values) -> None:
+    """A record's ``__init__`` past a refused fast test: each field judged
+    and set in turn, then ``__post_init__`` if there is one."""
+    for (name, kind), value in zip(kinds, values):
+        object.__setattr__(self, name, _judge(kind, value, name, error))
+    if hasattr(self, "__post_init__"):
+        self.__post_init__()
+
+
+def _judge(kind: tuple, value, place: str, error):
+    """``value`` if it holds ``kind``, made a tuple at every depth ``kind``
+    declares (from any iterable but a str) in C-level passes; else raise
+    ``error`` for its first fault, as ``PLACE must be KIND, not TYPE`` with
+    an item's place (``transitions[1][0]``), never a repr."""
+    form = kind[0]
+    if form == "opt" and value is not None:
+        return _judge(kind[1], value, place, error)
+    if form == "name" and kind[2] is int:  # the int rule
+        _check_int(value, place, error=error)
+    elif form == "name" and not _holds(kind, value):
+        raise error(f"{place} must be {kind[1]}, not {type(value).__name__}")
+    elif form in ("seq", "pair"):
+        what = "a tuple" if form == "seq" else "a pair"
+        if isinstance(value, str) or not hasattr(value, "__iter__"):
+            raise error(f"{place} must be {what}, not {type(value).__name__}")
+        value = tuple(value)
+        if form == "pair" and len(value) != 2:
+            raise error(f"{place} must be {what}, not {len(value)} items")
+        rows = form == "seq" and kind[1][0] != "name"  # rows made tuples too, if no str
+        if rows and not any(map(isinstance, value, repeat(str))) and all(
+                map(hasattr, value, repeat("__iter__"))):
+            value = tuple(map(tuple, value))
+        if not _holds(kind, value):  # only to name the first fault
+            for i, item in enumerate(value):
+                _judge(kind[i + 1] if form == "pair" else kind[1], item, f"{place}[{i}]", error)
+    return value
+
+
+def _record(cls=None, error=ArgumentError):
     """Make ``cls`` a frozen value record, as ``@dataclass(frozen=True)``
     would, without importing :mod:`dataclasses` (and :mod:`inspect`).
 
-    The fields, also kept as ``_fields`` and ``__match_args__``, are the
-    class's annotations in order; a class attribute of the same name is a
-    field's default.  ``__init__`` calls ``__post_init__`` if there is one;
-    ``__eq__`` and ``__hash__`` read the field tuple, and the repr prints
-    every digit (:func:`_exact_repr`).  Setting or deleting an attribute
-    raises AttributeError, so the class's own code uses
-    ``object.__setattr__``.  A method the class defines itself is kept.
+    The fields are the class's annotations in order (also ``_fields`` and
+    ``__match_args__``); a class attribute of the same name is a default.
+    ``__init__`` (compiled on the first build, :func:`_first_init`) judges
+    every field by one rule, then calls ``__post_init__`` if there is one.
+    The rule: a field holds what its annotation names.  ``int``, ``str``,
+    ``bool``, ``float`` and a class take an instance (a bool is an int, an
+    int a float; ``Fraction`` takes an int or a Fraction); ``X | None``
+    takes None too; ``tuple[X, ...]`` (``Word`` is ``tuple[int, ...]``) and
+    ``tuple[X, Y]`` take any iterable but a str, kept a tuple at every
+    depth; ``Mapping[K, V]`` takes any mapping.  A refusal raises ``error``
+    as ``FIELD must be KIND, not TYPE`` (:func:`_judge`).  ``__eq__`` and ``__hash__`` read the field
+    tuple, and the repr prints every digit (:func:`_exact_repr`).  Setting
+    or deleting an attribute raises AttributeError, so the class's own code
+    uses ``object.__setattr__``.  A method the class defines itself is kept.
     """
+    if cls is None:
+        return lambda cls: _record(cls, error)
     names = tuple(cls.__annotations__)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in names)
-    body = "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
-    if hasattr(cls, "__post_init__"):
-        body += "    self.__post_init__()\n"
-    source = (
-        f"def __init__(self{params}):\n{body}"
-        f"def values(self):\n    return ({''.join(f'self.{n}, ' for n in names)})\n"
-    )
-    namespace = {"_defaults": defaults, "_set": object.__setattr__}
-    exec(source, namespace)  # a real signature, as dataclasses and namedtuple build it
-    values = namespace["values"]
+    fields = "".join(f", {n}" for n in names)
+    # the checks are compiled on the first build, so a process pays only for the records it builds
+    namespace = {"_defaults": defaults,
+                 "_first": partial(_first_init, cls, params, fields, defaults, error)}
+    exec(f"def __init__(self{params}):\n    _first(self{fields})\n", namespace)  # a real signature
+    get = attrgetter(*names)
+    values = get if len(names) > 1 else lambda self: (get(self),)  # a one-tuple still
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -176,7 +308,7 @@ def _record(cls):
     return cls
 
 
-@_record
+@_record(error=ValidationError)
 class Alphabet:
     """A finite set of at least two distinct printable letter tokens.
 
@@ -187,14 +319,12 @@ class Alphabet:
     symbols: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
         if len(self.symbols) < 2:
             raise AlphabetTooSmallError(
                 f"alphabet needs at least 2 letters, got {len(self.symbols)}"
             )
-        # symbols first: one that is not a str may not even hash
         for sym in self.symbols:
-            if not isinstance(sym, str) or not sym or any(ch.isspace() for ch in sym):
+            if not sym or any(ch.isspace() for ch in sym):
                 raise ValidationError(f"bad alphabet symbol {sym!r}")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValidationError("alphabet symbols must be pairwise distinct")
@@ -217,7 +347,7 @@ class Alphabet:
         try:
             return self._lookup[token]
         except (KeyError, TypeError):  # a TypeError: the token does not hash
-            raise LetterOutOfRangeError(f"unknown letter {token!r}") from None
+            raise LetterOutOfRangeError(f"unknown letter {_shown(token)}") from None
 
     def word(self, text: str) -> Word:
         """Decode a word from text: one letter per character ("011") when every
@@ -249,7 +379,7 @@ class Alphabet:
                 i = index(x)
             except TypeError:
                 raise LetterOutOfRangeError(
-                    f"letter {x!r} is not an integer index for alphabet of size {k}"
+                    f"letter {_shown(x)} is not an integer index for alphabet of size {k}"
                 ) from None
             if not 0 <= i < k:
                 raise LetterOutOfRangeError(
@@ -258,7 +388,7 @@ class Alphabet:
         return w
 
 
-@_record
+@_record(error=ValidationError)
 class MaterializationPolicy:
     """Record that an automaton is a finite stand-in for a parametric family.
 
@@ -273,18 +403,11 @@ class MaterializationPolicy:
     horizons: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
-        _check_int(self.depth, "materialization depth", 1, ValidationError)
-        object.__setattr__(self, "horizons", tuple(self.horizons))
-        # no index or message on the accepting path: a fault is counted and named when met
-        for entry in self.horizons:
-            if not (isinstance(entry, tuple) and len(entry) == 2):
-                i = next(i for i, e in enumerate(self.horizons) if e is entry)
-                raise ValidationError(f"horizons entry {i} is not a (state, horizon) pair")
-            state, horizon = entry
-            if type(state) is not str or type(horizon) is not int or horizon < 0:
-                if not isinstance(state, str):
-                    raise ValidationError(f"state name {state!r} is not a str")
-                _check_int(horizon, f"horizon of state {state!r}", 0, ValidationError)
+        if self.depth < 1:
+            raise ValidationError("materialization depth must be >= 1")
+        if self.horizons and min(map(itemgetter(1), self.horizons)) < 0:
+            state = next(s for s, h in self.horizons if h < 0)
+            raise ValidationError(f"horizon of state {state!r} must be >= 0")
         lookup = dict(self.horizons)
         if len(lookup) < len(self.horizons):
             seen: set = set()
@@ -308,7 +431,7 @@ def _kept(obj, name: str, make):
 
 def _unchecked(cls, fields: tuple, **kept):
     """A ``cls`` record with these fields and kept attributes, made without
-    ``__init__`` and so without the checks of ``__post_init__``: the values
+    ``__init__`` and so without the record rule and ``__post_init__``: the values
     are set as given, so they must already be what it would make of them.
     For an :class:`Automaton` derived from checked machines, that is tuples
     of tuples (str names, rows of length k, int targets in range, output
@@ -335,16 +458,6 @@ def _name_index(automaton: "Automaton") -> dict[str, int]:
 def _field_hash(a: "Automaton") -> int:
     """The hash every record has, of the field tuple."""
     return hash((a.alphabet, a.states, a.transitions, a.outputs, a.policy))
-
-
-def _sums_to_int(rows: Iterable[tuple[int, ...]]) -> bool:
-    """Whether the entries of ``rows`` sum to an int, in one C-level pass: a
-    float, Fraction or other number among them makes the sum one of those,
-    and a str raises TypeError.  A bool is an int, and passes."""
-    try:
-        return type(sum(chain.from_iterable(rows))) is int
-    except TypeError:
-        return False
 
 
 def _resolved(cls, alphabet: Alphabet, table: Mapping, policy) -> "Automaton | None":
@@ -390,7 +503,7 @@ def _resolved(cls, alphabet: Alphabet, table: Mapping, policy) -> "Automaton | N
     return _unchecked(cls, (alphabet, states, transitions, outputs, policy), _index=index)
 
 
-@_record
+@_record(error=ValidationError)
 class Automaton:
     """A complete, invertible letter transducer.
 
@@ -399,15 +512,12 @@ class Automaton:
     names are distinct strs.  A ``policy`` may give horizons (ints >= 0)
     only to states of this table.
 
-    The constructor (and so :func:`identity_automaton` and the
-    ``remark_chain`` of :func:`generate_builtin`) checks every table entry by
-    entry, and builds the name index :meth:`state_index` reads as part of the
-    check that names are distinct.  :meth:`from_table` (and so the readers in
-    :mod:`invauto.textio`) proves every entry in its own resolving pass and
-    keeps the name index that pass used.  The machines that
-    :mod:`invauto.algebra` derives from checked ones are built by
-    :func:`_unchecked`, which skips the entry checks and leaves the index to
-    the first lookup.
+    The constructor judges the fields by the record rule (:func:`_record`),
+    then the rows, and builds the name index :meth:`state_index` reads as
+    its check that names are distinct.  :meth:`from_table` (and so the
+    readers in :mod:`invauto.textio`) proves every entry in its own
+    resolving pass and keeps its index; the machines :mod:`invauto.algebra`
+    derives are built by :func:`_unchecked`, with no check and no index.
     """
 
     alphabet: Alphabet
@@ -417,14 +527,6 @@ class Automaton:
     policy: MaterializationPolicy | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "transitions", tuple(map(tuple, self.transitions)))
-        object.__setattr__(self, "outputs", tuple(map(tuple, self.outputs)))
-        if not set(map(type, self.states)) <= {str}:
-            # slow path only for a str subclass or to name the first non-str
-            for name in self.states:
-                if not isinstance(name, str):
-                    raise ValidationError(f"state name {name!r} is not a str")
         if not self.states:
             raise ValidationError("automaton needs at least one state")
         n, k = len(self.states), self.alphabet.size
@@ -436,7 +538,6 @@ class Automaton:
         identity = list(range(k))
         valid = (
             set(map(len, trans)) == {k} == set(map(len, outs))
-            and _sums_to_int(chain(trans, outs))
             and min(chain.from_iterable(trans)) >= 0
             and max(chain.from_iterable(trans)) < n
             and all(sorted(row) == identity for row in set(outs))
@@ -472,9 +573,6 @@ class Automaton:
                     f"state {name!r} has no entry for letter "
                     f"{self.alphabet.symbols[missing]!r}"
                 )
-            for t in (*trow, *orow):
-                if not isinstance(t, int):
-                    raise ValidationError(f"state {name!r} has an entry that is not an int: {t!r}")
             for t in trow:
                 if not 0 <= t < n:
                     raise UnknownStateError(f"state {name!r} has a dangling transition target")
@@ -509,28 +607,29 @@ class Automaton:
         for name in states:
             row = table[name]
             if not isinstance(row, Mapping):
-                raise ValidationError(f"state {name!r} must map letters to pairs")
+                raise ValidationError(f"state {_shown(name)} must map letters to pairs")
             for tok in row:
                 if tok not in alphabet._lookup:
                     raise LetterOutOfRangeError(
-                        f"state {name!r} has a row for unknown letter {tok!r}"
+                        f"state {_shown(name)} has a row for unknown letter {_shown(tok)}"
                     )
             trow, orow = [], []
             for tok in alphabet.symbols:
                 if tok not in row:
                     raise MissingTransitionError(
-                        f"state {name!r} has no transition for letter {tok!r}"
+                        f"state {_shown(name)} has no transition for letter {tok!r}"
                     )
                 pair = row[tok]
                 if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
-                    raise ValidationError(f"state {name!r}, letter {tok!r}: "
+                    raise ValidationError(f"state {_shown(name)}, letter {tok!r}: "
                                           "expected a (next state, output letter) pair")
                 nxt, out = pair
                 try:
                     trow.append(index[nxt])
                 except (KeyError, TypeError):  # a TypeError: nxt does not hash
                     raise UnknownStateError(
-                        f"state {name!r} points to unknown state {nxt!r} on letter {tok!r}"
+                        f"state {_shown(name)} points to unknown state {_shown(nxt)} "
+                        f"on letter {tok!r}"
                     ) from None
                 orow.append(alphabet.index(out))
             transitions.append(tuple(trow))
@@ -548,7 +647,7 @@ class Automaton:
         try:
             return _kept(self, "_index", _name_index)[name]
         except (KeyError, TypeError):  # a TypeError: the name does not hash
-            raise UnknownStateError(f"no state named {name!r}") from None
+            raise UnknownStateError(f"no state named {_shown(name)}") from None
 
     def horizon(self, state: str) -> int | None:
         """Largest exact processing length from ``state`` (None = unbounded)."""

@@ -27,9 +27,9 @@ from .core import (
     Word,
     _check_int,
     _components,
+    _exact_str,
     _kept,
     _record,
-    _sums_to_int,
     _unchecked,
     greatest_closed_subset,
     trivial_states,
@@ -62,7 +62,6 @@ class UnconditionalCycle:
     states: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
         if not self.states or len(set(self.states)) != len(self.states):
             raise ArgumentError("cycle states must be nonempty and pairwise distinct")
 
@@ -75,9 +74,9 @@ class UnconditionalCycle:
 class CountTable:
     """Counts indexed by level 0..max_level for one transformation.
 
-    A table built here is checked entry by entry (ints, a level-0 count of
-    0 or 1, each count at most k**level); :func:`count_ns` and
-    :func:`count_nc` build theirs from the sweep, without the checks."""
+    A table built here is checked entry by entry (the record rule's ints, a
+    level-0 count of 0 or 1, each count at most k**level); :func:`count_ns`
+    and :func:`count_nc` build theirs from the sweep, without the checks."""
 
     transformation: Transformation
     kind: str
@@ -86,17 +85,14 @@ class CountTable:
     def __post_init__(self):
         if self.kind not in (NS, NC):
             raise ArgumentError(f"kind must be {NS!r} or {NC!r}")
-        object.__setattr__(self, "counts", tuple(self.counts))
-        if not _sums_to_int((self.counts,)):
-            for level, c in enumerate(self.counts):  # only to name the first fault
-                _check_int(c, f"count at level {level}")
         if not self.counts or self.counts[0] not in (0, 1):
             raise ArgumentError("level-0 count must be 0 or 1")
         k = self.transformation.alphabet.size
         bound = 1  # k**level
         for level, c in enumerate(self.counts):
-            if not 0 <= c <= bound:
-                raise ArgumentError(f"count {c} at level {level} exceeds {k}^{level}")
+            if not 0 <= c <= bound:  # not named: its digits may pass the int-to-str limit
+                fault = "is negative" if c < 0 else f"exceeds {k}^{level}"
+                raise ArgumentError(f"count at level {level} {fault}")
             bound *= k
 
     @property
@@ -133,22 +129,14 @@ class GrowthReport:
             raise ArgumentError("degree is present exactly for polynomial growth")
         if (self.rate is not None) != (self.category == "exponential"):
             raise ArgumentError("rate is present exactly for exponential growth")
-        if self.degree is not None:
-            _check_int(self.degree, "polynomial degree", 1)
+        if self.degree is not None and self.degree < 1:
+            raise ArgumentError("polynomial degree must be >= 1")
         if self.rate_bounds is not None:
             if self.category != "exponential":
                 raise ArgumentError("rate bounds are present only for exponential growth")
-            if not (isinstance(self.rate_bounds, tuple) and len(self.rate_bounds) == 2):
-                raise ArgumentError("rate bounds must be a (lo, hi) pair")
-            from fractions import Fraction
             lo, hi = self.rate_bounds
-            for what, b in (("lower", lo), ("upper", hi)):
-                if not isinstance(b, (int, Fraction)):
-                    raise ArgumentError(
-                        f"{what} rate bound must be an int or a Fraction, not {type(b).__name__}"
-                    )
             if lo > hi:
-                raise ArgumentError(f"rate bounds {lo} > {hi}")
+                raise ArgumentError(f"rate bounds {_exact_str(lo)} > {_exact_str(hi)}")
 
 
 @_record

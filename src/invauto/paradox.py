@@ -26,7 +26,7 @@ from .core import (
     _check_level,
     _exact_str,
     _record,
-    _sums_to_int,
+    _unchecked,
 )
 from .counting import NC, NS, _iter_counts, iter_ns_counts, reachable_uc_lengths
 from .errors import (
@@ -59,18 +59,9 @@ class ParadoxReport:
     period_count: int | None = None
 
     def __post_init__(self):
-        if not _sums_to_int((self.per_item, (self.aggregate,))):
-            raise ArgumentError("per-item counts and the aggregate must be ints")
-        if not isinstance(self.threshold, (int, Fraction)):
-            raise ArgumentError(f"threshold must be an int or a Fraction, got {self.threshold!r}")
         if self.satisfied != (self.aggregate <= self.threshold):
             raise ArgumentError("verdict disagrees with the exact comparison")
         _check_block_factor(self.block_factor)
-        _check_int(self.level, "level")
-        for field in ("period_divisor", "period_count"):
-            value = getattr(self, field)
-            if value is not None:
-                _check_int(value, field)
 
 
 def _common_alphabet(hs: Sequence[Transformation]):
@@ -253,7 +244,18 @@ def coin_audit(
         map(tally.get, range(len(owner)), repeat(0)),
     ))
     deficit = tuple(compress(counts, map((2).__gt__, counts.values())))
-    return CoinAudit(level, assignments, hs, counts, deficit)
+    # built from checked parts, so the record rule's pass over every deficit word is skipped
+    return _unchecked(CoinAudit, (level, assignments, hs, counts, deficit))
+
+
+def _sums_to_int(rows: Iterable[tuple[int, ...]]) -> bool:
+    """Whether the entries of ``rows`` sum to an int, in one C-level pass: a
+    float, Fraction or other number among them makes the sum one of those,
+    and a str raises TypeError.  A bool is an int, and passes."""
+    try:
+        return type(sum(chain.from_iterable(rows))) is int
+    except TypeError:
+        return False
 
 
 def _listed(parts: list[list], k: int, level: int) -> dict[Word, int]:

@@ -34,7 +34,6 @@ class EventuallyPeriodicWord:
     period: Word
 
     def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(self.prefix))
         if not self.period:
             raise ArgumentError("period must be nonempty")
         object.__setattr__(self, "period", primitive_root(self.period))

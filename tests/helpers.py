@@ -594,6 +594,12 @@ def oracle_remark_chain(depth):
     return iv.Automaton.from_table(("0", "1", "2", "3"), table, policy)
 
 
+def shown(value):
+    """A name or token as a refusal shows it: a str by its repr, anything
+    else by its type alone."""
+    return repr(value) if isinstance(value, str) else f"<{type(value).__name__}>"
+
+
 def oracle_from_table(symbols, table, policy=None):
     """A name-keyed table built state by state with every check on every
     entry, as Automaton.from_table once built it (with a pair taken only as
@@ -606,43 +612,42 @@ def oracle_from_table(symbols, table, policy=None):
     for name in states:
         row = table[name]
         if not isinstance(row, Mapping):
-            raise ValidationError(f"state {name!r} must map letters to pairs")
+            raise ValidationError(f"state {shown(name)} must map letters to pairs")
         for tok in row:
             if tok not in alphabet.symbols:
                 raise iv.LetterOutOfRangeError(
-                    f"state {name!r} has a row for unknown letter {tok!r}"
+                    f"state {shown(name)} has a row for unknown letter {shown(tok)}"
                 )
         trow, orow = [], []
         for tok in alphabet.symbols:
             if tok not in row:
                 raise MissingTransitionError(
-                    f"state {name!r} has no transition for letter {tok!r}"
+                    f"state {shown(name)} has no transition for letter {tok!r}"
                 )
             pair = row[tok]
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
-                raise ValidationError(
-                    f"state {name!r}, letter {tok!r}: expected a (next state, output letter) pair"
-                )
+                raise ValidationError(f"state {shown(name)}, letter {tok!r}: "
+                                      "expected a (next state, output letter) pair")
             nxt, out = pair
             # looked up in tuples, by equality: a name need not hash
             if nxt not in states:
                 raise UnknownStateError(
-                    f"state {name!r} points to unknown state {nxt!r} on letter {tok!r}"
+                    f"state {shown(name)} points to unknown state {shown(nxt)} on letter {tok!r}"
                 )
             if out not in alphabet.symbols:
-                raise iv.LetterOutOfRangeError(f"unknown letter {out!r}")
+                raise iv.LetterOutOfRangeError(f"unknown letter {shown(out)}")
             trow.append(states.index(nxt))
             orow.append(alphabet.symbols.index(out))
         transitions.append(tuple(trow))
         outputs.append(tuple(orow))
-    for name in states:
+    for i, name in enumerate(states):
         if not isinstance(name, str):
-            raise ValidationError(f"state name {name!r} is not a str")
+            raise ValidationError(f"states[{i}] must be a str, not {type(name).__name__}")
     oracle_validate(alphabet, states, transitions, outputs)
     if policy is not None:
         for name, _ in policy.horizons:
             if name not in states:
-                raise UnknownStateError(f"policy names unknown state {name!r}")
+                raise UnknownStateError(f"policy names unknown state {shown(name)}")
     return iv.Automaton(alphabet, states, tuple(transitions), tuple(outputs), policy)
 
 

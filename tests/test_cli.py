@@ -504,11 +504,11 @@ def test_an_audit_spec_is_refused_as_a_machine_document_is(capsys, tmp_path, tex
 
 @pytest.mark.parametrize("document, message", [
     ('{"alphabet": [0, 1], "states": {"q": {"0": ["q", "1"], "1": ["q", "0"]}}}',
-     "bad alphabet symbol 0"),
+     "symbols[0] must be a str, not int"),
     ('{"alphabet": ["0", "1"], "states": {"q": {"0": ["q", 1], "1": ["q", 0]}}}',
-     "unknown letter 1"),
+     "unknown letter <int>"),
     ('{"alphabet": ["0", "1"], "states": {"q": {"0": [null, "1"], "1": ["q", "0"]}}}',
-     "state 'q' points to unknown state None on letter '0'"),
+     "state 'q' points to unknown state <NoneType> on letter '0'"),
     ('{"alphabet": ["0", "1"], "states": {"q": [["q", "1"], ["q", "0"]]}}',
      "state 'q' must map letters to pairs"),
 ], ids=["int-symbol", "int-letter", "null-state", "row-an-array"])

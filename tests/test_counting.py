@@ -7,6 +7,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -671,21 +672,32 @@ def test_remark_bounds():
 
 
 def test_count_table_rejects_impossible_counts():
-    with pytest.raises(ValueError, match=r"count 3 at level 1 exceeds 2\^1"):
+    with pytest.raises(ValueError, match=r"^count at level 1 exceeds 2\^1$"):
         iv.CountTable(adding().at("q"), "ns", (1, 3))
     # the bound is k^level at every level: flip_all meets it exactly
     r = flip_all().at("r")
     counts = iv.count_ns(r, 40).counts
     assert iv.CountTable(r, "ns", counts).counts == counts
-    with pytest.raises(ValueError, match=r"at level 40 exceeds 2\^40"):
+    with pytest.raises(ValueError, match=r"^count at level 40 exceeds 2\^40$"):
         iv.CountTable(r, "ns", counts[:-1] + (2**40 + 1,))
 
 
+def test_a_refusal_past_the_int_to_str_limit_is_still_an_argument_error():
+    # a count is named by its level and bound only, a rate bound by every digit
+    with pytest.raises(iv.ArgumentError) as info:
+        iv.CountTable(flip_all().at("r"), "ns", (1,) + (0,) * 14299 + (2**14300 + 1,))
+    assert str(info.value) == "count at level 14300 exceeds 2^14300"
+    with pytest.raises(iv.ArgumentError) as info:
+        iv.GrowthReport("exponential", rate=2.0, rate_bounds=(2**14300 + 1, 1))
+    lo, hi = re.fullmatch(r"rate bounds ([0-9]+) > ([0-9]+)", str(info.value)).groups()
+    assert (decimal_value(lo), decimal_value(hi)) == (2**14300 + 1, 1)
+
+
 @pytest.mark.parametrize("counts, message", [
-    ((1, 1.0, True), "count at level 1 must be an int, not float"),
-    ((1, 1, Fraction(1)), "count at level 2 must be an int, not Fraction"),
-    ((1, "1"), "count at level 1 must be an int, not str"),
-    ((1, object()), "count at level 1 must be an int, not object"),
+    ((1, 1.0, True), "counts[1] must be an int, not float"),
+    ((1, 1, Fraction(1)), "counts[2] must be an int, not Fraction"),
+    ((1, "1"), "counts[1] must be an int, not str"),
+    ((1, object()), "counts[1] must be an int, not object"),
 ], ids=["float", "fraction", "str", "object"])
 def test_count_table_refuses_counts_that_are_not_ints(counts, message):
     # named by type and level, never by a repr that may hold a memory address
@@ -697,10 +709,10 @@ def test_count_table_refuses_counts_that_are_not_ints(counts, message):
 
 
 @pytest.mark.parametrize("bounds, message", [
-    ((1.5, 2.5), "lower rate bound must be an int or a Fraction, not float"),
-    ((Fraction(3, 2), 2.5), "upper rate bound must be an int or a Fraction, not float"),
-    ((1.5, Fraction(5, 2)), "lower rate bound must be an int or a Fraction, not float"),
-    ((1, object()), "upper rate bound must be an int or a Fraction, not object"),
+    ((1.5, 2.5), "rate_bounds[0] must be an int or a Fraction, not float"),
+    ((Fraction(3, 2), 2.5), "rate_bounds[1] must be an int or a Fraction, not float"),
+    ((1.5, Fraction(5, 2)), "rate_bounds[0] must be an int or a Fraction, not float"),
+    ((1, object()), "rate_bounds[1] must be an int or a Fraction, not object"),
 ], ids=["both", "upper", "lower", "object"])
 def test_growth_report_refuses_rate_bounds_that_are_not_exact(bounds, message):
     with pytest.raises(iv.ArgumentError) as info:

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import invauto
-from helpers import Index, adding, remark_chain, run_python
+from helpers import Index, adding, flip_all, remark_chain, run_python
 
 # every public name, in the order of ``invauto.__all__``, after its home module
 PUBLIC = [
@@ -106,6 +106,7 @@ def test_an_automaton_hashed_here_hashes_afresh_under_another_hash_seed(monkeypa
 
 
 _LETTERS = invauto.Alphabet(("x0", "x1"))
+_OBJECT = object()  # its repr holds a memory address
 _ADDS = adding().at("q")
 _CHAIN = remark_chain(3)
 
@@ -145,34 +146,35 @@ def test_public_edge_paths(call, expected):
     (lambda: invauto.MaterializationPolicy("remark", 0),
      invauto.ValidationError("materialization depth must be >= 1")),
     (lambda: invauto.MaterializationPolicy("remark", 2.0),
-     invauto.ValidationError("materialization depth must be an int, not float")),
+     invauto.ValidationError("depth must be an int, not float")),
     (lambda: invauto.MaterializationPolicy("remark", 2, (("q_1", -1),)),
      invauto.ValidationError("horizon of state 'q_1' must be >= 0")),
     (lambda: invauto.MaterializationPolicy("remark", 2, (("q_1", 1.5),)),
-     invauto.ValidationError("horizon of state 'q_1' must be an int, not float")),
+     invauto.ValidationError("horizons[0][1] must be an int, not float")),
     (lambda: invauto.Automaton(
         _CHAIN.alphabet, _CHAIN.states, _CHAIN.transitions, _CHAIN.outputs,
         invauto.MaterializationPolicy("remark_chain", 3, (("q1", 3), ("q2", 2), ("q3", 1)))),
      invauto.UnknownStateError("policy names unknown state 'q1'")),
-    (lambda: invauto.Alphabet(("0", 1)), invauto.ValidationError("bad alphabet symbol 1")),
+    (lambda: invauto.Alphabet(("0", 1)),
+     invauto.ValidationError("symbols[1] must be a str, not int")),
     (lambda: invauto.Automaton(_LETTERS, (), (), ()),
      invauto.ValidationError("automaton needs at least one state")),
     (lambda: invauto.Automaton(_LETTERS, ("a",), ((0, 0),), ((1.0, 0.0),)),
-     invauto.ValidationError("state 'a' has an entry that is not an int: 1.0")),
+     invauto.ValidationError("outputs[0][0] must be an int, not float")),
     (lambda: invauto.Automaton(_LETTERS, ("a", "b"), ((1, 1), (0.0, 0)), ((1, 0), (0, 1))),
-     invauto.ValidationError("state 'b' has an entry that is not an int: 0.0")),
+     invauto.ValidationError("transitions[1][0] must be an int, not float")),
     (lambda: invauto.Automaton(_LETTERS, ("a",), (("0", 0),), ((1, 0),)),
-     invauto.ValidationError("state 'a' has an entry that is not an int: '0'")),
+     invauto.ValidationError("transitions[0][0] must be an int, not str")),
     (lambda: invauto.Automaton(_LETTERS, ("a",), ((0, 0),), (("1", 0),)),
-     invauto.ValidationError("state 'a' has an entry that is not an int: '1'")),
+     invauto.ValidationError("outputs[0][0] must be an int, not str")),
     (lambda: invauto.Automaton(_LETTERS, ("a",), ((0, 0),), ((1, Fraction(0)),)),
-     invauto.ValidationError("state 'a' has an entry that is not an int: Fraction(0, 1)")),
+     invauto.ValidationError("outputs[0][1] must be an int, not Fraction")),
     (lambda: invauto.Automaton(_LETTERS, ("a", 1), ((0, 0), (1, 1)), ((1, 0), (0, 1))),
-     invauto.ValidationError("state name 1 is not a str")),
+     invauto.ValidationError("states[1] must be a str, not int")),
     (lambda: invauto.Automaton(_LETTERS, (None,), ((0, 0),), ((1, 0),)),
-     invauto.ValidationError("state name None is not a str")),
+     invauto.ValidationError("states[0] must be a str, not NoneType")),
     (lambda: invauto.Automaton.from_table(("0", "1"), {1: {"0": (1, "1"), "1": (1, "0")}}),
-     invauto.ValidationError("state name 1 is not a str")),
+     invauto.ValidationError("states[0] must be a str, not int")),
     (lambda: invauto.Automaton.from_table(("0", "1"), {"a": {
         "0": ("a", "1"), "1": ("a", "0"), "2": ("a", "0")}}),
      invauto.LetterOutOfRangeError("state 'a' has a row for unknown letter '2'")),
@@ -184,9 +186,9 @@ def test_public_edge_paths(call, expected):
      invauto.ValidationError(
          "state 'q', letter '1': expected a (next state, output letter) pair")),
     (lambda: invauto.Automaton.from_table(("0", "1"), {"q": {"0": (["q"], "1"), "1": ("q", "0")}}),
-     invauto.UnknownStateError("state 'q' points to unknown state ['q'] on letter '0'")),
+     invauto.UnknownStateError("state 'q' points to unknown state <list> on letter '0'")),
     (lambda: invauto.Automaton.from_table(("0", "1"), {"q": {"0": ("q", ["1"]), "1": ("q", "0")}}),
-     invauto.LetterOutOfRangeError("unknown letter ['1']")),
+     invauto.LetterOutOfRangeError("unknown letter <list>")),
     (lambda: invauto.Automaton.from_table(("0", "1"), {"q": [("q", "1"), ("q", "0")]}),
      invauto.ValidationError("state 'q' must map letters to pairs")),
     (lambda: list(_ADDS.apply_stream([0, 2])),
@@ -254,13 +256,13 @@ def test_public_edge_paths(call, expected):
     (lambda: invauto.ParadoxReport("ns", (_ADDS,), 1.0, 8, (1,), 8, Fraction(4), False),
      invauto.ArgumentError("level must be an int, not float")),
     (lambda: invauto.GrowthReport("exponential", rate=2.0, rate_bounds=(1, 2, 3)),
-     invauto.ArgumentError("rate bounds must be a (lo, hi) pair")),
+     invauto.ArgumentError("rate_bounds must be a pair, not 3 items")),
     (lambda: invauto.GrowthReport("polynomial", degree=1.5),
-     invauto.ArgumentError("polynomial degree must be an int, not float")),
+     invauto.ArgumentError("degree must be an int, not float")),
     (lambda: invauto.MaterializationPolicy("f", 3, (("q", 1), ("q", 2))),
      invauto.ValidationError("state 'q' is given two horizons")),
     (lambda: invauto.MaterializationPolicy("f", 3, (("q", 1), ("r", 1, 2))),
-     invauto.ValidationError("horizons entry 1 is not a (state, horizon) pair")),
+     invauto.ValidationError("horizons[1] must be a pair, not 3 items")),
     # a fixed builtin takes no depth
     (lambda: invauto.generate_builtin("adding", depth=3),
      invauto.ArgumentError("family 'adding' takes no depth")),
@@ -293,14 +295,14 @@ def test_public_edge_paths(call, expected):
      invauto.ArgumentError("length must be >= 0")),
     # named by its type, never by a repr that holds a memory address
     (lambda: invauto.MaterializationPolicy("f", object()),
-     invauto.ValidationError("materialization depth must be an int, not object")),
+     invauto.ValidationError("depth must be an int, not object")),
     # a policy's states are strs, as an automaton's are
     (lambda: invauto.MaterializationPolicy("f", 1, ((5, 1),)),
-     invauto.ValidationError("state name 5 is not a str")),
+     invauto.ValidationError("horizons[0][0] must be a str, not int")),
     (lambda: invauto.MaterializationPolicy("f", 1, (([1], 1),)),
-     invauto.ValidationError("state name [1] is not a str")),
+     invauto.ValidationError("horizons[0][0] must be a str, not list")),
     (lambda: _ADDS.automaton.state_index([1]),
-     invauto.UnknownStateError("no state named [1]")),
+     invauto.UnknownStateError("no state named <list>")),
     # the writers take only str metadata, which the JSON reader reads back
     (lambda: invauto.render_dsl(adding(), name=5),
      invauto.ValidationError("name must be a str, not int")),
@@ -310,6 +312,89 @@ def test_public_edge_paths(call, expected):
      invauto.ValidationError("name must be a str, not int")),
     (lambda: invauto.render_json(adding(), description=b"adds one"),
      invauto.ValidationError("description must be a str, not bytes")),
+    # a field of the wrong kind once leaked a bare AttributeError
+    (lambda: invauto.Automaton(("0", "1"), ("q",), ((0, 0),), ((1, 0),)),
+     invauto.ValidationError("alphabet must be an Alphabet, not tuple")),
+    (lambda: invauto.Transformation(5, "q"),
+     invauto.ArgumentError("automaton must be an Automaton, not int")),
+    (lambda: invauto.CountTable(5, "ns", (1,)),
+     invauto.ArgumentError("transformation must be a Transformation, not int")),
+    # a str is not read as its characters where a tuple goes
+    (lambda: invauto.Automaton(_LETTERS, "qe", _ADDS.automaton.transitions,
+                               _ADDS.automaton.outputs),
+     invauto.ValidationError("states must be a tuple, not str")),
+    (lambda: invauto.UnconditionalCycle("ab"),
+     invauto.ArgumentError("states must be a tuple, not str")),
+    (lambda: invauto.Automaton(_LETTERS, ("a",), ("00",), ((1, 0),)),
+     invauto.ValidationError("transitions[0] must be a tuple, not str")),
+    # records no check saw
+    (lambda: invauto.Lemma2Verdict(1.5, 0, 0),
+     invauto.ArgumentError("checked must be an int, not float")),
+    (lambda: invauto.Lemma1Verdict("yes", None, 2.5, None, None, None),
+     invauto.ArgumentError("applicable must be a bool, not str")),
+    (lambda: invauto.Lemma1Verdict(True, None, 2.5, None, None, None),
+     invauto.ArgumentError("input_period must be an int, not float")),
+    (lambda: invauto.MembershipDecision(3, "w", "abc"),
+     invauto.ArgumentError("member must be a bool, not int")),
+    (lambda: invauto.MembershipDecision(True, "w", ()),
+     invauto.ArgumentError("witness must be a tuple, not str")),
+    (lambda: invauto.UnconditionalCycle((1, 2)),
+     invauto.ArgumentError("states[0] must be a str, not int")),
+    (lambda: invauto.CoinAudit(2.5, {}, (), {}, ()),
+     invauto.ArgumentError("level must be an int, not float")),
+    (lambda: invauto.CoinAudit(1, {}, (), {}, ((0,), (0.5,))),
+     invauto.ArgumentError("deficit[1][0] must be an int, not float")),
+    (lambda: invauto.MaterializationPolicy(3, 1),
+     invauto.ValidationError("family must be a str, not int")),
+    (lambda: invauto.GrowthReport("exponential", rate="x"),
+     invauto.ArgumentError("rate must be a float, not str")),
+    (lambda: invauto.ParadoxReport(object(), (_ADDS,), 1, 8, (1,), 8, Fraction(4), False),
+     invauto.ArgumentError("kind must be a str, not object")),
+    (lambda: invauto.ParadoxReport("ns", 5, 1, 8, (1,), 8, Fraction(4), False),
+     invauto.ArgumentError("transformations must be a tuple, not int")),
+    (lambda: invauto.ParadoxReport("ns", (_ADDS,), 1, 8, (1,), 8, Fraction(4), 1),
+     invauto.ArgumentError("satisfied must be a bool, not int")),
+    (lambda: invauto.EventuallyPeriodicWord((1.5,), (object(),)),
+     invauto.ArgumentError("prefix[0] must be an int, not float")),
+    (lambda: invauto.EventuallyPeriodicWord((), (object(),)),
+     invauto.ArgumentError("period[0] must be an int, not object")),
+    # a count past the int-to-str limit is refused by its level and bound
+    (lambda: invauto.CountTable(flip_all().at("r"), "ns", (1,) + (0,) * 14299 + (2**14300 + 1,)),
+     invauto.ArgumentError("count at level 14300 exceeds 2^14300")),
+    (lambda: invauto.CountTable(_ADDS, "ns", (1, -1)),
+     invauto.ArgumentError("count at level 1 is negative")),
+    # any iterable but a str is read as a tuple, at every depth the field declares
+    (lambda: invauto.MaterializationPolicy("f", 3, [["q", 1], ("r", 2)]).horizons,
+     (("q", 1), ("r", 2))),
+    (lambda: invauto.Automaton(_LETTERS, ["q", "e"], [[1, 0], [1, 1]], [[1, 0], [0, 1]])
+     == invauto.Automaton(_LETTERS, ("q", "e"), ((1, 0), (1, 1)), ((1, 0), (0, 1))), True),
+    (lambda: invauto.EventuallyPeriodicWord(iter([1, 0]), [0, 1]),
+     invauto.EventuallyPeriodicWord((1, 0), (0, 1))),
+    # a bool is an int, an int is a float, and an int is a Fraction
+    (lambda: invauto.GrowthReport("exponential", rate=2, rate_bounds=[1, 3]).rate_bounds, (1, 3)),
+    (lambda: invauto.Lemma2Verdict(True, False, 0).checked, 1),
+    # a method's argument is named by its type, never by a repr that may hold an address
+    (lambda: _ADDS.automaton.state_index(_OBJECT),
+     invauto.UnknownStateError("no state named <object>")),
+    (lambda: invauto.is_trivial_state(_ADDS.automaton, _OBJECT),
+     invauto.UnknownStateError("no state named <object>")),
+    (lambda: _LETTERS.index(_OBJECT), invauto.LetterOutOfRangeError("unknown letter <object>")),
+    (lambda: _LETTERS.check_word((0, _OBJECT)), invauto.LetterOutOfRangeError(
+        "letter <object> is not an integer index for alphabet of size 2")),
+    (lambda: _ADDS.path((0, _OBJECT)), invauto.LetterOutOfRangeError(
+        "letter <object> is not an integer index for alphabet of size 2")),
+    (lambda: invauto.Automaton.from_table(("0", "1"), {"q": {"0": (_OBJECT, "1"),
+                                                              "1": ("q", "0")}}),
+     invauto.UnknownStateError("state 'q' points to unknown state <object> on letter '0'")),
+    (lambda: invauto.Automaton.from_table(("0", "1"), {"q": {"0": ("q", _OBJECT),
+                                                              "1": ("q", "0")}}),
+     invauto.LetterOutOfRangeError("unknown letter <object>")),
+    (lambda: invauto.Automaton.from_table(("0", "1"), {"q": {_OBJECT: ("q", "1")}}),
+     invauto.LetterOutOfRangeError("state 'q' has a row for unknown letter <object>")),
+    (lambda: invauto.Automaton.from_table(("0", "1"), {_OBJECT: [("q", "1")]}),
+     invauto.ValidationError("state <object> must map letters to pairs")),
+    (lambda: invauto.compose(adding(), adding(), prune_from=_OBJECT),
+     invauto.ArgumentError("prune_from must be a pair of state names, not <object>")),
 ], ids=["policy-depth-0", "policy-depth-not-int", "policy-horizon-below-0",
         "policy-horizon-not-int", "policy-names-unknown-state", "letter-not-str",
         "no-states", "float-output", "float-target", "str-target", "str-output",
@@ -332,7 +417,17 @@ def test_public_edge_paths(call, expected):
         "lemma1-str-level", "negative-tail-position", "negative-first-length",
         "policy-depth-object", "policy-int-state", "policy-unhashable-state",
         "unhashable-state-name",
-        "dsl-int-name", "dot-none-name", "json-int-name", "json-bytes-description"])
+        "dsl-int-name", "dot-none-name", "json-int-name", "json-bytes-description",
+        "tuple-alphabet", "int-automaton", "int-transformation", "str-states", "str-cycle",
+        "str-row", "lemma2-float", "lemma1-str", "lemma1-float-period", "decision-int",
+        "decision-str-witness", "cycle-int-states", "audit-float-level", "audit-float-deficit",
+        "policy-int-family", "growth-str-rate", "paradox-object-kind",
+        "paradox-int-transformations", "paradox-int-satisfied", "word-float-letter",
+        "word-object-letter", "count-past-str-limit", "count-negative", "policy-list-entries",
+        "automaton-from-lists", "word-from-iterators", "growth-int-rate-and-bounds",
+        "lemma2-bool-counts", "object-state-index", "object-trivial-state", "object-token",
+        "object-letter", "object-path-letter", "object-next-name", "object-output",
+        "object-row-letter", "object-table-key", "object-prune-from"])
 def test_validation_branches(call, expected):
     if isinstance(expected, Exception):
         with pytest.raises(Exception) as info:
@@ -342,3 +437,47 @@ def test_validation_branches(call, expected):
         assert info.value.__context__ is None or info.value.__suppress_context__
     else:
         assert call() == expected
+
+
+# a value of the right kind for every field of every record
+_VALID = {
+    "Alphabet": lambda: (("0", "1"),),
+    "MaterializationPolicy": lambda: ("f", 1, (("q", 1),)),
+    "Automaton": lambda: (_LETTERS, ("q", "e"), ((1, 0), (1, 1)), ((1, 0), (0, 1)), None),
+    "Transformation": lambda: (_ADDS.automaton, "q"),
+    "UnconditionalCycle": lambda: (("e",),),
+    "CountTable": lambda: (_ADDS, "ns", (1, 1)),
+    "GrowthReport": lambda: ("exponential", None, 1.5, (Fraction(1), Fraction(2))),
+    "MembershipDecision": lambda: (False, (0,), ("q",)),
+    "EventuallyPeriodicWord": lambda: ((0,), (1,)),
+    "Lemma1Verdict": lambda: (True, True, 2, 1, 2, 2),
+    "Lemma2Verdict": lambda: (1, 0, 0, ()),
+    "ParadoxReport": lambda: ("ns", (_ADDS,), 1, 8, (1,), 8, Fraction(4), False, "", None, None),
+    "CoinAudit": lambda: (1, {(0,): 0, (1,): 0}, (_ADDS,), {(0,): 1, (1,): 1}, ()),
+}
+_RECORDS = [getattr(invauto, name) for name in invauto.__all__
+            if hasattr(getattr(invauto, name), "_fields")]
+
+
+def test_every_record_has_a_valid_value_here():
+    assert sorted(_VALID) == sorted(cls.__name__ for cls in _RECORDS)
+    for cls in _RECORDS:
+        assert cls(*_VALID[cls.__name__]()) == cls(*_VALID[cls.__name__]())
+
+
+@pytest.mark.parametrize("cls, field", [(cls, field) for cls in _RECORDS for field in cls._fields],
+                         ids=lambda x: x if isinstance(x, str) else x.__name__)
+def test_every_field_refuses_a_value_of_the_wrong_kind(cls, field):
+    """One rule for every field of every record: the record's error class,
+    a message that names the field first, and no memory address in it."""
+    values = dict(zip(cls._fields, _VALID[cls.__name__]()))
+    values[field] = object()
+    error = (invauto.ValidationError
+             if cls.__name__ in ("Alphabet", "MaterializationPolicy", "Automaton")
+             else invauto.ArgumentError)
+    with pytest.raises(Exception) as info:
+        cls(**values)
+    assert type(info.value) is error
+    assert str(info.value).startswith(f"{field} must be ")
+    assert "0x" not in str(info.value)
+    assert info.value.__context__ is None or info.value.__suppress_context__

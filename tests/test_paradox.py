@@ -86,9 +86,9 @@ def test_report_object_rejects_small_block_factor():
 
 
 @pytest.mark.parametrize("changes, message", [
-    ({"per_item": (1.0,)}, "per-item counts and the aggregate must be ints"),
-    ({"aggregate": 8.0}, "per-item counts and the aggregate must be ints"),
-    ({"threshold": 4.0}, "threshold must be an int or a Fraction, got 4.0"),
+    ({"per_item": (1.0,)}, "per_item[0] must be an int, not float"),
+    ({"aggregate": 8.0}, "aggregate must be an int, not float"),
+    ({"threshold": 4.0}, "threshold must be an int or a Fraction, not float"),
 ], ids=["per-item", "aggregate", "threshold"])
 def test_report_object_refuses_a_float(changes, message):
     report = iv.theorem1_report([adding().at("q")], 1)
@@ -584,7 +584,8 @@ def test_audit_names_a_letter_that_is_not_an_integer():
         if hasattr(type(first), "__index__"):
             want = f"letter index {first.__index__()} is of type {type(first).__name__!r}, not int"
         else:
-            want = f"letter {first!r} is not an integer index for alphabet of size 2"
+            shown = repr(first) if isinstance(first, str) else f"<{type(first).__name__}>"
+            want = f"letter {shown} is not an integer index for alphabet of size 2"
         assert str(info.value) == want
     # a bool is a letter, as in every other call on words
     audit = iv.coin_audit(1, [[(False,), (True,)]], [q])
