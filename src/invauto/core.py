@@ -168,45 +168,23 @@ def _holds(kind: tuple, value) -> bool:
             and all(map(isinstance, chain.from_iterable(value), cycle(classes))))
 
 
-def _fast(kind: tuple, n: str, namespace: dict) -> str:
-    """Source of field ``n``'s fast test: inline for a class, None or a
-    tuple of one class's items, else a call of :func:`_holds`."""
-    if kind[0] == "seq" and kind[1][0] == "name":
-        namespace[f"_class_{n}"] = kind[1][2] or int
-        return f"isinstance({n}, tuple) and all(map(isinstance, {n}, _repeat(_class_{n})))"
-    inner, none = (kind[1], f"{n} is None or ") if kind[0] == "opt" else (kind, "")
-    if inner[0] == "name":  # a Fraction's takes an int: a Fraction goes to the judge
-        namespace[f"_class_{n}"] = inner[2] or int
-        return f"{none}isinstance({n}, _class_{n})"
-    namespace[f"_kind_{n}"] = kind
-    return f"_holds(_kind_{n}, {n})"
+# a record class -> its fields' kinds, read from its annotations on its first build
+_KINDS: dict[type, tuple] = {}
 
 
-def _first_init(cls, params: str, fields: str, defaults: dict, error, self, *values) -> None:
-    """A record's first ``__init__``: compile the checking one (one fast
-    test per field, all in one line; when one refuses, :func:`_judged`
-    builds the record), put it in its place, and run it."""
-    scope = sys.modules[cls.__module__].__dict__
-    kinds = tuple((n, _kind(text, scope)) for n, text in cls.__annotations__.items())
-    namespace = {"_defaults": defaults, "_set": object.__setattr__, "_holds": _holds,
-                 "_repeat": repeat, "_judged": partial(_judged, kinds, error)}
-    tests = " and ".join(f"({_fast(kind, n, namespace)})" for n, kind in kinds)
-    body = f"    if not ({tests}):\n        return _judged(self{fields})\n"
-    body += "".join(f"    _set(self, {n!r}, {n})\n" for n, _ in kinds)
+def _init(cls, error, self, *values) -> None:
+    """Every record's ``__init__`` past its signature stub: accept the
+    fields if each holds its kind, else judge each in turn (:func:`_judge`);
+    set them, then run ``__post_init__`` if there is one."""
+    kinds = _KINDS.get(cls)
+    if kinds is None:
+        scope = sys.modules[cls.__module__].__dict__
+        kinds = _KINDS[cls] = tuple(_kind(text, scope) for text in cls.__annotations__.values())
+    if not all(map(_holds, kinds, values)):
+        values = tuple(map(_judge, kinds, values, cls._fields, repeat(error)))
+    for name, value in zip(cls._fields, values):
+        object.__setattr__(self, name, value)
     if hasattr(cls, "__post_init__"):
-        body += "    self.__post_init__()\n"
-    exec(f"def __init__(self{params}):\n{body}", namespace)  # a real signature, as namedtuple has
-    namespace["__init__"].__qualname__ = cls.__init__.__qualname__
-    cls.__init__ = namespace["__init__"]
-    cls.__init__(self, *values)
-
-
-def _judged(kinds: tuple, error, self, *values) -> None:
-    """A record's ``__init__`` past a refused fast test: each field judged
-    and set in turn, then ``__post_init__`` if there is one."""
-    for (name, kind), value in zip(kinds, values):
-        object.__setattr__(self, name, _judge(kind, value, name, error))
-    if hasattr(self, "__post_init__"):
         self.__post_init__()
 
 
@@ -245,8 +223,10 @@ def _record(cls=None, error=ArgumentError):
 
     The fields are the class's annotations in order (also ``_fields`` and
     ``__match_args__``); a class attribute of the same name is a default.
-    ``__init__`` (compiled on the first build, :func:`_first_init`) judges
-    every field by one rule, then calls ``__post_init__`` if there is one.
+    ``__init__`` is a stub with the fields' signature, made here and never
+    reassigned; it hands the values to :func:`_init`, which judges every
+    field by one rule, read from the annotations on the first build, then
+    calls ``__post_init__`` if there is one.
     The rule: a field holds what its annotation names.  ``int``, ``str``,
     ``bool``, ``float`` and a class take an instance (a bool is an int, an
     int a float; ``Fraction`` takes an int or a Fraction); ``X | None``
@@ -264,10 +244,8 @@ def _record(cls=None, error=ArgumentError):
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in names)
     fields = "".join(f", {n}" for n in names)
-    # the checks are compiled on the first build, so a process pays only for the records it builds
-    namespace = {"_defaults": defaults,
-                 "_first": partial(_first_init, cls, params, fields, defaults, error)}
-    exec(f"def __init__(self{params}):\n    _first(self{fields})\n", namespace)  # a real signature
+    namespace = {"_defaults": defaults, "_init": partial(_init, cls, error)}
+    exec(f"def __init__(self{params}):\n    _init(self{fields})\n", namespace)  # a real signature
     get = attrgetter(*names)
     values = get if len(names) > 1 else lambda self: (get(self),)  # a one-tuple still
 
@@ -590,6 +568,8 @@ class Automaton:
     ) -> "Automaton":
         """Build and check an automaton from name-keyed tables.
 
+        ``symbols`` is an :class:`Alphabet` or its letter tokens, which the
+        record rule judges as ``Alphabet`` does (a str is refused).
         ``table`` maps each state name to a row, a mapping from each input
         letter token to a ``(next state name, output letter token)`` pair: a
         tuple or list of two items.  One resolving pass proves every entry
@@ -597,7 +577,7 @@ class Automaton:
         refuses, to name the first fault, so a refused table raises the
         error the loop and the checking constructor find first.
         """
-        alphabet = symbols if isinstance(symbols, Alphabet) else Alphabet(tuple(symbols))
+        alphabet = symbols if isinstance(symbols, Alphabet) else Alphabet(symbols)
         automaton = _resolved(cls, alphabet, table, policy)
         if automaton is not None:
             return automaton

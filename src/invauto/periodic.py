@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-from .core import Transformation, Word, _check_int, _check_level, _record
+from .core import Transformation, Word, _check_int, _check_level, _record, _unchecked
 from .counting import reachable_uc_lengths, uc_state_lengths
 from .errors import ArgumentError, CycleBoundTooSmallError, PeriodBoundInvalidError
 
@@ -61,12 +61,14 @@ class EventuallyPeriodicWord:
             yield from self.period
 
     def tail_from(self, position: int) -> "EventuallyPeriodicWord":
-        """The same infinite word starting at ``position``."""
+        """The same infinite word starting at ``position``; its period, this
+        one or a rotation of it, is primitive, so it skips the record rule
+        (:func:`_unchecked`)."""
         _check_int(position, "position", 0)
         if position <= len(self.prefix):
-            return EventuallyPeriodicWord(self.prefix[position:], self.period)
+            return _unchecked(EventuallyPeriodicWord, (self.prefix[position:], self.period))
         shift = (position - len(self.prefix)) % len(self.period)
-        return EventuallyPeriodicWord((), self.period[shift:] + self.period[:shift])
+        return _unchecked(EventuallyPeriodicWord, ((), self.period[shift:] + self.period[:shift]))
 
 
 def apply_to_ep_word(g: Transformation, w: EventuallyPeriodicWord) -> EventuallyPeriodicWord:
@@ -76,7 +78,10 @@ def apply_to_ep_word(g: Transformation, w: EventuallyPeriodicWord) -> Eventually
     deterministically over finitely many values, so it eventually repeats;
     the outputs up to the first repeat become the image's prefix and the
     outputs over the repeat its period.  The result is presented at the
-    input prefix length plus the detected transient.
+    input prefix length plus the detected transient.  The image is made of
+    g's output letters, so it skips the record rule (:func:`_unchecked`);
+    its period need not be primitive, so it goes through
+    :func:`primitive_root`.
     """
     automaton = g.automaton
     alphabet = automaton.alphabet
@@ -104,7 +109,8 @@ def apply_to_ep_word(g: Transformation, w: EventuallyPeriodicWord) -> Eventually
         tail.append(out[q][x])
         q = trans[q][x]
         i += 1
-    return EventuallyPeriodicWord(head + tuple(tail[:first]), tuple(tail[first:]))
+    period = primitive_root(tail[first:])
+    return _unchecked(EventuallyPeriodicWord, (head + tuple(tail[:first]), period))
 
 
 def purely_periodic_period(w: EventuallyPeriodicWord) -> int | None:

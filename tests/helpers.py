@@ -606,7 +606,7 @@ def oracle_from_table(symbols, table, policy=None):
     a tuple or list of two items), then checked as the constructor checks:
     names, then rows (oracle_validate), then the policy.  The reference
     for the machine from_table builds and the first fault it names."""
-    alphabet = symbols if isinstance(symbols, iv.Alphabet) else iv.Alphabet(tuple(symbols))
+    alphabet = symbols if isinstance(symbols, iv.Alphabet) else iv.Alphabet(symbols)
     states = tuple(table)
     transitions, outputs = [], []
     for name in states:

@@ -395,6 +395,10 @@ def test_public_edge_paths(call, expected):
      invauto.ValidationError("state <object> must map letters to pairs")),
     (lambda: invauto.compose(adding(), adding(), prune_from=_OBJECT),
      invauto.ArgumentError("prune_from must be a pair of state names, not <object>")),
+    (lambda: invauto.Automaton.from_table("01", {"q": {"0": ("q", "1"), "1": ("q", "0")}}),
+     invauto.ValidationError("symbols must be a tuple, not str")),
+    (lambda: invauto.Automaton.from_table(5, {"q": {"0": ("q", "1"), "1": ("q", "0")}}),
+     invauto.ValidationError("symbols must be a tuple, not int")),
 ], ids=["policy-depth-0", "policy-depth-not-int", "policy-horizon-below-0",
         "policy-horizon-not-int", "policy-names-unknown-state", "letter-not-str",
         "no-states", "float-output", "float-target", "str-target", "str-output",
@@ -427,7 +431,8 @@ def test_public_edge_paths(call, expected):
         "automaton-from-lists", "word-from-iterators", "growth-int-rate-and-bounds",
         "lemma2-bool-counts", "object-state-index", "object-trivial-state", "object-token",
         "object-letter", "object-path-letter", "object-next-name", "object-output",
-        "object-row-letter", "object-table-key", "object-prune-from"])
+        "object-row-letter", "object-table-key", "object-prune-from", "str-symbols",
+        "int-symbols"])
 def test_validation_branches(call, expected):
     if isinstance(expected, Exception):
         with pytest.raises(Exception) as info:
@@ -481,3 +486,43 @@ def test_every_field_refuses_a_value_of_the_wrong_kind(cls, field):
     assert str(info.value).startswith(f"{field} must be ")
     assert "0x" not in str(info.value)
     assert info.value.__context__ is None or info.value.__suppress_context__
+
+
+def test_a_record_keeps_the_init_it_was_made_with():
+    """A wrapper put on a record's ``__init__`` before its first build, in a
+    fresh interpreter, sees a refused build and a valid one, and stays."""
+    samples, expected = {}, {}
+    for cls in _RECORDS:
+        valid = _VALID[cls.__name__]()
+        wrong = (object(), *valid[1:])
+        with pytest.raises(Exception) as info:
+            cls(*wrong)
+        assert str(info.value).startswith(f"{cls._fields[0]} must be ")
+        samples[cls.__name__] = wrong[1:], valid  # an object() does not pickle
+        expected[cls.__name__] = (type(info.value).__name__, str(info.value), 2, True)
+    script = (
+        "import pickle, sys\n"
+        "import invauto\n"
+        "samples, seen, results = pickle.load(sys.stdin.buffer), [], {}\n"
+        "def wrap(cls):\n"
+        "    made_with = cls.__init__\n"
+        "    def __init__(self, *args):\n"
+        "        seen.append(cls)\n"
+        "        made_with(self, *args)\n"
+        "    cls.__init__ = __init__\n"
+        "    return __init__\n"
+        "wrappers = {name: wrap(getattr(invauto, name)) for name in samples}\n"
+        "for name, (rest, valid) in samples.items():\n"
+        "    cls, refused = getattr(invauto, name), (None, None)\n"
+        "    seen.clear()\n"
+        "    try:\n"
+        "        cls(object(), *rest)\n"
+        "    except Exception as error:\n"
+        "        refused = type(error).__name__, str(error)\n"
+        "    cls(*valid)\n"
+        "    results[name] = (*refused, seen.count(cls), cls.__init__ is wrappers[name])\n"
+        "sys.stdout.buffer.write(pickle.dumps(results))\n"
+    )
+    result = run_python("-c", script, input=pickle.dumps(samples))
+    assert result.returncode == 0, result.stderr.decode()
+    assert pickle.loads(result.stdout) == expected

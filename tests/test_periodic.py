@@ -17,6 +17,7 @@ from helpers import (
     binary_corpus,
     flip_alternator,
     oracle_cycle_reached,
+    random_automaton,
     random_ep_word,
     random_leaky,
     random_mixed_degree,
@@ -115,6 +116,26 @@ def test_output_periods_are_primitive():
         for _ in range(10):
             image = iv.apply_to_ep_word(g, random_ep_word(rng, 2, 3, 4))
             assert iv.primitive_root(image.period) == image.period
+
+
+@given(
+    st.sampled_from([random_automaton, random_mixed_degree]),
+    st.integers(1, 6),
+    st.sampled_from([2, 3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_derived_words_equal_their_checked_rebuilds(generate, n, k, seed):
+    """Images and tails skip the record rule; each must be the word the
+    checking constructor makes of the same prefix and period."""
+    rng = random.Random(seed)
+    machine = generate(rng, n, k)
+    for state in machine.states:
+        word = random_ep_word(rng, k, 4, 6)
+        image = iv.apply_to_ep_word(machine.at(state), word)
+        tails = [w.tail_from(p) for w in (word, image) for p in range(w.level + 2 * len(w.period))]
+        for derived in (image, *tails):
+            rebuilt = EP(derived.prefix, derived.period)
+            assert derived == rebuilt and hash(derived) == hash(rebuilt)
 
 
 # ---------------------------------------------------------------- divisibility
