@@ -8,8 +8,9 @@ with Python's arbitrary-precision integers: each level visits only the
 states that hold mass, along their precomputed alive successors; a target's
 first arrival takes its source's count as it is, and each source's count is
 released once pushed.  Each level's count is carried forward from the
-previous one (the most common out-degree times it, corrected at the
-frontier states of another degree).  One component pass per automaton
+previous one: the most common out-degree d times it, corrected by the mass
+that the push itself gathers in one accumulator slot per other out-degree,
+with no pass over the frontier.  One component pass per automaton
 object, kept on it from first use, serves trivial states, cores, cycles and
 growth classes; ``find_ucs``, the NC dead set and the reachable cycle
 lengths all read the cycles kept from it.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from itertools import filterfalse
 from typing import TYPE_CHECKING, Iterator
 
 from .core import (
@@ -219,30 +221,44 @@ def _iter_survivor_counts(g: Transformation, dead: frozenset[int]) -> Iterator[i
     The total is carried forward, not summed: each alive edge carries its
     source's mass, so with deg(q) the letters leading from q into alive
     states and d the most common deg among them, the next total is
-    d * total + sum((deg(q) - d) * mass(q)), where only the frontier states
-    whose deg differs from d add a term, summed before the level's mass is
-    pushed.
+    d * total + sum((e - d) * slot(e)) over the alive degrees e other than
+    d, where slot(e) is the level's mass on the states of degree e.  Each
+    such degree has one accumulator slot after the state vector, and each
+    of its alive states one extra successor, the slot, so the push itself
+    gathers the slots: at most k of them are read per level, and no pass
+    over the frontier sums them.  A slot has no successors; like any entry
+    it joins the next frontier on its first arrival and is zeroed when that
+    level pushes it.
     """
     automaton = g.automaton
     n = automaton.n_states
-    succ = [tuple(t for t in row if t not in dead) for row in automaton.transitions]
-    deg = [len(targets) for targets in succ]
+    succ = [tuple(filterfalse(dead.__contains__, row)) for row in automaton.transitions]
+    deg = list(map(len, succ))
     tally = Counter(deg[q] for q in range(n) if q not in dead)
     d = max(tally, key=tally.__getitem__, default=0)  # first seen on ties
-    vec = [0] * n
-    nxt = [0] * n
+    slot = {e: n + i for i, e in enumerate(e for e in tally if e != d)}
+    for q in range(n):
+        if deg[q] != d and q not in dead:
+            succ[q] += (slot[deg[q]],)
+    succ += [()] * len(slot)
+    weights = [(e - d, s) for e, s in slot.items()]
+    vec = [0] * len(succ)
+    nxt = [0] * len(succ)
     frontier = []
     total = 0
     if g.start not in dead:
         vec[g.start] = 1
         frontier.append(g.start)
         total = 1
+    # the level rule in one comparison: past this, _check_length raises
+    horizon = g._horizon
+    last = sys.maxsize - 1 if horizon is None else min(horizon, sys.maxsize - 1)
     level = 0
     while True:
         yield total
-        total = d * total + sum([(deg[q] - d) * vec[q] for q in frontier if deg[q] != d])
         level += 1
-        g._check_length(level)
+        if level > last:
+            g._check_length(level)
         reached = []
         for q in frontier:
             c = vec[q]
@@ -256,6 +272,9 @@ def _iter_survivor_counts(g: Transformation, dead: frozenset[int]) -> Iterator[i
                     reached.append(t)
         # every pushed entry was released, so the old vector is all zeros
         vec, nxt, frontier = nxt, vec, reached
+        total *= d
+        for w, s in weights:
+            total += w * vec[s]
 
 
 def iter_ns_counts(g: Transformation) -> Iterator[int]:
@@ -357,9 +376,12 @@ def nc_words(g: Transformation, level: int) -> list[Word]:
     return _survivor_words(g, level, NC)
 
 
-def _reach(g: Transformation) -> dict[int, tuple[int, int | None, int | None]]:
-    """Breadth-first tree of the states reachable from g's start, letters in
-    ascending order: state -> (depth, parent, letter), in discovery order.
+def _reach(
+    g: Transformation, depth: int = sys.maxsize
+) -> dict[int, tuple[int, int | None, int | None]]:
+    """Breadth-first tree of the states reachable from g's start within
+    ``depth`` steps (all of them by default), letters in ascending order:
+    state -> (depth, parent, letter), in discovery order.
 
     Following parents back from a state spells the shortest word reaching
     it, and among the shortest the lexicographically first.
@@ -368,22 +390,22 @@ def _reach(g: Transformation) -> dict[int, tuple[int, int | None, int | None]]:
     tree = {g.start: (0, None, None)}
     order = [g.start]
     for q in order:
-        depth = tree[q][0] + 1
+        step = tree[q][0] + 1
+        if step > depth:  # discovery order is by depth: the rest are as deep
+            break
         for x, t in enumerate(trans[q]):
             if t not in tree:
-                tree[t] = (depth, q, x)
+                tree[t] = (step, q, x)
                 order.append(t)
     return tree
 
 
 def reachable_uc_lengths(g: Transformation, level: int) -> tuple[int, ...]:
-    """Lengths of the unconditional cycles g can enter within ``level`` steps."""
+    """Lengths of the unconditional cycles g can enter within ``level`` steps;
+    the search walks no deeper than ``level``."""
     g._check_length(level)
     lengths = uc_state_lengths(g.automaton)
-    hit = {
-        lengths[q] for q, (depth, _, _) in _reach(g).items() if depth <= level and q in lengths
-    }
-    return tuple(sorted(hit))
+    return tuple(sorted({lengths[q] for q in _reach(g, level) if q in lengths}))
 
 
 def max_uc_length(g: Transformation, level: int) -> int:

@@ -9,6 +9,7 @@ import pickle
 import random
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,56 @@ def test_carried_totals_match_dense_sweep_on_mixed_degrees(n, k, seed):
     to 64, from every start, the sinks included."""
     machine = random_mixed_degree(random.Random(seed), n, k)
     dead_sets = _oracle_dead_sets(machine)
+    for state in machine.states:
+        g = machine.at(state)
+        assert list(iv.count_ns(g, 64).counts) == dense_counts(g, "ns", 64)
+        assert list(iv.count_nc(g, 64).counts) == dense_counts(g, "nc", 64)
+        _assert_sweep_matches_oracle(g, 64, dead_sets)
+
+
+def slot_machine(degrees, seed):
+    """Machine over k = 4 whose state a<i> sends degrees[i] of its letters to
+    states a<j> drawn at random and the rest to the identity sink ``e``, with
+    the unconditional cycle u0 <-> u1 of nontrivial states beside them (alive
+    for NS, dead for NC).  Every a<i> turns each letter, so none is trivial."""
+    rng = random.Random(seed)
+    names = [f"a{i}" for i in range(len(degrees))]
+    symbols = ["0", "1", "2", "3"]
+    turn = {s: symbols[(x + 1) % 4] for x, s in enumerate(symbols)}
+    table = {}
+    for name, degree in zip(names, degrees):
+        live = rng.sample(range(4), degree)
+        table[name] = {
+            s: (rng.choice(names) if x in live else "e", turn[s]) for x, s in enumerate(symbols)
+        }
+    table["u0"] = {s: ("u1", turn[s]) for s in symbols}
+    table["u1"] = {s: ("u0", turn[s]) for s in symbols}
+    table["e"] = {s: ("e", s) for s in symbols}
+    return iv.Automaton.from_table(symbols, table)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "degrees, mode",
+    [((0, 1, 2, 2, 2, 2, 3, 4), 2), ((0, 0, 0, 0, 2, 3, 4), 0)],
+    ids=["mode-2-slots-both-signs", "mode-0"],
+)
+def test_slots_carry_the_totals_at_every_degree(degrees, mode, seed):
+    """The totals the sweep gathers in one slot per off-mode degree, against
+    the dense sweep and the frontier-sum oracle: every level up to 64, from
+    every start, NS and NC.  ``e`` is a dead start for both kinds, u0 and u1
+    for NC; for NS they are alive states of degree 4."""
+    machine = slot_machine(degrees, seed)
+    dead_sets = _oracle_dead_sets(machine)
+    trans = machine.transitions
+    cycle = {"ns": (4, 4), "nc": ()}  # the degrees of u0 and u1 where they are alive
+    for kind, dead in dead_sets.items():  # the premise: the degrees, and one mode
+        live = [
+            sum(t not in dead for t in trans[q]) for q in range(machine.n_states) if q not in dead
+        ]
+        assert sorted(live) == sorted(degrees + cycle[kind])
+        (top, most), (_, next_most) = Counter(live).most_common(2)
+        assert top == mode and most > next_most, kind
     for state in machine.states:
         g = machine.at(state)
         assert list(iv.count_ns(g, 64).counts) == dense_counts(g, "ns", 64)
@@ -598,7 +649,9 @@ def test_find_ucs_matches_oracle(kind, n, k, seed):
 def test_reachability_answers_match_enumeration(kind, n, k, seed):
     """Cores, witnesses and reachable cycle lengths from every start, against
     reachability and word enumeration: the witness is the first word, by
-    length and then lexicographically, that ends in the core."""
+    length and then lexicographically, that ends in the core, and the cycle
+    lengths are checked at every level up to n + 1, past the deepest state,
+    so that a cycle entered only past the level is left out."""
     rng = random.Random(seed)
     machine = (random_automaton if kind == "random" else random_leaky)(rng, n, k)
     uc = oracle_uc_lengths(machine)
@@ -611,7 +664,7 @@ def test_reachability_answers_match_enumeration(kind, n, k, seed):
             assert decision.core == tuple(machine.states[q] for q in sorted(core))
             assert decision.witness == oracle_first_word_into(g, core)
             assert decision.member == (decision.witness is None)
-        for level in range(7):
+        for level in range(n + 2):
             expected = sorted({uc[q] for q in oracle_reached(g, level) if q in uc})
             assert iv.reachable_uc_lengths(g, level) == tuple(expected)
 
